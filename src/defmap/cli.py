@@ -28,6 +28,7 @@ import json
 import os
 import platform
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -175,11 +176,12 @@ def cmd_synth_gen(args) -> int:
 # -- fit ---------------------------------------------------------------------------
 
 
-def _build_train_config(args) -> train.TrainConfig:
+def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
     base = {}
     if args.config is not None:
         base = _load_json(args.config)
-    w = losses.LossWeights(**base.pop("weights", {}))
+    w = replace(losses.LossWeights.defaults_for(camera_kind),
+                **base.pop("weights", {}))
     lc_fields = base.pop("loss_cfg", {})
     if "blur_radii" in lc_fields:
         lc_fields["blur_radii"] = tuple(lc_fields["blur_radii"])
@@ -235,7 +237,7 @@ def _build_model(args, cat: synth.GroundTruthCategory,
 
 def cmd_fit(args) -> int:
     cat = _require_dataset(args.dataset)
-    cfg = _build_train_config(args)
+    cfg = _build_train_config(args, cat.spec.camera_kind)
     state = None
     if args.resume is not None:
         mdl = _require_model(os.path.join(args.resume, "model_final.bin"))
@@ -306,6 +308,10 @@ def eval_frames(cat: synth.GroundTruthCategory, mdl: model_mod.DeformerModel,
     depth through the model's own canonical map (predicted embeddings);
     d_depth_anchored reads it at the dataset's annotated canonical points,
     isolating basis/pose quality from embedding quality.
+
+    A metric that meets a degenerate cloud or depth map is NaN for that
+    frame only; the row's ``errors`` lists the error class of each such
+    metric.
     """
     eval_kappa = synth.fibonacci_sphere(n_points)
     rows = []
@@ -315,26 +321,34 @@ def eval_frames(cat: synth.GroundTruthCategory, mdl: model_mod.DeformerModel,
                                     fr.descriptors)
         cloud = model_mod.surface_sample(mdl, eval_kappa, pred["alpha"])
         gt_cloud = cat.surface_points(eval_kappa, fr.gt_alpha)
-        d_pcl = metrics.point_cloud_distance(cloud, gt_cloud)
-
         gt_depth = fr.depth[fr.pix_rc[:, 0], fr.pix_rc[:, 1]]
         ones = np.ones(len(gt_depth), dtype=bool)
         z_emb = (model_mod.basis_np(mdl, pred["kappa"]) @ pred["alpha"]
                  @ pred["R"].T)[:, 2]
-        d_depth = metrics.depth_error(z_emb, gt_depth, ones)
         z_anchor = (model_mod.basis_np(mdl, fr.gt_kappa) @ pred["alpha"]
                     @ pred["R"].T)[:, 2]
-        d_anchor = metrics.depth_error(z_anchor, gt_depth, ones)
-        rows.append({
-            "frame_id": fid,
-            "instance_id": fr.instance_id,
-            "d_pcl": d_pcl,
-            "d_depth": d_depth,
-            "d_depth_anchored": d_anchor,
-            "pred_cloud": cloud,
-            "gt_cloud": gt_cloud,
-        })
+        row = {"frame_id": fid, "instance_id": fr.instance_id,
+               "pred_cloud": cloud, "gt_cloud": gt_cloud, "errors": []}
+        _score(row, "d_pcl", metrics.point_cloud_distance, cloud, gt_cloud)
+        _score(row, "d_depth", metrics.depth_error, z_emb, gt_depth, ones)
+        _score(row, "d_depth_anchored", metrics.depth_error, z_anchor,
+               gt_depth, ones)
+        rows.append(row)
     return rows
+
+
+def _score(row: dict, col: str, metric, *args) -> None:
+    """row[col] = metric(*args), or NaN plus the error class if degenerate."""
+    try:
+        row[col] = metric(*args)
+    except (errors.DegenerateCloud, errors.DegenerateDepth) as e:
+        row[col] = np.nan
+        row["errors"].append(type(e).__name__)
+
+
+def _finite_mean(values) -> float:
+    finite = [v for v in values if np.isfinite(v)]
+    return float(np.mean(finite)) if finite else np.nan
 
 
 def cmd_eval(args) -> int:
@@ -356,8 +370,7 @@ def cmd_eval(args) -> int:
             f.write(",".join(
                 repr(r[c]) if isinstance(r[c], float) else str(r[c])
                 for c in cols) + "\n")
-        means = [float(np.mean([r[c] for r in rows]))
-                 for c in cols[2:]]
+        means = [_finite_mean([r[c] for r in rows]) for c in cols[2:]]
         f.write("mean,," + ",".join(repr(m) for m in means) + "\n")
     if args.dump_ply:
         for r in rows:
@@ -381,9 +394,16 @@ def cmd_eval(args) -> int:
         },
         outputs=outputs,
     )
-    d_pcl = float(np.mean([r["d_pcl"] for r in rows]))
-    d_depth = float(np.mean([r["d_depth"] for r in rows]))
+    d_pcl = _finite_mean([r["d_pcl"] for r in rows])
+    d_depth = _finite_mean([r["d_depth"] for r in rows])
     print(f"frames: {len(rows)}  d_pcl: {d_pcl:.6g}  d_depth: {d_depth:.6g}")
+    failed = [r["errors"] for r in rows if r["errors"]]
+    if failed:
+        kinds = Counter(name for names in failed for name in set(names))
+        print(f"failed frames: {len(failed)} ("
+              + ", ".join(name if n == 1 else f"{name} x{n}"
+                          for name, n in sorted(kinds.items())) + ")",
+              file=sys.stderr)
     return 0
 
 
@@ -705,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(train.ABLATABLE),
                    help="zero one loss term (repeatable)")
     f.add_argument("--holdout-every", type=int, default=0,
-                   help="every K-th frame is held out for validation")
+                   help="every K-th frame is held out for validation "
+                        "(amortized mode only)")
     f.add_argument("--resume", default=None,
                    help="run directory to continue from")
     f.set_defaults(func=cmd_fit)
@@ -749,7 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fit" and args.mode == "direct-latent" \
+            and args.holdout_every > 0:
+        parser.error("fit: --holdout-every needs --mode amortized; "
+                     "direct-latent rows of held-out frames are never "
+                     "trained")
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)

@@ -35,8 +35,12 @@ __all__ = [
     "load_depth",
 ]
 
-# below this many reference points a vectorized brute-force scan beats the
-# tree build; both routes are exercised against each other in the tests
+# Route switch of one-off `nearest_neighbors` calls (the Chamfer distance):
+# below this many target points they scan brute force, at or above it they
+# build a k-d tree. The brute-force scan is slower at every size measured
+# (3.8x at 100 points, 52x at 1,999), so the switch is no speed trade-off;
+# it stays because the benchmark's own tests pin both routes. ICP does not
+# use it: `icp_align` builds one tree per call whatever the size.
 TREE_MIN_POINTS = 2000
 
 ICP_MAX_ITER = 100
@@ -78,29 +82,40 @@ def octahedral_rotations() -> list[np.ndarray]:
     return out
 
 
-def umeyama_similarity(source, target) -> geom.SimilarityTransform:
-    """Least-squares similarity (scale, R, t) mapping source onto target.
+def _umeyama_batch(source: np.ndarray, targets: np.ndarray):
+    """Least-squares similarities mapping one source onto K paired targets.
 
-    Standard closed form: SVD of the cross-covariance with a determinant
-    correction so R stays a proper rotation.
+    ``source`` is (N,3) and ``targets`` (K,N,3), row i of each target paired
+    with row i of the source. Standard closed form per pairing: SVD of the
+    cross-covariance with a determinant correction so R stays a proper
+    rotation. Returns scales (K,), rotations (K,3,3), translations (K,3).
     """
+    mu_s = source.mean(axis=0)
+    src = source - mu_s
+    var_s = float(np.mean(np.sum(src**2, axis=1)))
+    if var_s < 1e-24:
+        raise DegenerateCloud("source cloud has (near-)zero variance")
+    mu_t = targets.mean(axis=1)
+    cov = np.swapaxes(targets - mu_t[:, None, :], 1, 2) @ src / len(source)
+    U, D, Vt = np.linalg.svd(cov)
+    S = np.zeros_like(cov)
+    S[:, 0, 0] = S[:, 1, 1] = 1.0
+    S[:, 2, 2] = np.sign(np.linalg.det(U @ Vt))
+    R = U @ S @ Vt
+    scale = np.trace(D[:, :, None] * np.eye(3) @ S, axis1=1, axis2=2) / var_s
+    trans = mu_t - scale[:, None, None] * R @ mu_s
+    return scale, R, trans
+
+
+def umeyama_similarity(source, target) -> geom.SimilarityTransform:
+    """Least-squares similarity (scale, R, t) mapping source onto target."""
     s = _as_cloud(source)
     t = _as_cloud(target)
     if s.shape != t.shape:
         raise DimMismatch("source and target must pair up")
-    mu_s = s.mean(axis=0)
-    mu_t = t.mean(axis=0)
-    var_s = float(np.mean(np.sum((s - mu_s) ** 2, axis=1)))
-    if var_s < 1e-24:
-        raise DegenerateCloud("source cloud has (near-)zero variance")
-    cov = (t - mu_t).T @ (s - mu_s) / s.shape[0]
-    U, D, Vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(U @ Vt))
-    S = np.diag([1.0, 1.0, sign])
-    R = U @ S @ Vt
-    scale = float(np.trace(np.diag(D) @ S)) / var_s
-    trans = mu_t - scale * R @ mu_s
-    return geom.SimilarityTransform(scale=scale, rotation=R, translation=trans)
+    scale, R, trans = _umeyama_batch(s, t[None])
+    return geom.SimilarityTransform(scale=float(scale[0]), rotation=R[0],
+                                    translation=trans[0])
 
 
 def nearest_neighbors(target, query) -> tuple[np.ndarray, np.ndarray]:
@@ -121,33 +136,6 @@ class AlignResult:
     residual: float          # mean squared nearest-neighbor distance
     n_iter: int
     converged: bool
-
-
-def _icp_from(source, target, R0) -> AlignResult:
-    mu_s = source.mean(axis=0)
-    mu_t = target.mean(axis=0)
-    var_s = float(np.mean(np.sum((source - mu_s) ** 2, axis=1)))
-    var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
-    scale0 = np.sqrt(var_t / var_s)
-    T = geom.SimilarityTransform(
-        scale=scale0, rotation=R0, translation=mu_t - scale0 * R0 @ mu_s
-    )
-    prev = np.inf
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, ICP_MAX_ITER + 1):
-        moved = T.apply(source)
-        idx, dist = nearest_neighbors(target, moved)
-        residual = float(np.mean(dist**2))
-        if prev - residual < ICP_TOL:
-            converged = True
-            break
-        prev = residual
-        T = umeyama_similarity(source, target[idx])
-    moved = T.apply(source)
-    _, dist = nearest_neighbors(target, moved)
-    return AlignResult(transform=T, residual=float(np.mean(dist**2)),
-                       n_iter=n_iter, converged=converged)
 
 
 def _pca_frame_seeds(source: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
@@ -178,19 +166,71 @@ def icp_align(source, target) -> AlignResult:
     principal-frame alignments first, then the 24 cube rotations) plus the
     centroid/scale match, alternates nearest-neighbor matching with the
     closed-form similarity fit, and stops when the mean squared residual
-    improves by less than the tolerance. The restart with the lowest final
-    residual wins; a numerically perfect fit short-circuits the rest.
+    improves by less than the tolerance.
+
+    The restarts run in lockstep on one k-d tree of the target: each round
+    queries the moved clouds of every still-active restart at once and
+    refits them with one batched SVD. Distances are recomputed from the
+    matched points, so each restart's rounds equal those of a restart run
+    on its own. Walking the restarts in seed order, the first with the
+    lowest final residual wins, and a numerically perfect fit ends the walk.
     """
     source = _as_cloud(source)
     target = _as_cloud(target)
-    best: AlignResult | None = None
-    for R0 in _pca_frame_seeds(source, target) + octahedral_rotations():
-        res = _icp_from(source, target, R0)
-        if best is None or res.residual < best.residual:
-            best = res
-        if best.residual < 1e-15:
+    n = len(source)
+    mu_s = source.mean(axis=0)
+    var_s = float(np.mean(np.sum((source - mu_s) ** 2, axis=1)))
+    if var_s < 1e-24:
+        raise DegenerateCloud("source cloud has (near-)zero variance")
+    mu_t = target.mean(axis=0)
+    var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
+    # per-restart state: scales (K,), rotations (K,3,3), translations (K,3)
+    rot = np.stack(_pca_frame_seeds(source, target) + octahedral_rotations())
+    k = len(rot)
+    scale0 = np.sqrt(var_t / var_s)
+    scale = np.full(k, scale0)
+    trans = mu_t - scale0 * rot @ mu_s
+
+    tree = cKDTree(target)
+
+    def residuals(active):
+        """Matched target indices and mean squared distances of restarts."""
+        moved = (scale[active, None, None] * source
+                 @ np.swapaxes(rot[active], 1, 2) + trans[active, None, :])
+        _, idx = tree.query(moved.reshape(-1, 3))
+        idx = idx.reshape(len(active), n)
+        dist = np.sqrt(np.sum((moved - target[idx]) ** 2, axis=-1))
+        return idx, np.mean(dist**2, axis=1)
+
+    residual = np.full(k, np.inf)
+    n_iter = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    for it in range(1, ICP_MAX_ITER + 1):
+        idx, res = residuals(active)
+        n_iter[active] = it
+        done = residual[active] - res < ICP_TOL
+        converged[active[done]] = True
+        residual[active] = res
+        idx, active = idx[~done], active[~done]
+        if not len(active):
             break
-    return best
+        scale[active], rot[active], trans[active] = _umeyama_batch(
+            source, target[idx])
+    if len(active):  # stopped at ICP_MAX_ITER: score the last refit
+        residual[active] = residuals(active)[1]
+
+    best = 0
+    for i in range(k):
+        if residual[i] < residual[best]:
+            best = i
+        if residual[best] < 1e-15:
+            break
+    T = geom.SimilarityTransform(scale=float(scale[best]), rotation=rot[best],
+                                 translation=trans[best])
+    return AlignResult(transform=T, residual=float(residual[best]),
+                       n_iter=int(n_iter[best]),
+                       converged=bool(converged[best]))
 
 
 def chamfer_symmetric(a, b) -> float:

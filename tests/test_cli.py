@@ -7,7 +7,7 @@ import pytest
 
 from defmap import cli, metrics, synth
 from defmap import model as model_mod
-from defmap.errors import InvalidSpec
+from defmap.errors import DegenerateCloud, InvalidSpec
 
 SPEC = {
     "n_instances": 3,
@@ -189,6 +189,54 @@ class TestFit:
                          "--out", str(tmp_path / "o")]) \
             == cli.EXIT_CODES[IoError]
 
+    def test_orthographic_keeps_default_repro_weight(self, run):
+        cfg = json.loads((run / "config.json").read_text())
+        assert cfg["weights"]["w_repro"] == 0.01
+
+    def test_perspective_starts_from_its_own_weights(self, work, tmp_path):
+        persp = tmp_path / "ds_persp"
+        spec = write_json(tmp_path / "spec.json",
+                          {**SPEC, "camera_kind": "perspective"})
+        assert cli.main(["synth-gen", "--out", str(persp), "--spec", spec,
+                         "--seed", "4"]) == 0
+        md = write_json(tmp_path / "md.json", MODEL_CFG)
+        for name, weights, want in (("default", {}, 1.0),
+                                    ("explicit", {"w_repro": 0.3}, 0.3)):
+            cfg = write_json(tmp_path / f"{name}.json",
+                             {**TRAIN_CFG, "weights": weights})
+            out = tmp_path / name
+            assert cli.main(["fit", "--dataset", str(persp), "--out",
+                             str(out), "--config", cfg, "--model-config", md,
+                             "--epochs", "1", "--batches-per-epoch", "1",
+                             "--batch-size", "2", "--seed", "0"]) == 0
+            got = json.loads((out / "config.json").read_text())
+            assert got["weights"]["w_repro"] == want
+
+    def test_direct_latent_holdout_is_usage_error(self, ds, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--dataset", str(ds), "--out",
+                      str(tmp_path / "o"), "--mode", "direct-latent",
+                      "--holdout-every", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode,holdout", [("direct-latent", "0"),
+                                              ("amortized", "2")])
+    def test_holdout_combinations_that_run(self, ds, tmp_path, mode,
+                                           holdout):
+        cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
+        md = write_json(tmp_path / "md.json", MODEL_CFG)
+        out = tmp_path / "o"
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(out),
+                         "--config", cfg, "--model-config", md,
+                         "--mode", mode, "--holdout-every", holdout,
+                         "--epochs", "1", "--batches-per-epoch", "1",
+                         "--batch-size", "2", "--seed", "0"]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["config"]["mode"] == mode.replace("-", "_")
+        assert (out / "metrics.csv").read_text().splitlines()[-1] \
+            .startswith("1,")
+
     def test_resume_continues_epochs(self, work, ds, tmp_path):
         cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
         md = write_json(tmp_path / "md.json", MODEL_CFG)
@@ -251,6 +299,48 @@ class TestEval:
                          "--dump-ply"]) == 0
         pts, _ = metrics.load_ply(out / "pred_frame0001.ply")
         assert pts.shape == (300, 3)
+
+    def test_degenerate_frame_is_nan_and_counted(self, ds, run, tmp_path,
+                                                 monkeypatch, capsys):
+        real = metrics.point_cloud_distance
+        calls = []
+
+        def second_degenerate(pred, gt):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DegenerateCloud("forced")
+            return real(pred, gt)
+
+        monkeypatch.setattr(metrics, "point_cloud_distance",
+                            second_degenerate)
+        out = tmp_path / "ev"
+        assert cli.main(["eval", "--checkpoint", str(run / "model_final.bin"),
+                         "--dataset", str(ds), "--out", str(out),
+                         "--n-points", "100", "--frames", "0", "1", "2"]) == 0
+        assert "failed frames: 1 (DegenerateCloud)" in capsys.readouterr().err
+        lines = (out / "eval.csv").read_text().splitlines()
+        cells = [line.split(",") for line in lines[1:]]
+        assert cells[1][2] == "nan"
+        d_pcl = [float(c[2]) for c in (cells[0], cells[2])]
+        assert all(np.isfinite(d_pcl))
+        assert cells[3][2] == repr(float(np.mean(d_pcl)))
+        for col in (3, 4):  # the frame's depth scores are unaffected
+            assert cells[3][col] == repr(float(np.mean(
+                [float(c[col]) for c in cells[:3]])))
+
+    def test_healthy_eval_reports_no_failures(self, ds, run, tmp_path,
+                                              capsys):
+        out = tmp_path / "ev"
+        assert cli.main(["eval", "--checkpoint", str(run / "model_final.bin"),
+                         "--dataset", str(ds), "--out", str(out),
+                         "--n-points", "100", "--frames", "0", "1", "2"]) == 0
+        assert "failed frames" not in capsys.readouterr().err
+        cells = [line.split(",")
+                 for line in (out / "eval.csv").read_text().splitlines()[1:]]
+        for col in (2, 3, 4):  # the mean row is the plain column mean
+            vals = [float(c[col]) for c in cells[:3]]
+            assert all(np.isfinite(vals))
+            assert cells[3][col] == repr(float(np.mean(vals)))
 
     def test_frame_out_of_range(self, oracle, tmp_path):
         ds_flat, ckpt = oracle

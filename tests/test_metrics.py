@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from defmap import geom, metrics
@@ -160,6 +161,126 @@ class TestIcpAlign:
         seed = geom.SimilarityTransform(s0, np.eye(3), mu_t - s0 * mu_s)
         _, d0 = metrics.nearest_neighbors(target, seed.apply(source))
         assert res.residual <= np.mean(d0**2) + 1e-12
+
+
+def reference_restarts(source, target) -> list:
+    """Every restart of the per-restart ICP loop, on a brute-force oracle.
+
+    This is the sequential loop that ``icp_align`` runs in lockstep: each
+    restart matches with an exhaustive ``cdist`` scan and refits with
+    ``umeyama_similarity``, one restart after the other.
+    """
+    def match(moved):
+        idx = np.argmin(cdist(moved, target), axis=1)
+        dist = np.sqrt(np.sum((moved - target[idx]) ** 2, axis=-1))
+        return idx, float(np.mean(dist**2))
+
+    mu_s, mu_t = source.mean(axis=0), target.mean(axis=0)
+    var_s = float(np.mean(np.sum((source - mu_s) ** 2, axis=1)))
+    var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
+    scale0 = np.sqrt(var_t / var_s)
+    out = []
+    for R0 in (metrics._pca_frame_seeds(source, target)
+               + metrics.octahedral_rotations()):
+        T = geom.SimilarityTransform(scale0, R0, mu_t - scale0 * R0 @ mu_s)
+        prev, converged = np.inf, False
+        for n_iter in range(1, metrics.ICP_MAX_ITER + 1):
+            idx, residual = match(T.apply(source))
+            if prev - residual < metrics.ICP_TOL:
+                converged = True
+                break
+            prev = residual
+            T = metrics.umeyama_similarity(source, target[idx])
+        out.append(metrics.AlignResult(T, match(T.apply(source))[1], n_iter,
+                                       converged))
+    return out
+
+
+def reference_select(restarts):
+    """Seed order, strictly lower residual wins, stop below 1e-15."""
+    best = restarts[0]
+    for res in restarts:
+        if res.residual < best.residual:
+            best = res
+        if best.residual < 1e-15:
+            break
+    return best
+
+
+def assert_same_result(got, want):
+    assert repr(got.residual) == repr(want.residual)
+    assert repr(got.transform.scale) == repr(want.transform.scale)
+    np.testing.assert_array_equal(got.transform.rotation,
+                                  want.transform.rotation)
+    np.testing.assert_array_equal(got.transform.translation,
+                                  want.transform.translation)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+
+
+def mirrored_pair(seed):
+    """Source and target clouds, each symmetric under a half turn about z."""
+    rng = np.random.default_rng(seed)
+    halves = [rng.standard_normal((n, 3)) * [2.0, 1.0, 0.5] for n in (6, 7)]
+    return [np.concatenate([h, h * [-1.0, -1.0, 1.0]]) for h in halves]
+
+
+class TestIcpLockstep:
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    def test_equals_sequential_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_s, n_t = rng.integers(40, 120, size=2)
+        source = rng.standard_normal((n_s, 3)) * rng.uniform(0.3, 2.0, 3)
+        target = rng.standard_normal((n_t, 3)) * rng.uniform(0.3, 2.0, 3)
+        assert_same_result(metrics.icp_align(source, target),
+                           reference_select(reference_restarts(source,
+                                                               target)))
+
+    def test_iteration_cap_without_convergence(self, monkeypatch):
+        monkeypatch.setattr(metrics, "ICP_MAX_ITER", 3)
+        source, target = mirrored_pair(30)
+        want = reference_select(reference_restarts(source, target))
+        assert (want.n_iter, want.converged) == (3, False)
+        assert_same_result(metrics.icp_align(source, target), want)
+
+    def test_exact_fit_stops_at_first_perfect_restart(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((30, 3)) * [2.0, 1.0, 0.5]
+        T = geom.SimilarityTransform(
+            1.7, geom.rotation_from_6d(rng.standard_normal(6)),
+            rng.standard_normal(3))
+        restarts = reference_restarts(x, T.apply(x))
+        residuals = [r.residual for r in restarts]
+        first = next(i for i, r in enumerate(residuals) if r < 1e-15)
+        # a later restart fits even better, yet the walk has stopped
+        assert min(residuals) < residuals[first]
+        assert_same_result(metrics.icp_align(x, T.apply(x)), restarts[first])
+
+    def test_tied_residuals_earliest_restart_wins(self):
+        source, target = mirrored_pair(0)
+        restarts = reference_restarts(source, target)
+        best = min(r.residual for r in restarts)
+        tied = [r for r in restarts if r.residual == best]
+        assert len(tied) > 1 and best > 1e-15
+        assert not np.array_equal(tied[0].transform.rotation,
+                                  tied[1].transform.rotation)
+        assert_same_result(metrics.icp_align(source, target), tied[0])
+
+    def test_one_tree_per_call(self, monkeypatch):
+        built = []
+
+        def counting_tree(points):
+            built.append(len(points))
+            return cKDTree(points)
+
+        monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+        rng = np.random.default_rng(25)
+        metrics.icp_align(rng.standard_normal((80, 3)),
+                          rng.standard_normal((90, 3)))
+        assert built == [90]
+
+    def test_degenerate_source(self):
+        with pytest.raises(DegenerateCloud):
+            metrics.icp_align(np.ones((5, 3)), np.eye(3))
 
 
 class TestPointCloudDistance:
