@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__, errors, losses, metrics
 from . import model as model_mod
 from . import synth, tape, train
+from .train import eval_frames
 
 # 0 = success, 1 = checks failed, 2 = usage; error classes follow in
 # declaration order so the mapping stays stable as the taxonomy grows.
@@ -247,9 +248,15 @@ def cmd_fit(args) -> int:
         state = train.load_state(state_path, mdl)
     else:
         mdl = _build_model(args, cat, np.random.default_rng(cfg.seed))
+    if mdl.mode == model_mod.DIRECT_LATENT and args.holdout_every > 0:
+        # a usage error like argparse's, decided on the model actually used
+        print("defmap fit: error: --holdout-every needs an amortized model; "
+              "direct-latent rows of held-out frames are never trained",
+              file=sys.stderr)
+        raise SystemExit(2)
 
     ids = list(range(len(cat.frames)))
-    if args.holdout_every and args.holdout_every > 0:
+    if args.holdout_every > 0:
         val_ids = ids[::args.holdout_every]
         train_ids = [i for i in ids if i % args.holdout_every != 0]
     else:
@@ -293,62 +300,24 @@ def cmd_fit(args) -> int:
     if last:
         print(f"epochs: {last['epoch']}  mean_total: {last['mean_total']:.6g}"
               f"  d_pcl: {last['d_pcl']:.6g}  d_depth: {last['d_depth']:.6g}")
+        _report_failures("validation frames", last["val_failed"])
     return 0
 
 
 # -- eval --------------------------------------------------------------------------
 
 
-def eval_frames(cat: synth.GroundTruthCategory, mdl: model_mod.DeformerModel,
-                frame_ids, n_points: int) -> list[dict]:
-    """Per-frame shape and depth metrics.
+def _report_failures(what: str, failed) -> None:
+    """One stderr line counting failed frames by error class, if any failed.
 
-    d_pcl compares a dense sweep of the embedding sphere through the
-    learned basis against the generator surface. d_depth reads per-pixel
-    depth through the model's own canonical map (predicted embeddings);
-    d_depth_anchored reads it at the dataset's annotated canonical points,
-    isolating basis/pose quality from embedding quality.
-
-    A metric that meets a degenerate cloud or depth map is NaN for that
-    frame only; the row's ``errors`` lists the error class of each such
-    metric.
+    ``failed`` holds the ``errors`` list of each failed frame.
     """
-    eval_kappa = synth.fibonacci_sphere(n_points)
-    rows = []
-    for fid in frame_ids:
-        fr = cat.frames[fid]
-        pred = model_mod.predict_np(mdl, fr.instance_desc, fr.frame_id,
-                                    fr.descriptors)
-        cloud = model_mod.surface_sample(mdl, eval_kappa, pred["alpha"])
-        gt_cloud = cat.surface_points(eval_kappa, fr.gt_alpha)
-        gt_depth = fr.depth[fr.pix_rc[:, 0], fr.pix_rc[:, 1]]
-        ones = np.ones(len(gt_depth), dtype=bool)
-        z_emb = (model_mod.basis_np(mdl, pred["kappa"]) @ pred["alpha"]
-                 @ pred["R"].T)[:, 2]
-        z_anchor = (model_mod.basis_np(mdl, fr.gt_kappa) @ pred["alpha"]
-                    @ pred["R"].T)[:, 2]
-        row = {"frame_id": fid, "instance_id": fr.instance_id,
-               "pred_cloud": cloud, "gt_cloud": gt_cloud, "errors": []}
-        _score(row, "d_pcl", metrics.point_cloud_distance, cloud, gt_cloud)
-        _score(row, "d_depth", metrics.depth_error, z_emb, gt_depth, ones)
-        _score(row, "d_depth_anchored", metrics.depth_error, z_anchor,
-               gt_depth, ones)
-        rows.append(row)
-    return rows
-
-
-def _score(row: dict, col: str, metric, *args) -> None:
-    """row[col] = metric(*args), or NaN plus the error class if degenerate."""
-    try:
-        row[col] = metric(*args)
-    except (errors.DegenerateCloud, errors.DegenerateDepth) as e:
-        row[col] = np.nan
-        row["errors"].append(type(e).__name__)
-
-
-def _finite_mean(values) -> float:
-    finite = [v for v in values if np.isfinite(v)]
-    return float(np.mean(finite)) if finite else np.nan
+    if failed:
+        kinds = Counter(name for names in failed for name in set(names))
+        print(f"failed {what}: {len(failed)} ("
+              + ", ".join(name if n == 1 else f"{name} x{n}"
+                          for name, n in sorted(kinds.items())) + ")",
+              file=sys.stderr)
 
 
 def cmd_eval(args) -> int:
@@ -360,9 +329,10 @@ def cmd_eval(args) -> int:
         if fid < 0 or fid >= len(cat.frames):
             raise errors.InvalidSpec(f"frame {fid} outside the dataset")
     rows = eval_frames(cat, mdl, frame_ids, args.n_points)
+    means, failed = train.reduce_rows(rows)
 
     os.makedirs(args.out, exist_ok=True)
-    cols = ("frame_id", "instance_id", "d_pcl", "d_depth", "d_depth_anchored")
+    cols = ("frame_id", "instance_id", *train.SCORES)
     outputs = ["eval.csv"]
     with open(os.path.join(args.out, "eval.csv"), "w") as f:
         f.write(",".join(cols) + "\n")
@@ -370,8 +340,8 @@ def cmd_eval(args) -> int:
             f.write(",".join(
                 repr(r[c]) if isinstance(r[c], float) else str(r[c])
                 for c in cols) + "\n")
-        means = [_finite_mean([r[c] for r in rows]) for c in cols[2:]]
-        f.write("mean,," + ",".join(repr(m) for m in means) + "\n")
+        f.write("mean,," + ",".join(repr(means[c]) for c in train.SCORES)
+                + "\n")
     if args.dump_ply:
         for r in rows:
             pred_name = f"pred_frame{r['frame_id']:04d}.ply"
@@ -394,16 +364,9 @@ def cmd_eval(args) -> int:
         },
         outputs=outputs,
     )
-    d_pcl = _finite_mean([r["d_pcl"] for r in rows])
-    d_depth = _finite_mean([r["d_depth"] for r in rows])
-    print(f"frames: {len(rows)}  d_pcl: {d_pcl:.6g}  d_depth: {d_depth:.6g}")
-    failed = [r["errors"] for r in rows if r["errors"]]
-    if failed:
-        kinds = Counter(name for names in failed for name in set(names))
-        print(f"failed frames: {len(failed)} ("
-              + ", ".join(name if n == 1 else f"{name} x{n}"
-                          for name, n in sorted(kinds.items())) + ")",
-              file=sys.stderr)
+    print(f"frames: {len(rows)}  d_pcl: {means['d_pcl']:.6g}"
+          f"  d_depth: {means['d_depth']:.6g}")
+    _report_failures("frames", failed)
     return 0
 
 
@@ -772,11 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fit" and args.mode == "direct-latent" \
-            and args.holdout_every > 0:
-        parser.error("fit: --holdout-every needs --mode amortized; "
-                     "direct-latent rows of held-out frames are never "
-                     "trained")
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)

@@ -50,7 +50,11 @@ class GimbalDegenerate(DefmapError):
 
 
 class DegenerateRotations(DefmapError):
-    """Upward-axis extraction got rotations that are all (near-)identity."""
+    """Rotations too alike to determine a shared axis.
+
+    Nothing raises it now; it stays so that ``cli.EXIT_CODES``, which
+    numbers the error classes in order, keeps every later code.
+    """
 
 
 class InvalidSpec(DefmapError):

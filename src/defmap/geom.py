@@ -29,38 +29,8 @@ PERSPECTIVE = "perspective"
 _ORTHO_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """Validated rotation matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise DimMismatch(f"rotation matrix must be 3x3, got {m.shape}")
-        if not np.allclose(m.T @ m, np.eye(3), atol=1e-6):
-            raise DegenerateInput("matrix is not orthonormal")
-        if np.linalg.det(m) < 0:
-            raise DegenerateInput("matrix has negative determinant")
-        object.__setattr__(self, "matrix", m)
-
-    @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(np.eye(3))
-
-
-@dataclass(frozen=True)
-class Rotation6D:
-    """Unconstrained 6D rotation parameterization: two stacked 3-vectors."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @staticmethod
-    def identity_values() -> np.ndarray:
-        """Raw 6-vector that maps to the identity rotation."""
-        return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+#: raw 6D rotation parameters (two stacked 3-vectors) of the identity
+IDENTITY_6D = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,16 +86,6 @@ class Raster:
     def from_px(self, px: np.ndarray) -> np.ndarray:
         px = np.asarray(px, dtype=np.float64)
         return (px - np.array([self.cx, self.cy])) / self.ppu
-
-
-@dataclass(frozen=True)
-class RigidPose:
-    rotation: Rotation
-    translation: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "translation", t)
 
 
 @dataclass(frozen=True)
@@ -198,27 +158,6 @@ def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def axis_angle(R: np.ndarray) -> tuple[np.ndarray, float]:
-    """Axis (unit) and angle in [0, pi] of a rotation matrix.
-
-    For near-identity rotations the axis is ill-defined; returns angle ~0 and
-    the +z axis as a placeholder.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    cos_t = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    angle = float(np.arccos(cos_t))
-    if angle < 1e-10:
-        return np.array([0.0, 0.0, 1.0]), angle
-    if np.pi - angle < 1e-6:
-        # R ~ symmetric: axis from the dominant column of (R + I) / 2
-        M = (R + np.eye(3)) / 2.0
-        i = int(np.argmax(np.diag(M)))
-        ax = M[:, i] / np.sqrt(max(M[i, i], 1e-300))
-        return ax / np.linalg.norm(ax), angle
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return w / (2.0 * np.sin(angle)), angle
-
-
 def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     """Unit quaternion (w, x, y, z) with w >= 0 for a rotation matrix."""
     R = np.asarray(R, dtype=np.float64)
@@ -241,13 +180,6 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     if q[0] < 0:
         q = -q
     return q / np.linalg.norm(q)
-
-
-def rotation_distance(R: np.ndarray, R_ref: np.ndarray) -> float:
-    """(3 - trace(R^T R_ref)) / 2, in [0, 2]; 0 iff the rotations agree."""
-    R = np.asarray(R, dtype=np.float64)
-    R_ref = np.asarray(R_ref, dtype=np.float64)
-    return float((3.0 - np.trace(R.T @ R_ref)) / 2.0)
 
 
 def rotation_distance_var(R: tape.Var, R_ref: np.ndarray) -> tape.Var:
@@ -318,8 +250,3 @@ def ray_direction(cam: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
     return d[0] if np.asarray(pixels).ndim == 1 else d
 
-
-def apply_pose(pose: RigidPose, points: np.ndarray) -> np.ndarray:
-    """R @ X + t applied to (N,3) rows (or a single 3-vector)."""
-    X = np.asarray(points, dtype=np.float64)
-    return X @ pose.rotation.matrix.T + pose.translation

@@ -110,7 +110,7 @@ def init_model(
                                                 out_scale=1e-2)
         netp["view_head"] = nets.init_params(
             cfgs["view_head"], rng, out_scale=1e-2,
-            out_bias=geom.Rotation6D.identity_values(),
+            out_bias=geom.IDENTITY_6D,
         )
     else:
         if n_frames < 1:
@@ -119,7 +119,7 @@ def init_model(
         latents = {
             "alpha": np.zeros((n_frames, D)),
             "beta": np.zeros((n_frames, Dp)),
-            "view6d": np.tile(geom.Rotation6D.identity_values(), (n_frames, 1)),
+            "view6d": np.tile(geom.IDENTITY_6D, (n_frames, 1)),
         }
     return DeformerModel(dims=dims, mode=mode, nets=netp, latents=latents)
 

@@ -33,7 +33,6 @@ from scipy.ndimage import distance_transform_edt
 
 from . import geom, losses
 from .errors import (
-    DegenerateRotations,
     DimMismatch,
     GimbalDegenerate,
     InfeasibleConstraint,
@@ -51,7 +50,6 @@ __all__ = [
     "GroundTruthCategory",
     "pose_rotation",
     "azimuth_of",
-    "upward_axis",
     "rebalance_weights",
     "make_batches",
     "generate_category",
@@ -300,30 +298,6 @@ def azimuth_of(R: np.ndarray, eps: float = 1e-9) -> float:
     if n < eps:
         raise GimbalDegenerate("twist about z is unconstrained here")
     return float(2.0 * np.arctan2(z, w))
-
-
-def upward_axis(rotations) -> np.ndarray:
-    """Estimate the shared orbit axis from camera rotations.
-
-    A camera orbiting without roll keeps its image-right direction
-    perpendicular to the orbit axis at every azimuth and elevation, so the
-    right directions span the axis's equatorial plane and the axis is the
-    least-excited eigenvector of their scatter. The sign is fixed toward
-    world +z. Degenerate when the azimuths do not spread (a single view
-    direction constrains the axis only to a plane).
-    """
-    Rs = [np.asarray(R, dtype=np.float64) for R in rotations]
-    if len(Rs) < 3:
-        raise DegenerateRotations("need at least 3 rotations")
-    rights = np.stack([R.T @ np.array([1.0, 0.0, 0.0]) for R in Rs])
-    scatter = rights.T @ rights / len(Rs)
-    vals, vecs = np.linalg.eigh(scatter)
-    if vals[1] - vals[0] < 1e-8:
-        raise DegenerateRotations("orbit axis is not identifiable")
-    axis = vecs[:, 0]
-    if axis[2] < 0:
-        axis = -axis
-    return axis
 
 
 def rebalance_weights(azimuths, n_bins: int = 16) -> np.ndarray:

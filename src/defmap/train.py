@@ -41,6 +41,10 @@ _ZERO_WEIGHTS = {
 LOG_TERMS = ("prior", "repro", "emb_align", "mask", "texture", "min_k",
              "min_k_raw", "min_k_refs")
 
+#: metrics.csv columns; the epoch-log rows carry them plus ``val_failed``
+METRIC_COLS = ("epoch", "mean_total", *(f"mean_{t}" for t in LOG_TERMS),
+               "d_pcl", "d_depth", "lr", "nonfinite")
+
 
 @dataclass
 class TrainConfig:
@@ -169,9 +173,15 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 # -- learning-rate schedule -----------------------------------------------------
 
 
-def _plateau_step(s, value: float, patience: int, factor: float,
+def _plateau_step(s: TrainState, value: float, patience: int, factor: float,
                   rel: float, max_decays: int) -> float:
-    """Shared plateau bookkeeping over any object with lr/best/wait/decays."""
+    """Cut the learning rate when the epoch objective stops improving.
+
+    An epoch counts as improving when it beats ``s.best`` by a relative
+    margin ``rel``. After ``patience`` non-improving epochs in a row the
+    rate is multiplied by ``factor``; the wait counter then resets, so each
+    plateau episode triggers one cut, up to ``max_decays`` cuts.
+    """
     if not np.isfinite(s.best) or value < s.best - rel * abs(s.best):
         s.best = value
         s.wait = 0
@@ -182,45 +192,6 @@ def _plateau_step(s, value: float, patience: int, factor: float,
             s.decays += 1
             s.wait = 0
     return s.lr
-
-
-class PlateauScheduler:
-    """Cut the learning rate when the epoch objective stops improving.
-
-    An epoch counts as improving when it beats the best value seen by a
-    relative margin ``rel``. After ``patience`` non-improving epochs in a
-    row the rate is multiplied by ``factor``; the wait counter then resets,
-    so each plateau episode triggers one cut, up to ``max_decays`` cuts.
-    """
-
-    def __init__(self, lr: float, patience: int = 1, factor: float = 0.1,
-                 rel: float = 1e-3, max_decays: int = 3):
-        if not lr > 0:
-            raise InvalidSpec("lr must be positive")
-        self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.rel = rel
-        self.max_decays = max_decays
-        self.best = np.inf
-        self.wait = 0
-        self.decays = 0
-
-    def update(self, value: float) -> float:
-        return _plateau_step(self, value, self.patience, self.factor,
-                             self.rel, self.max_decays)
-
-
-def plateau_lr(history, lr: float, patience: int = 1, factor: float = 0.1,
-               rel: float = 1e-3, max_decays: int = 3) -> float:
-    """Learning rate after replaying a nonempty history of epoch losses."""
-    history = list(history)
-    if not history:
-        raise DimMismatch("empty loss history")
-    sched = PlateauScheduler(lr, patience, factor, rel, max_decays)
-    for value in history:
-        sched.update(value)
-    return sched.lr
 
 
 # -- state io ------------------------------------------------------------------
@@ -317,36 +288,78 @@ def load_state(path, model: model_mod.DeformerModel) -> TrainState:
     )
 
 
-# -- validation ------------------------------------------------------------------
+# -- evaluation ------------------------------------------------------------------
+
+#: per-frame scores of :func:`eval_frames` rows, in ``eval.csv`` order
+SCORES = ("d_pcl", "d_depth", "d_depth_anchored")
 
 
-def validate_frames(category, model: model_mod.DeformerModel, frames,
-                    eval_kappa: np.ndarray) -> tuple[float, float]:
-    """Mean shape distance and depth error of the model on given frames.
+def eval_frames(cat: synth.GroundTruthCategory, mdl: model_mod.DeformerModel,
+                frame_ids, n_points: int) -> list[dict]:
+    """Per-frame shape and depth metrics.
 
-    The predicted cloud sweeps the embedding sphere through the learned
-    basis at the predicted coefficients; depth is compared per annotated
-    pixel after affine matching, so no translation estimate is needed.
+    d_pcl compares a dense sweep of the embedding sphere through the
+    learned basis against the generator surface. d_depth reads per-pixel
+    depth through the model's own canonical map (predicted embeddings);
+    d_depth_anchored reads it at the dataset's annotated canonical points,
+    isolating basis/pose quality from embedding quality.
+
+    A metric that meets a degenerate cloud or depth map is NaN for that
+    frame only; the row's ``errors`` lists the error class of each such
+    metric.
     """
-    d_pcl, d_depth = [], []
-    for fr in frames:
-        pred = model_mod.predict_np(model, fr.instance_desc, fr.frame_id,
+    eval_kappa = synth.fibonacci_sphere(n_points)
+    rows = []
+    for fid in frame_ids:
+        fr = cat.frames[fid]
+        pred = model_mod.predict_np(mdl, fr.instance_desc, fr.frame_id,
                                     fr.descriptors)
-        cloud = model_mod.surface_sample(model, eval_kappa, pred["alpha"])
-        gt_cloud = category.surface_points(eval_kappa, fr.gt_alpha)
-        try:
-            d_pcl.append(metrics.point_cloud_distance(cloud, gt_cloud))
-        except DegenerateCloud:
-            d_pcl.append(np.nan)
-        X = model_mod.basis_np(model, pred["kappa"]) @ pred["alpha"]
-        z = (X @ pred["R"].T)[:, 2]
-        rows, cols = fr.pix_rc[:, 0], fr.pix_rc[:, 1]
-        try:
-            d_depth.append(metrics.depth_error(
-                z, fr.depth[rows, cols], np.ones(len(z), dtype=bool)))
-        except DegenerateDepth:
-            d_depth.append(np.nan)
-    return float(np.mean(d_pcl)), float(np.mean(d_depth))
+        cloud = model_mod.surface_sample(mdl, eval_kappa, pred["alpha"])
+        gt_cloud = cat.surface_points(eval_kappa, fr.gt_alpha)
+        gt_depth = fr.depth[fr.pix_rc[:, 0], fr.pix_rc[:, 1]]
+        ones = np.ones(len(gt_depth), dtype=bool)
+        z_emb = (model_mod.basis_np(mdl, pred["kappa"]) @ pred["alpha"]
+                 @ pred["R"].T)[:, 2]
+        z_anchor = (model_mod.basis_np(mdl, fr.gt_kappa) @ pred["alpha"]
+                    @ pred["R"].T)[:, 2]
+        row = {"frame_id": fid, "instance_id": fr.instance_id,
+               "pred_cloud": cloud, "gt_cloud": gt_cloud, "errors": []}
+        _score(row, "d_pcl", metrics.point_cloud_distance, cloud, gt_cloud)
+        _score(row, "d_depth", metrics.depth_error, z_emb, gt_depth, ones)
+        _score(row, "d_depth_anchored", metrics.depth_error, z_anchor,
+               gt_depth, ones)
+        rows.append(row)
+    return rows
+
+
+def _score(row: dict, col: str, metric, *args) -> None:
+    """row[col] = metric(*args), or NaN plus the error class if degenerate."""
+    try:
+        row[col] = metric(*args)
+    except (DegenerateCloud, DegenerateDepth) as e:
+        row[col] = np.nan
+        row["errors"].append(type(e).__name__)
+
+
+def _finite_mean(values) -> float:
+    finite = [v for v in values if np.isfinite(v)]
+    return float(np.mean(finite)) if finite else np.nan
+
+
+def reduce_rows(rows: list[dict]) -> tuple[dict, list]:
+    """Mean of each score over the frames where it is finite (NaN when it is
+    finite on none), and the ``errors`` list of every failed frame."""
+    means = {col: _finite_mean([r[col] for r in rows]) for col in SCORES}
+    return means, [r["errors"] for r in rows if r["errors"]]
+
+
+def validate_frames(category, model: model_mod.DeformerModel, frame_ids,
+                    n_points: int) -> tuple[float, float, list]:
+    """Mean d_pcl and d_depth of :func:`eval_frames` rows under
+    :func:`reduce_rows`, plus the ``errors`` list of every failed frame."""
+    means, failed = reduce_rows(eval_frames(category, model, frame_ids,
+                                            n_points))
+    return means["d_pcl"], means["d_depth"], failed
 
 
 # -- fit -------------------------------------------------------------------------
@@ -366,7 +379,10 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     """Optimize ``model`` on a category's frames.
 
     Returns (model, per-epoch log). ``train_ids``/``val_ids`` index
-    ``category.frames``; both default to every frame. Passing a loaded
+    ``category.frames``; both default to every frame. Each log row holds
+    the ``METRIC_COLS`` values plus ``val_failed``, the ``errors`` list of
+    every validation frame that failed (see :func:`validate_frames`; empty
+    when the epoch was not validated). Passing a loaded
     ``state`` resumes a run: the step/epoch counters, rng stream, plateau
     bookkeeping and momentum buffers continue bit-exactly.
 
@@ -380,13 +396,11 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     if not train_ids:
         raise DimMismatch("no training frames")
     train_frames = [frames[i] for i in train_ids]
-    val_frames = [frames[i] for i in val_ids]
     labels = [fr.labels for fr in train_frames]
     instance_ids = [fr.instance_id for fr in train_frames]
     azimuths = [synth.azimuth_of(fr.labels.rotation) for fr in train_frames]
     rebal = synth.rebalance_weights(azimuths)
     w_eff = effective_weights(cfg.weights, cfg.ablate)
-    eval_kappa = synth.fibonacci_sphere(cfg.n_eval_points)
     fresh = state is None
     if fresh:
         state = init_state(model, cfg)
@@ -406,12 +420,8 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
             ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"],
             fresh,
         )
-        met_f, met_w = _csv_writer(
-            run_dir / "metrics.csv",
-            ["epoch", "mean_total", *(f"mean_{t}" for t in LOG_TERMS),
-             "d_pcl", "d_depth", "lr", "nonfinite"],
-            fresh,
-        )
+        met_f, met_w = _csv_writer(run_dir / "metrics.csv", METRIC_COLS,
+                                   fresh)
 
     epoch_log = []
     try:
@@ -454,10 +464,10 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
                        or (cfg.validate_every > 0
                            and state.epoch % cfg.validate_every == 0))
             if run_val:
-                d_pcl, d_depth = validate_frames(category, model, val_frames,
-                                                 eval_kappa)
+                d_pcl, d_depth, val_failed = validate_frames(
+                    category, model, val_ids, cfg.n_eval_points)
             else:
-                d_pcl = d_depth = np.nan
+                d_pcl, d_depth, val_failed = np.nan, np.nan, []
             row = {
                 "epoch": state.epoch,
                 "mean_total": mean_total,
@@ -467,11 +477,12 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
                 "d_depth": d_depth,
                 "lr": lr_used,
                 "nonfinite": state.nonfinite,
+                "val_failed": val_failed,
             }
             epoch_log.append(row)
             if met_w is not None:
                 met_w.writerow([repr(row[k]) if isinstance(row[k], float)
-                                else row[k] for k in row])
+                                else row[k] for k in METRIC_COLS])
                 met_f.flush()
             if log_f is not None:
                 log_f.flush()

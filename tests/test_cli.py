@@ -220,6 +220,25 @@ class TestFit:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_resumed_direct_latent_holdout_is_usage_error(self, ds,
+                                                          tmp_path):
+        # the mode comes from the checkpoint, not from --mode
+        cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
+        md = write_json(tmp_path / "md.json", MODEL_CFG)
+        p1 = tmp_path / "p1"
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(p1),
+                         "--config", cfg, "--model-config", md,
+                         "--mode", "direct-latent", "--epochs", "1",
+                         "--batches-per-epoch", "1", "--batch-size", "2",
+                         "--seed", "0"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--dataset", str(ds), "--out",
+                      str(tmp_path / "p2"), "--config", cfg,
+                      "--resume", str(p1), "--epochs", "2",
+                      "--holdout-every", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "p2").exists()
+
     @pytest.mark.parametrize("mode,holdout", [("direct-latent", "0"),
                                               ("amortized", "2")])
     def test_holdout_combinations_that_run(self, ds, tmp_path, mode,
@@ -252,6 +271,40 @@ class TestFit:
         assert len(rows) == 1 and rows[0].startswith("2,")
         m = json.loads((p2 / "manifest.json").read_text())
         assert "resume_state" in m["inputs"]
+
+
+class TestValidationMatchesEval:
+    # untrained direct-latent rows keep alpha = 0, so 4 of the 6 frames
+    # that one batch of 2 leaves untouched have degenerate clouds and depth
+    @pytest.mark.parametrize("mode,failure", [
+        ("direct-latent", "(DegenerateCloud x4, DegenerateDepth x4)"),
+        ("amortized", None)], ids=["degenerate", "healthy"])
+    def test_fit_scores_equal_eval_mean_row(self, ds, tmp_path, capsys,
+                                            mode, failure):
+        cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
+        md = write_json(tmp_path / "md.json", MODEL_CFG)
+        run_dir, ev = tmp_path / "run", tmp_path / "ev"
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(run_dir),
+                         "--config", cfg, "--model-config", md,
+                         "--mode", mode, "--epochs", "1",
+                         "--batches-per-epoch", "1", "--batch-size", "2",
+                         "--seed", "0"]) == 0
+        fit_err = capsys.readouterr().err
+        assert cli.main(["eval", "--checkpoint",
+                         str(run_dir / "model_final.bin"), "--dataset",
+                         str(ds), "--out", str(ev), "--n-points",
+                         str(TRAIN_CFG["n_eval_points"])]) == 0
+        eval_err = capsys.readouterr().err
+        header, row = (run_dir / "metrics.csv").read_text().splitlines()
+        fit_scores = dict(zip(header.split(","), row.split(",")))
+        mean_row = (ev / "eval.csv").read_text().splitlines()[-1].split(",")
+        assert [fit_scores["d_pcl"], fit_scores["d_depth"]] == mean_row[2:4]
+        assert all(np.isfinite(float(v)) for v in mean_row[2:4])
+        if failure is None:
+            assert "failed" not in fit_err and "failed" not in eval_err
+        else:
+            assert f"failed validation frames: 4 {failure}" in fit_err
+            assert f"failed frames: 4 {failure}" in eval_err
 
 
 class TestEval:

@@ -112,7 +112,7 @@ class TestPredictFrame:
         m = small_model(seed=8)
         p = m.nets["view_head"]
         p.view("w_out")[:] = 0.0
-        p.view("b_out")[:] = geom.Rotation6D.identity_values()
+        p.view("b_out")[:] = geom.IDENTITY_6D
         leaves = model.make_leaves(m)
         pred = model.predict_frame(
             m, leaves, np.random.default_rng(9).standard_normal(5), 0,

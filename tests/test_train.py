@@ -163,42 +163,49 @@ class TestSgdStep:
         assert g["a"][0] == 30.0
 
 
+def plateau_lrs(values, lr, **cfg_kw):
+    """lr after each epoch value, as fit steps its TrainState's schedule."""
+    cfg = tiny_cfg(lr=lr, **cfg_kw)
+    state = train.init_state(fresh_model(tiny_spec()), cfg)
+    lrs = [train._plateau_step(state, v, cfg.plateau_patience,
+                               cfg.plateau_factor, cfg.plateau_rel_improve,
+                               cfg.max_lr_decays) for v in values]
+    return state, lrs
+
+
 class TestPlateau:
     def test_strictly_decreasing_keeps_lr(self):
-        hist = [1.0, 0.9, 0.8, 0.7, 0.6]
-        assert train.plateau_lr(hist, 0.01) == 0.01
+        state, lrs = plateau_lrs([1.0, 0.9, 0.8, 0.7, 0.6], 0.01)
+        assert lrs == [0.01] * 5
+        assert (state.best, state.wait, state.decays) == (0.6, 0, 0)
 
     def test_flat_history_decays(self):
-        assert train.plateau_lr([1.0, 1.0], 0.01, patience=1) \
-            == pytest.approx(0.001)
+        state, lrs = plateau_lrs([1.0, 1.0], 0.01, plateau_patience=1)
+        assert lrs[-1] == pytest.approx(0.001)
+        assert state.lr == lrs[-1] and state.decays == 1
 
     def test_one_decay_per_episode(self):
-        sched = train.PlateauScheduler(1.0, patience=2)
-        lrs = [sched.update(v) for v in [1.0, 1.0, 1.0, 1.0, 1.0]]
+        _, lrs = plateau_lrs([1.0] * 5, 1.0, plateau_patience=2)
         assert lrs == [1.0, 1.0, pytest.approx(0.1), pytest.approx(0.1),
                        pytest.approx(0.01)]
 
     def test_relative_threshold(self):
         # 0.05% improvement is a plateau, 1% is not
-        assert train.plateau_lr([1.0, 0.9995], 1.0, patience=1) \
+        assert plateau_lrs([1.0, 0.9995], 1.0, plateau_patience=1)[1][-1] \
             == pytest.approx(0.1)
-        assert train.plateau_lr([1.0, 0.99], 1.0, patience=1) == 1.0
+        assert plateau_lrs([1.0, 0.99], 1.0, plateau_patience=1)[1][-1] \
+            == 1.0
 
     def test_at_most_three_decays(self):
-        assert train.plateau_lr([1.0] * 12, 1.0, patience=1) \
-            == pytest.approx(1e-3)
-
-    def test_empty_history_raises(self):
-        with pytest.raises(DimMismatch):
-            train.plateau_lr([], 0.01)
+        state, lrs = plateau_lrs([1.0] * 12, 1.0, plateau_patience=1)
+        assert lrs[-1] == pytest.approx(1e-3)
+        assert state.decays == 3
 
     def test_improvement_resets_wait(self):
-        sched = train.PlateauScheduler(1.0, patience=2)
-        for v in [1.0, 1.0, 0.5, 0.5]:
-            sched.update(v)
-        assert sched.lr == 1.0          # wait never reached 2 in a row
-        sched.update(0.5)
-        assert sched.lr == pytest.approx(0.1)
+        state, lrs = plateau_lrs([1.0, 1.0, 0.5, 0.5, 0.5], 1.0,
+                                 plateau_patience=2)
+        assert lrs[3] == 1.0            # wait never reached 2 in a row
+        assert lrs[4] == pytest.approx(0.1)
 
 
 class TestStateIO:
@@ -430,6 +437,7 @@ def self_consistent_problem(seed=11, n_pix=30):
             self.mask_dist = np.zeros((h, w))
             self.descriptors = rng.standard_normal((n_pix, spec.descriptor_dim))
             kappa = model_mod.embed_np(mdl, self.descriptors)
+            self.gt_kappa = kappa
             X = model_mod.basis_np(mdl, kappa) @ alpha
             Xc = X @ R.T
             self.pix_y = Xc[:, :2].copy()
