@@ -181,12 +181,10 @@ def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
     base = {}
     if args.config is not None:
         base = _load_json(args.config)
-    w = replace(losses.LossWeights.defaults_for(camera_kind),
-                **base.pop("weights", {}))
+    weights = base.pop("weights", {})
     lc_fields = base.pop("loss_cfg", {})
     if "blur_radii" in lc_fields:
         lc_fields["blur_radii"] = tuple(lc_fields["blur_radii"])
-    lc = losses.LossConfig(**lc_fields)
     overrides = {
         "epochs": args.epochs,
         "batches_per_epoch": args.batches_per_epoch,
@@ -205,6 +203,8 @@ def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
     elif "ablate" in base:
         base["ablate"] = tuple(base["ablate"])
     try:
+        w = replace(losses.LossWeights.defaults_for(camera_kind), **weights)
+        lc = losses.LossConfig(**lc_fields)
         return train.TrainConfig(**base, weights=w, loss_cfg=lc)
     except TypeError as e:
         raise errors.InvalidSpec(f"bad train config: {e}") from e
@@ -236,11 +236,20 @@ def _build_model(args, cat: synth.GroundTruthCategory,
     return model_mod.init_model(dims, mode, rng, n_frames=n_frames)
 
 
+def _fit_usage_error(msg: str):
+    """Exit 2 like an argparse usage error, for checks argparse cannot make."""
+    print(f"defmap fit: error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_fit(args) -> int:
     cat = _require_dataset(args.dataset)
     cfg = _build_train_config(args, cat.spec.camera_kind)
     state = None
     if args.resume is not None:
+        if args.mode is not None or args.model_config is not None:
+            _fit_usage_error("--mode and --model-config do not apply to --resume; "
+                         "the checkpoint fixes the model")
         mdl = _require_model(os.path.join(args.resume, "model_final.bin"))
         state_path = os.path.join(args.resume, "state_final.bin")
         if not os.path.isfile(state_path):
@@ -249,11 +258,9 @@ def cmd_fit(args) -> int:
     else:
         mdl = _build_model(args, cat, np.random.default_rng(cfg.seed))
     if mdl.mode == model_mod.DIRECT_LATENT and args.holdout_every > 0:
-        # a usage error like argparse's, decided on the model actually used
-        print("defmap fit: error: --holdout-every needs an amortized model; "
-              "direct-latent rows of held-out frames are never trained",
-              file=sys.stderr)
-        raise SystemExit(2)
+        # decided on the model actually used, built or resumed
+        _fit_usage_error("--holdout-every needs an amortized model; "
+                     "direct-latent rows of held-out frames are never trained")
 
     ids = list(range(len(cat.frames)))
     if args.holdout_every > 0:
@@ -675,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--model-config", default=None,
                    help="JSON file overriding model dimension fields")
     f.add_argument("--mode", choices=["amortized", "direct-latent"],
-                   default="amortized")
+                   default=None, help="model mode of a fresh fit "
+                                      "(default: amortized)")
     f.add_argument("--epochs", type=int, default=None)
     f.add_argument("--batches-per-epoch", type=int, default=None)
     f.add_argument("--batch-size", type=int, default=None)

@@ -26,8 +26,6 @@ from .errors import BehindCamera, DegenerateInput, DimMismatch, WrongCameraKind
 ORTHOGRAPHIC = "orthographic"
 PERSPECTIVE = "perspective"
 
-_ORTHO_TOL = 1e-8
-
 
 #: raw 6D rotation parameters (two stacked 3-vectors) of the identity
 IDENTITY_6D = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -79,9 +77,7 @@ class Raster:
         return y * self.ppu + np.array([self.cx, self.cy])
 
     def to_px_var(self, y):
-        from . import tape as _tape
-
-        return _tape.as_var(y) * self.ppu + np.array([self.cx, self.cy])
+        return tape.as_var(y) * self.ppu + np.array([self.cx, self.cy])
 
     def from_px(self, px: np.ndarray) -> np.ndarray:
         px = np.asarray(px, dtype=np.float64)
@@ -99,15 +95,6 @@ class SimilarityTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return self.scale * pts @ self.rotation.T + self.translation
-
-    def compose(self, first: "SimilarityTransform") -> "SimilarityTransform":
-        """Transform equal to applying ``first`` then ``self``."""
-        return SimilarityTransform(
-            scale=self.scale * first.scale,
-            rotation=self.rotation @ first.rotation,
-            translation=self.scale * self.rotation @ first.translation
-            + self.translation,
-        )
 
 
 # -- rotation construction ---------------------------------------------------

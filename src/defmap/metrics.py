@@ -4,13 +4,11 @@ Both metrics are deliberately blind to pose and scale: reconstructions live
 in an arbitrary similarity frame, so clouds are variance-normalized and
 ICP-aligned before the symmetric Chamfer distance, and depth maps are
 mean/variance matched inside the evaluation mask before the absolute error.
-File IO for the two evaluated artifacts (ASCII PLY clouds, masked depth
-grids) lives here as well.
+ASCII PLY file IO for the evaluated clouds lives here as well.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,6 @@ __all__ = [
     "depth_error",
     "save_ply",
     "load_ply",
-    "save_depth",
-    "load_depth",
 ]
 
 # Route switch of one-off `nearest_neighbors` calls (the Chamfer distance):
@@ -45,8 +41,6 @@ TREE_MIN_POINTS = 2000
 
 ICP_MAX_ITER = 100
 ICP_TOL = 1e-9
-
-_DEPTH_MAGIC = b"DEFMAP-DEPTH1\n"
 
 
 def _as_cloud(points) -> np.ndarray:
@@ -337,71 +331,3 @@ def load_ply(path):
     points = rows[:, :3]
     colors = rows[:, 3:6] / 255.0 if has_color else None
     return points, colors
-
-
-def _rle_encode(flat: np.ndarray) -> list[int]:
-    """Run lengths of a boolean vector, alternating and starting with False."""
-    runs = []
-    pos = 0
-    current = False
-    changes = np.flatnonzero(np.diff(flat))
-    for c in changes:
-        runs.append(int(c + 1 - pos))
-        pos = c + 1
-        current = not current
-    runs.append(int(flat.size - pos))
-    if flat.size and flat[0]:
-        runs.insert(0, 0)  # vector starts True: leading zero-length False run
-    return runs
-
-
-def _rle_decode(runs: list[int], size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=bool)
-    pos = 0
-    val = False
-    for r in runs:
-        out[pos : pos + r] = val
-        pos += r
-        val = not val
-    if pos != size:
-        raise DimMismatch("mask run lengths do not cover the grid")
-    return out
-
-
-def save_depth(path, depth, mask) -> None:
-    """Masked depth grid: text header (dims + mask runs) + packed doubles."""
-    depth = np.asarray(depth, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if depth.shape != mask.shape or depth.ndim != 2:
-        raise DimMismatch("depth and mask must be one (H,W) grid")
-    header = {
-        "h": int(depth.shape[0]),
-        "w": int(depth.shape[1]),
-        "mask_runs": _rle_encode(mask.ravel()),
-    }
-    with open(path, "wb") as f:
-        f.write(_DEPTH_MAGIC)
-        f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        f.write(depth[mask].astype("<f8").tobytes())
-
-
-def load_depth(path):
-    """Read grids written by :func:`save_depth`. Returns (depth, mask).
-
-    Unmasked cells come back as NaN so accidental use outside the mask is
-    loud.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(_DEPTH_MAGIC):
-        raise DimMismatch("not a depth file")
-    nl = blob.index(b"\n", len(_DEPTH_MAGIC))
-    header = json.loads(blob[len(_DEPTH_MAGIC) : nl])
-    h, w = header["h"], header["w"]
-    mask = _rle_decode(header["mask_runs"], h * w).reshape(h, w)
-    vals = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
-    if vals.size != int(mask.sum()):
-        raise DimMismatch("depth payload does not match the mask")
-    depth = np.full((h, w), np.nan)
-    depth[mask] = vals
-    return depth, mask

@@ -15,12 +15,11 @@ quantities.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import geom, nets, tape
+from . import blob, geom, nets, tape
 from .errors import CheckpointError, DimMismatch
 
 AMORTIZED = "amortized"
@@ -260,73 +259,33 @@ def predict_np(model, instance_descriptor, frame_index, pixel_descriptors):
 
 def save_model(path, model: DeformerModel) -> None:
     """Versioned header + concatenated per-network and latent payloads."""
-    dims = {f.name: getattr(model.dims, f.name) for f in fields(ModelDims)}
-    blobs = []
-    net_entries = {}
-    offset = 0
-    for key in sorted(model.nets):
-        p = model.nets[key]
-        b = p.values.astype("<f8").tobytes()
-        net_entries[key] = {
-            "config": [p.config.in_dim, p.config.hidden_dim, p.config.out_dim,
-                       p.config.n_res_blocks, p.config.activation],
-            "offset": offset,
-            "count": int(p.values.size),
-        }
-        blobs.append(b)
-        offset += len(b)
-    lat_entries = {}
-    for key in sorted(model.latents):
-        arr = model.latents[key]
-        b = arr.astype("<f8").tobytes()
-        lat_entries[key] = {
-            "shape": list(arr.shape),
-            "offset": offset,
-            "count": int(arr.size),
-        }
-        blobs.append(b)
-        offset += len(b)
+    net_arrays = {key: model.nets[key].values for key in sorted(model.nets)}
+    latents = dict(sorted(model.latents.items()))
+    net_entries, lat_entries = blob.layout(net_arrays, latents)
+    for key, ent in net_entries.items():
+        c = model.nets[key].config
+        del ent["shape"]  # a network's shape is its config
+        ent["config"] = [c.in_dim, c.hidden_dim, c.out_dim, c.n_res_blocks,
+                         c.activation]
     header = {
         "version": 1,
         "mode": model.mode,
-        "dims": dims,
+        "dims": asdict(model.dims),
         "nets": net_entries,
         "latents": lat_entries,
     }
-    with open(path, "wb") as f:
-        f.write(_MODEL_MAGIC)
-        f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for b in blobs:
-            f.write(b)
+    blob.write(path, _MODEL_MAGIC, header,
+               [*net_arrays.values(), *latents.values()])
 
 
 def load_model(path) -> DeformerModel:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(_MODEL_MAGIC):
-        raise CheckpointError("not a model checkpoint")
-    nl = blob.index(b"\n", len(_MODEL_MAGIC))
-    header = json.loads(blob[len(_MODEL_MAGIC) : nl])
+    header, payload = blob.read(path, _MODEL_MAGIC, "model")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported version {header.get('version')}")
-    payload = blob[nl + 1 :]
-    dims = ModelDims(**header["dims"])
-    netp = {}
-    for key, ent in header["nets"].items():
-        i, h, o, nb, actv = ent["config"]
-        cfg = nets.MlpConfig(i, h, o, nb, actv)
-        start = ent["offset"]
-        vals = np.frombuffer(payload, dtype="<f8", count=ent["count"],
-                             offset=start)
-        if vals.size != ent["count"]:
-            raise CheckpointError("model payload truncated")
-        netp[key] = nets.MlpParams(cfg, vals.copy())
-    latents = {}
-    for key, ent in header["latents"].items():
-        vals = np.frombuffer(payload, dtype="<f8", count=ent["count"],
-                             offset=ent["offset"])
-        if vals.size != ent["count"]:
-            raise CheckpointError("model payload truncated")
-        latents[key] = vals.copy().reshape(ent["shape"])
-    return DeformerModel(dims=dims, mode=header["mode"], nets=netp,
-                         latents=latents)
+    netp = {key: nets.MlpParams(nets.MlpConfig(*ent["config"]),
+                                blob.array(payload, ent))
+            for key, ent in header["nets"].items()}
+    latents = {key: blob.array(payload, ent)
+               for key, ent in header["latents"].items()}
+    return DeformerModel(dims=ModelDims(**header["dims"]), mode=header["mode"],
+                         nets=netp, latents=latents)

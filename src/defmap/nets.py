@@ -15,12 +15,11 @@ serves training and plain evaluation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import tape
+from . import blob, tape
 from .errors import CheckpointError, DimMismatch
 
 _ACTIVATIONS = {"relu": tape.relu, "tanh": tape.tanh}
@@ -170,36 +169,14 @@ def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def save_mlp(path, params: MlpParams) -> None:
     """Magic + JSON config header + raw little-endian float64 payload."""
-    header = {
-        "in_dim": params.config.in_dim,
-        "hidden_dim": params.config.hidden_dim,
-        "out_dim": params.config.out_dim,
-        "n_res_blocks": params.config.n_res_blocks,
-        "activation": params.config.activation,
-        "count": int(params.values.size),
-    }
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        f.write(params.values.astype("<f8").tobytes())
+    header = {**asdict(params.config), "count": int(params.values.size)}
+    blob.write(path, _MAGIC, header, [params.values])
 
 
 def load_mlp(path) -> MlpParams:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(_MAGIC):
-        raise CheckpointError("not an MLP checkpoint")
-    nl = blob.index(b"\n", len(_MAGIC))
-    header = json.loads(blob[len(_MAGIC) : nl])
-    cfg = MlpConfig(
-        in_dim=header["in_dim"],
-        hidden_dim=header["hidden_dim"],
-        out_dim=header["out_dim"],
-        n_res_blocks=header["n_res_blocks"],
-        activation=header["activation"],
-    )
-    payload = blob[nl + 1 :]
-    values = np.frombuffer(payload, dtype="<f8")
-    if values.size != header["count"] or values.size != n_params(cfg):
+    header, payload = blob.read(path, _MAGIC, "MLP")
+    count = header.pop("count")
+    cfg = MlpConfig(**header)
+    if count != n_params(cfg) or len(payload) != 8 * count:
         raise CheckpointError("parameter count does not match header")
-    return MlpParams(cfg, values.copy())
+    return MlpParams(cfg, blob.array(payload, {"offset": 0, "count": count}))

@@ -81,9 +81,6 @@ class Var:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -92,9 +89,6 @@ class Var:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def item(self):
-        return float(self.data)
 
 
 def as_var(x) -> Var:
@@ -165,16 +159,6 @@ def div(a, b) -> Var:
         )
 
     return _node(out, (a, b), vjp)
-
-
-def power(a, p: float) -> Var:
-    a = as_var(a)
-    out = a.data**p
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1),)
-
-    return _node(out, (a,), vjp)
 
 
 def matmul(a, b) -> Var:
@@ -298,26 +282,6 @@ def stack(parts: Sequence, axis=0) -> Var:
 
 
 # -- elementwise nonlinearities -------------------------------------------
-
-
-def exp(a) -> Var:
-    a = as_var(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _node(out, (a,), vjp)
-
-
-def log(a) -> Var:
-    a = as_var(a)
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _node(out, (a,), vjp)
 
 
 def sqrt(a) -> Var:
@@ -599,9 +563,6 @@ class GradientBundle:
 
     value: float
     grads: dict
-
-    def flat(self, order: Sequence[str]) -> np.ndarray:
-        return np.concatenate([np.ravel(self.grads[k]) for k in order])
 
 
 def collect(loss: Var, leaves: dict) -> GradientBundle:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, metrics, synth, tape
+from . import blob, losses, metrics, synth, tape
 from . import model as model_mod
 from .errors import (
     CheckpointError,
@@ -199,22 +199,9 @@ def _plateau_step(s: TrainState, value: float, patience: int, factor: float,
 
 def save_state(path, state: TrainState) -> None:
     """Versioned header plus little-endian float64 param/velocity payload."""
-    entries = {}
-    blobs = []
-    offset = 0
-    for section in ("params", "velocity"):
-        entries[section] = {}
-        arrays = getattr(state, section)
-        for name in sorted(arrays):
-            arr = arrays[name]
-            b = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            entries[section][name] = {
-                "shape": list(arr.shape),
-                "offset": offset,
-                "count": int(arr.size),
-            }
-            blobs.append(b)
-            offset += len(b)
+    params = dict(sorted(state.params.items()))
+    velocity = dict(sorted(state.velocity.items()))
+    param_entries, velocity_entries = blob.layout(params, velocity)
     header = {
         "version": 1,
         "lr": state.lr,
@@ -227,47 +214,29 @@ def save_state(path, state: TrainState) -> None:
         "decays": state.decays,
         "nonfinite": state.nonfinite,
         "rng": state.rng.bit_generator.state,
-        "arrays": entries,
+        "arrays": {"params": param_entries, "velocity": velocity_entries},
     }
-    with open(path, "wb") as f:
-        f.write(_STATE_MAGIC)
-        f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for b in blobs:
-            f.write(b)
+    blob.write(path, _STATE_MAGIC, header,
+               [*params.values(), *velocity.values()])
 
 
 def load_state(path, model: model_mod.DeformerModel) -> TrainState:
     """Rebind a saved state to ``model``: values are copied into the model's
     own arrays so the state and the model keep sharing storage."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if not blob.startswith(_STATE_MAGIC):
-        raise CheckpointError("not a train-state checkpoint")
-    nl = blob.index(b"\n", len(_STATE_MAGIC))
-    header = json.loads(blob[len(_STATE_MAGIC): nl])
+    header, payload = blob.read(path, _STATE_MAGIC, "train-state")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported version {header.get('version')}")
-    payload = blob[nl + 1:]
-
-    def read(ent):
-        vals = np.frombuffer(payload, dtype="<f8", count=ent["count"],
-                             offset=ent["offset"])
-        if vals.size != ent["count"]:
-            raise CheckpointError("state payload truncated")
-        return vals.copy().reshape(ent["shape"])
-
     params = model.param_arrays()
     saved = header["arrays"]["params"]
     if set(saved) != set(params):
         raise CheckpointError("state parameters do not match the model")
     for name, ent in saved.items():
-        arr = read(ent)
+        arr = blob.array(payload, ent)
         if arr.shape != params[name].shape:
             raise CheckpointError(f"shape mismatch for {name}")
         params[name][...] = arr
-    velocity = {}
-    for name, ent in header["arrays"]["velocity"].items():
-        velocity[name] = read(ent)
+    velocity = {name: blob.array(payload, ent)
+                for name, ent in header["arrays"]["velocity"].items()}
     if set(velocity) != set(params):
         raise CheckpointError("momentum buffers do not match the parameters")
     rng = np.random.default_rng()

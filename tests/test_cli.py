@@ -7,7 +7,7 @@ import pytest
 
 from defmap import cli, metrics, synth
 from defmap import model as model_mod
-from defmap.errors import DegenerateCloud, InvalidSpec
+from defmap.errors import CheckpointError, DegenerateCloud, InvalidSpec
 
 SPEC = {
     "n_instances": 3,
@@ -255,6 +255,44 @@ class TestFit:
         assert m["config"]["mode"] == mode.replace("-", "_")
         assert (out / "metrics.csv").read_text().splitlines()[-1] \
             .startswith("1,")
+
+    @pytest.mark.parametrize("flag", ["--mode", "--model-config"])
+    def test_resume_rejects_model_flags(self, ds, run, tmp_path, flag):
+        # the checkpoint fixes the model; a conflicting flag is not ignored
+        value = {"--mode": "direct-latent",
+                 "--model-config": write_json(tmp_path / "md.json",
+                                              MODEL_CFG)}[flag]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--dataset", str(ds), "--out",
+                      str(tmp_path / "o"), "--resume", str(run), flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_resume_from_truncated_state_exits_17(self, ds, run, tmp_path,
+                                                  capsys):
+        p1 = tmp_path / "p1"
+        p1.mkdir()
+        (p1 / "model_final.bin").write_bytes(
+            (run / "model_final.bin").read_bytes())
+        (p1 / "state_final.bin").write_bytes(
+            (run / "state_final.bin").read_bytes()[:-100])
+        code = cli.main(["fit", "--dataset", str(ds), "--out",
+                         str(tmp_path / "p2"), "--resume", str(p1)])
+        assert code == cli.EXIT_CODES[CheckpointError] == 17
+        assert "error[CheckpointError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"bogus": 1},
+        {"weights": {"w_bogus": 1.0}},
+        {"loss_cfg": {"bogus": 1}},
+    ], ids=["top_level", "weights", "loss_cfg"])
+    def test_unknown_config_key_is_invalid_spec(self, ds, tmp_path, capsys,
+                                                config):
+        cfg = write_json(tmp_path / "tc.json", config)
+        code = cli.main(["fit", "--dataset", str(ds), "--out",
+                         str(tmp_path / "o"), "--config", cfg])
+        assert code == cli.EXIT_CODES[InvalidSpec] == 14
+        assert "bogus" in capsys.readouterr().err
 
     def test_resume_continues_epochs(self, work, ds, tmp_path):
         cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
@@ -534,7 +572,6 @@ class TestExitCodes:
         assert len(codes) == 16
 
     def test_malformed_checkpoint(self, oracle, tmp_path):
-        from defmap.errors import CheckpointError
         ds_flat, _ = oracle
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -542,6 +579,14 @@ class TestExitCodes:
                          "--dataset", str(ds_flat),
                          "--out", str(tmp_path / "o")]) \
             == cli.EXIT_CODES[CheckpointError]
+
+    def test_truncated_checkpoint(self, ds, run, tmp_path, capsys):
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes((run / "model_final.bin").read_bytes()[:-100])
+        code = cli.main(["eval", "--checkpoint", str(bad), "--dataset",
+                         str(ds), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CODES[CheckpointError] == 17
+        assert "error[CheckpointError]" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -381,33 +381,3 @@ class TestPlyIO:
         p.write_text("off\n3\n")
         with pytest.raises(DimMismatch):
             metrics.load_ply(p)
-
-
-class TestDepthIO:
-    @pytest.mark.parametrize("case", ["random", "all_on", "all_off_rows",
-                                      "starts_true"])
-    def test_roundtrip(self, tmp_path, case):
-        rng = np.random.default_rng(20)
-        depth = rng.standard_normal((9, 13))
-        if case == "random":
-            mask = rng.random((9, 13)) < 0.5
-        elif case == "all_on":
-            mask = np.ones((9, 13), bool)
-        elif case == "all_off_rows":
-            mask = np.zeros((9, 13), bool)
-            mask[4] = True
-        else:
-            mask = np.zeros((9, 13), bool)
-            mask.ravel()[0] = True
-        p = tmp_path / "d.bin"
-        metrics.save_depth(p, depth, mask)
-        got, got_mask = metrics.load_depth(p)
-        np.testing.assert_array_equal(got_mask, mask)
-        np.testing.assert_array_equal(got[mask], depth[mask])
-        assert np.all(np.isnan(got[~mask]))
-
-    def test_rejects_bad_magic(self, tmp_path):
-        p = tmp_path / "d.bin"
-        p.write_bytes(b"nope")
-        with pytest.raises(DimMismatch):
-            metrics.load_depth(p)
