@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, check_keys
 
 
 def layout(*sections: dict) -> list[dict]:
@@ -39,8 +39,9 @@ def write(path, magic: bytes, header: dict, arrays) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read(path, magic: bytes, what: str) -> tuple[dict, bytes]:
-    """(header, payload) of a file written by :func:`write` with ``magic``."""
+def read(path, magic: bytes, what: str, keys) -> tuple[dict, bytes]:
+    """(header, payload) of a file written by :func:`write` with ``magic``,
+    whose header holds exactly the fields ``keys``."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(magic):
@@ -52,8 +53,7 @@ def read(path, magic: bytes, what: str) -> tuple[dict, bytes]:
         header = json.loads(data[len(magic):nl])
     except ValueError as e:
         raise CheckpointError(f"malformed {what} header: {e}") from e
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{what} header is not a JSON object")
+    check_keys(header, keys, f"{what} header", CheckpointError)
     return header, data[nl + 1:]
 
 

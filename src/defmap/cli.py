@@ -274,8 +274,6 @@ def cmd_fit(args) -> int:
                              val_ids=val_ids, run_dir=args.out, state=state)
 
     cfg_dict = asdict(cfg)
-    cfg_dict["ablate"] = list(cfg.ablate)
-    cfg_dict["loss_cfg"]["blur_radii"] = list(cfg.loss_cfg.blur_radii)
     cfg_dict["effective_weights"] = asdict(
         train.effective_weights(cfg.weights, cfg.ablate))
     cfg_dict["mode"] = mdl.mode

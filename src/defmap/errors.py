@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class so
-the CLI can map error classes to distinct exit codes.
+the CLI can map error classes to distinct exit codes. :func:`check_keys` is
+the one field check of every stored record's reader.
 """
 
 
@@ -75,3 +76,13 @@ class CheckpointError(DefmapError):
 
 class IoError(DefmapError):
     """A required path is missing or an artifact on disk is malformed."""
+
+
+def check_keys(found, expected, what: str, error: type) -> None:
+    """Raise ``error`` unless ``found`` is a dict keyed by exactly ``expected``."""
+    if not isinstance(found, dict):
+        raise error(f"{what} is not a mapping")
+    missing, unknown = set(expected) - set(found), set(found) - set(expected)
+    if missing or unknown:
+        raise error(f"{what}: missing fields {sorted(missing)}, "
+                    f"unknown fields {sorted(unknown)}")

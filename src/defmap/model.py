@@ -15,12 +15,12 @@ quantities.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import blob, geom, nets, tape
-from .errors import CheckpointError, DimMismatch
+from .errors import CheckpointError, DimMismatch, check_keys
 
 AMORTIZED = "amortized"
 DIRECT_LATENT = "direct_latent"
@@ -279,9 +279,14 @@ def save_model(path, model: DeformerModel) -> None:
 
 
 def load_model(path) -> DeformerModel:
-    header, payload = blob.read(path, _MODEL_MAGIC, "model")
-    if header.get("version") != 1:
-        raise CheckpointError(f"unsupported version {header.get('version')}")
+    header, payload = blob.read(path, _MODEL_MAGIC, "model",
+                                ("version", "mode", "dims", "nets", "latents"))
+    if header["version"] != 1:
+        raise CheckpointError(f"unsupported version {header['version']}")
+    if header["mode"] not in (AMORTIZED, DIRECT_LATENT):
+        raise CheckpointError(f"unknown mode {header['mode']!r}")
+    check_keys(header["dims"], [f.name for f in fields(ModelDims)],
+               "model dims", CheckpointError)
     netp = {key: nets.MlpParams(nets.MlpConfig(*ent["config"]),
                                 blob.array(payload, ent))
             for key, ent in header["nets"].items()}

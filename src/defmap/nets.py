@@ -15,7 +15,7 @@ serves training and plain evaluation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -174,7 +174,8 @@ def save_mlp(path, params: MlpParams) -> None:
 
 
 def load_mlp(path) -> MlpParams:
-    header, payload = blob.read(path, _MAGIC, "MLP")
+    header, payload = blob.read(path, _MAGIC, "MLP",
+                                ["count", *(f.name for f in fields(MlpConfig))])
     count = header.pop("count")
     cfg = MlpConfig(**header)
     if count != n_params(cfg) or len(payload) != 8 * count:

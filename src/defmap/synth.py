@@ -26,7 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -38,6 +39,7 @@ from .errors import (
     InfeasibleConstraint,
     InvalidSpec,
     IoError,
+    check_keys,
 )
 
 __all__ = [
@@ -501,7 +503,7 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
         "depth": depth_out,
         "pix_rc": np.stack([rows, cols], axis=1),
         "pix_y": pix_y,
-        "kappa": kappa,
+        "gt_kappa": kappa,
         "colors": colors,
     }
 
@@ -638,33 +640,17 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
             )
 
             view6d = np.concatenate([R[:, 0], R[:, 1]])
-            frame = Frame(
-                frame_id=frame_id,
-                instance_id=i,
-                camera=render["camera"],
-                raster=render["raster"],
-                image=render["image"],
-                mask=render["mask"],
-                mask_dist=render["mask_dist"],
-                depth=render["depth"],
-                pix_rc=render["pix_rc"],
-                pix_y=render["pix_y"],
-                descriptors=cat.pixel_descriptor(render["kappa"], rng_noise),
-                colors=render["colors"],
+            cat.frames.append(Frame(
+                frame_id=frame_id, instance_id=i, **render,
+                # keyword order is the rng_noise draw order
+                descriptors=cat.pixel_descriptor(render["gt_kappa"], rng_noise),
                 kp_desc=cat.pixel_descriptor(cat.keypoints, rng_noise),
                 instance_desc=cat.instance_descriptor(
-                    cat.alphas[i], cat.betas[i], view6d, rng_noise
-                ),
-                labels=labels,
-                gt_kappa=render["kappa"],
-                gt_alpha=cat.alphas[i].copy(),
-                gt_beta=cat.betas[i].copy(),
-                gt_R=R,
-                gt_t=t.copy(),
-                gt_azimuth=az,
-                gt_elevation=el,
-            )
-            cat.frames.append(frame)
+                    cat.alphas[i], cat.betas[i], view6d, rng_noise),
+                labels=labels, gt_alpha=cat.alphas[i].copy(),
+                gt_beta=cat.betas[i].copy(), gt_R=R, gt_t=t.copy(),
+                gt_azimuth=az, gt_elevation=el,
+            ))
             frame_id += 1
     return cat
 
@@ -710,6 +696,22 @@ def _spec_to_json(spec: CategorySpec) -> dict:
     return d
 
 
+#: frame_NNNN.npz members in file order: the Frame field of the same name,
+#: except the camera (kind and K) and the raster (ppu, cx, cy)
+_FRAME_KEYS = ("instance_id", "camera_kind", "camera_K", "raster", "image",
+               "mask", "mask_dist", "depth", "pix_rc", "pix_y", "descriptors",
+               "colors", "kp_desc", "instance_desc", "gt_kappa", "gt_alpha",
+               "gt_beta", "gt_R", "gt_t", "gt_azimuth", "gt_elevation")
+#: arrays.npz members in file order: the GroundTruthCategory field of the
+#: same name, except the two (W1, W2) scramble pairs
+_CATEGORY_KEYS = ("basis_coeffs", "albedo_base", "albedo_proj", "alphas",
+                  "betas", "keypoints", "pix_w1", "pix_w2", "inst_w1",
+                  "inst_w2")
+#: labels.json row fields besides ``frame_id``, with their array dtypes
+_LABEL_DTYPES = {"basis": float, "visible": bool, "alpha": float,
+                 "rotation": float}
+
+
 def save_category(root, cat: GroundTruthCategory) -> None:
     """Directory layout: category.json + arrays.npz + labels.json +
     frames/*.npz + keypoints.csv."""
@@ -723,117 +725,72 @@ def save_category(root, cat: GroundTruthCategory) -> None:
     # json round-trips python floats exactly, so the labels stay bit-identical
     with open(os.path.join(root, "labels.json"), "w") as f:
         json.dump({"frames": [
-            {
-                "frame_id": fr.frame_id,
-                "basis": fr.labels.basis.tolist(),
-                "visible": fr.labels.visible.tolist(),
-                "alpha": fr.labels.alpha.tolist(),
-                "rotation": fr.labels.rotation.tolist(),
-            }
+            {"frame_id": fr.frame_id,
+             **{k: getattr(fr.labels, k).tolist() for k in _LABEL_DTYPES}}
             for fr in cat.frames
         ]}, f, sort_keys=True)
-    np.savez(
-        os.path.join(root, "arrays.npz"),
-        basis_coeffs=cat.basis_coeffs,
-        albedo_base=cat.albedo_base,
-        albedo_proj=cat.albedo_proj,
-        alphas=cat.alphas,
-        betas=cat.betas,
-        keypoints=cat.keypoints,
-        pix_w1=cat.pix_scramble[0],
-        pix_w2=cat.pix_scramble[1],
-        inst_w1=cat.inst_scramble[0],
-        inst_w2=cat.inst_scramble[1],
-    )
+    flat = {**vars(cat), "pix_w1": cat.pix_scramble[0],
+            "pix_w2": cat.pix_scramble[1], "inst_w1": cat.inst_scramble[0],
+            "inst_w2": cat.inst_scramble[1]}
+    np.savez(os.path.join(root, "arrays.npz"),
+             **{k: flat[k] for k in _CATEGORY_KEYS})
     with open(os.path.join(root, "keypoints.csv"), "w") as f:
         f.write("index,x,y,z\n")
         for i, k in enumerate(cat.keypoints):
             f.write(f"{i},{k[0]:.17g},{k[1]:.17g},{k[2]:.17g}\n")
     for fr in cat.frames:
-        np.savez(
-            os.path.join(root, "frames", f"frame_{fr.frame_id:04d}.npz"),
-            instance_id=fr.instance_id,
-            camera_kind=fr.camera.kind,
-            camera_K=fr.camera.K,
-            raster=np.array([fr.raster.ppu, fr.raster.cx, fr.raster.cy]),
-            image=fr.image,
-            mask=fr.mask,
-            mask_dist=fr.mask_dist,
-            depth=fr.depth,
-            pix_rc=fr.pix_rc,
-            pix_y=fr.pix_y,
-            descriptors=fr.descriptors,
-            colors=fr.colors,
-            kp_desc=fr.kp_desc,
-            instance_desc=fr.instance_desc,
-            gt_kappa=fr.gt_kappa,
-            gt_alpha=fr.gt_alpha,
-            gt_beta=fr.gt_beta,
-            gt_R=fr.gt_R,
-            gt_t=fr.gt_t,
-            gt_azimuth=fr.gt_azimuth,
-            gt_elevation=fr.gt_elevation,
-        )
+        flat = {**vars(fr), "camera_kind": fr.camera.kind,
+                "camera_K": fr.camera.K,
+                "raster": np.array([fr.raster.ppu, fr.raster.cx, fr.raster.cy])}
+        np.savez(os.path.join(root, "frames", f"frame_{fr.frame_id:04d}.npz"),
+                 **{k: flat[k] for k in _FRAME_KEYS})
+
+
+def _read(path, keys):
+    """The JSON object or the .npz members stored at ``path``, which must be
+    keyed by exactly ``keys``; 0-d .npz members become python scalars."""
+    try:
+        if path.endswith(".json"):
+            with open(path) as f:
+                out = json.load(f)
+        else:
+            with np.load(path) as z:
+                out = {k: v.item() if v.ndim == 0 else v
+                       for k, v in z.items()}
+    except (OSError, ValueError, zipfile.BadZipFile) as e:
+        raise IoError(f"cannot read {path!r}: {e}") from e
+    check_keys(out, keys, path, IoError)
+    return out
 
 
 def load_category(root) -> GroundTruthCategory:
-    with open(os.path.join(root, "category.json")) as f:
-        meta = json.load(f)
+    meta = _read(os.path.join(root, "category.json"), ("spec", "n_frames"))
+    check_keys(meta["spec"], [f.name for f in fields(CategorySpec)],
+               "category.json spec", IoError)
     spec = CategorySpec(**meta["spec"])
-    arr = np.load(os.path.join(root, "arrays.npz"))
-    with open(os.path.join(root, "labels.json")) as f:
-        lab_rows = json.load(f)["frames"]
+    arr = _read(os.path.join(root, "arrays.npz"), _CATEGORY_KEYS)
+    lab_rows = _read(os.path.join(root, "labels.json"), ("frames",))["frames"]
     if len(lab_rows) != meta["n_frames"]:
         raise IoError("labels.json frame count mismatch")
     frames = []
-    for fid in range(meta["n_frames"]):
-        z = np.load(os.path.join(root, "frames", f"frame_{fid:04d}.npz"))
-        lab = lab_rows[fid]
+    for fid, lab in enumerate(lab_rows):
+        check_keys(lab, ("frame_id", *_LABEL_DTYPES),
+                   f"labels.json frame {fid}", IoError)
         if lab["frame_id"] != fid:
             raise IoError(f"labels.json out of order at frame {fid}")
-        cam = geom.CameraIntrinsics(str(z["camera_kind"]), z["camera_K"])
-        ppu, cx, cy = z["raster"]
-        frames.append(Frame(
-            frame_id=fid,
-            instance_id=int(z["instance_id"]),
-            camera=cam,
-            raster=geom.Raster(float(ppu), float(cx), float(cy)),
-            image=z["image"],
-            mask=z["mask"],
-            mask_dist=z["mask_dist"],
-            depth=z["depth"],
-            pix_rc=z["pix_rc"],
-            pix_y=z["pix_y"],
-            descriptors=z["descriptors"],
-            colors=z["colors"],
-            kp_desc=z["kp_desc"],
-            instance_desc=z["instance_desc"],
-            labels=losses.NrsfmLabels(
-                basis=np.array(lab["basis"], dtype=float),
-                visible=np.array(lab["visible"], dtype=bool),
-                alpha=np.array(lab["alpha"], dtype=float),
-                rotation=np.array(lab["rotation"], dtype=float),
-            ),
-            gt_kappa=z["gt_kappa"],
-            gt_alpha=z["gt_alpha"],
-            gt_beta=z["gt_beta"],
-            gt_R=z["gt_R"],
-            gt_t=z["gt_t"],
-            gt_azimuth=float(z["gt_azimuth"]),
-            gt_elevation=float(z["gt_elevation"]),
-        ))
-    return GroundTruthCategory(
-        spec=spec,
-        basis_coeffs=arr["basis_coeffs"],
-        albedo_base=arr["albedo_base"],
-        albedo_proj=arr["albedo_proj"],
-        alphas=arr["alphas"],
-        betas=arr["betas"],
-        keypoints=arr["keypoints"],
-        pix_scramble=(arr["pix_w1"], arr["pix_w2"]),
-        inst_scramble=(arr["inst_w1"], arr["inst_w2"]),
-        frames=frames,
-    )
+        z = _read(os.path.join(root, "frames", f"frame_{fid:04d}.npz"),
+                  _FRAME_KEYS)
+        camera = geom.CameraIntrinsics(z.pop("camera_kind"), z.pop("camera_K"))
+        raster = geom.Raster(*z.pop("raster").tolist())
+        labels = losses.NrsfmLabels(**{k: np.array(lab[k], dtype=dtype)
+                                       for k, dtype in _LABEL_DTYPES.items()})
+        frames.append(Frame(frame_id=fid, camera=camera, raster=raster,
+                            labels=labels, **z))
+    pix_scramble = (arr.pop("pix_w1"), arr.pop("pix_w2"))
+    inst_scramble = (arr.pop("inst_w1"), arr.pop("inst_w2"))
+    return GroundTruthCategory(spec=spec, pix_scramble=pix_scramble,
+                               inst_scramble=inst_scramble, frames=frames,
+                               **arr)
 
 
 def dataset_hash(root) -> str:

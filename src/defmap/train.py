@@ -196,6 +196,10 @@ def _plateau_step(s: TrainState, value: float, patience: int, factor: float,
 
 # -- state io ------------------------------------------------------------------
 
+#: TrainState fields stored as train-state header scalars, under their names
+_STATE_SCALARS = ("lr", "momentum", "lr_scale", "step", "epoch", "best",
+                  "wait", "decays", "nonfinite")
+
 
 def save_state(path, state: TrainState) -> None:
     """Versioned header plus little-endian float64 param/velocity payload."""
@@ -204,15 +208,7 @@ def save_state(path, state: TrainState) -> None:
     param_entries, velocity_entries = blob.layout(params, velocity)
     header = {
         "version": 1,
-        "lr": state.lr,
-        "momentum": state.momentum,
-        "lr_scale": state.lr_scale,
-        "step": state.step,
-        "epoch": state.epoch,
-        "best": state.best,
-        "wait": state.wait,
-        "decays": state.decays,
-        "nonfinite": state.nonfinite,
+        **{k: getattr(state, k) for k in _STATE_SCALARS},
         "rng": state.rng.bit_generator.state,
         "arrays": {"params": param_entries, "velocity": velocity_entries},
     }
@@ -223,9 +219,10 @@ def save_state(path, state: TrainState) -> None:
 def load_state(path, model: model_mod.DeformerModel) -> TrainState:
     """Rebind a saved state to ``model``: values are copied into the model's
     own arrays so the state and the model keep sharing storage."""
-    header, payload = blob.read(path, _STATE_MAGIC, "train-state")
-    if header.get("version") != 1:
-        raise CheckpointError(f"unsupported version {header.get('version')}")
+    header, payload = blob.read(path, _STATE_MAGIC, "train-state",
+                                ("version", "rng", "arrays", *_STATE_SCALARS))
+    if header["version"] != 1:
+        raise CheckpointError(f"unsupported version {header['version']}")
     params = model.param_arrays()
     saved = header["arrays"]["params"]
     if set(saved) != set(params):
@@ -241,20 +238,8 @@ def load_state(path, model: model_mod.DeformerModel) -> TrainState:
         raise CheckpointError("momentum buffers do not match the parameters")
     rng = np.random.default_rng()
     rng.bit_generator.state = header["rng"]
-    return TrainState(
-        params=params,
-        velocity=velocity,
-        lr=header["lr"],
-        momentum=header["momentum"],
-        lr_scale=header["lr_scale"],
-        step=header["step"],
-        epoch=header["epoch"],
-        best=header["best"],
-        wait=header["wait"],
-        decays=header["decays"],
-        nonfinite=header["nonfinite"],
-        rng=rng,
-    )
+    return TrainState(params=params, velocity=velocity, rng=rng,
+                      **{k: header[k] for k in _STATE_SCALARS})
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -379,11 +364,8 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         if fresh:
-            cfg_json = asdict(cfg)
-            cfg_json["ablate"] = list(cfg.ablate)
-            cfg_json["loss_cfg"]["blur_radii"] = list(cfg.loss_cfg.blur_radii)
             (run_dir / "config.json").write_text(
-                json.dumps(cfg_json, indent=2, sort_keys=True))
+                json.dumps(asdict(cfg), indent=2, sort_keys=True))
         log_f, log_w = _csv_writer(
             run_dir / "log.csv",
             ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"],

@@ -1,8 +1,11 @@
 """Checkpoint container: model, train-state and MLP files share one layout.
 
-Every malformed file of each kind is a CheckpointError, and a loaded file
-saves back to the same bytes.
+Every malformed file of each kind is a CheckpointError, also one whose
+header fields differ from the format, and a loaded file saves back to the
+same bytes.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -55,6 +58,15 @@ def _split(data: bytes):
     return data[:m], data[m:h], data[h + 1:]
 
 
+def _edit_header(edit):
+    """A corruption that applies ``edit`` to the parsed header in place."""
+    def corrupt(m, h, p):
+        header = json.loads(h)
+        edit(header)
+        return m + json.dumps(header).encode() + b"\n" + p
+    return corrupt
+
+
 CORRUPTIONS = {
     "wrong_magic": lambda m, h, p: b"X" + m[1:] + h + b"\n" + p,
     "no_newline_after_header": lambda m, h, p: m + h,
@@ -62,11 +74,19 @@ CORRUPTIONS = {
     "header_not_an_object": lambda m, h, p: m + b"[" + h + b"]\n" + p,
     "payload_cut_by_8_bytes": lambda m, h, p: m + h + b"\n" + p[:-8],
     "payload_cut_to_nothing": lambda m, h, p: m + h + b"\n",
+    "header_field_missing": _edit_header(lambda d: d.pop(min(d))),
+    "unknown_header_field": _edit_header(lambda d: d.update(bogus=1)),
+    "unknown_mode": _edit_header(lambda d: d.update(mode="bogus")),
+    "dims_field_missing": _edit_header(lambda d: d["dims"].pop("head_blocks")),
+    "unknown_dims_field": _edit_header(lambda d: d["dims"].update(bogus=1)),
 }
+# only the model header carries a mode and the network widths
+MODEL_ONLY = ("unknown_mode", "dims_field_missing", "unknown_dims_field")
+CASES = [(kind, c) for kind in sorted(KINDS) for c in sorted(CORRUPTIONS)
+         if kind == "model" or c not in MODEL_ONLY]
 
 
-@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind,corruption", CASES)
 def test_corrupt_file_is_checkpoint_error(tmp_path, kind, corruption):
     make, save, load = KINDS[kind]
     path = tmp_path / "ckpt.bin"

@@ -1,13 +1,15 @@
 """Command-line surface: artifacts, manifests, oracles, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from defmap import cli, metrics, synth
 from defmap import model as model_mod
-from defmap.errors import CheckpointError, DegenerateCloud, InvalidSpec
+from defmap.errors import (CheckpointError, DegenerateCloud, InvalidSpec,
+                           IoError)
 
 SPEC = {
     "n_instances": 3,
@@ -184,7 +186,6 @@ class TestFit:
         assert m["inputs"]["dataset"]["dataset_hash"]
 
     def test_missing_dataset(self, tmp_path):
-        from defmap.errors import IoError
         assert cli.main(["fit", "--dataset", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "o")]) \
             == cli.EXIT_CODES[IoError]
@@ -558,10 +559,45 @@ class TestPpmRoundtrip:
                                    atol=1e-12)
 
     def test_rejects_non_ppm(self, tmp_path):
-        from defmap.errors import IoError
         (tmp_path / "x.ppm").write_bytes(b"not an image")
         with pytest.raises(IoError):
             cli.read_ppm(tmp_path / "x.ppm")
+
+
+def _rewrite_npz(path, edit):
+    with np.load(path) as z:
+        arrays = dict(z)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def _rewrite_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+# damage -> how it is done to a copy of a dataset directory
+DATASET_DAMAGE = {
+    "frame_file_missing":
+        lambda root: (root / "frames" / "frame_0001.npz").unlink(),
+    "frame_array_missing": lambda root: _rewrite_npz(
+        root / "frames" / "frame_0001.npz", lambda a: a.pop("colors")),
+    "frame_array_extra": lambda root: _rewrite_npz(
+        root / "frames" / "frame_0001.npz",
+        lambda a: a.update(bogus=np.zeros(1))),
+    "arrays_key_missing": lambda root: _rewrite_npz(
+        root / "arrays.npz", lambda a: a.pop("betas")),
+    "label_field_missing": lambda root: _rewrite_json(
+        root / "labels.json", lambda d: d["frames"][1].pop("alpha")),
+    "unknown_spec_field": lambda root: _rewrite_json(
+        root / "category.json", lambda d: d["spec"].update(bogus=1)),
+}
+
+
+def _one_error_line(capsys, name: str) -> bool:
+    err = capsys.readouterr().err
+    return err.count("error[") == 1 and f"error[{name}]" in err
 
 
 class TestExitCodes:
@@ -587,6 +623,27 @@ class TestExitCodes:
                          str(ds), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CODES[CheckpointError] == 17
         assert "error[CheckpointError]" in capsys.readouterr().err
+
+    def test_model_header_missing_fields(self, ds, run, tmp_path, capsys):
+        magic, _, payload = (run / "model_final.bin").read_bytes().split(
+            b"\n", 2)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + b'\n{"version": 1}\n' + payload)
+        code = cli.main(["eval", "--checkpoint", str(bad), "--dataset",
+                         str(ds), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CODES[CheckpointError] == 17
+        assert _one_error_line(capsys, "CheckpointError")
+
+    @pytest.mark.parametrize("damage", sorted(DATASET_DAMAGE))
+    def test_damaged_dataset(self, ds, run, tmp_path, capsys, damage):
+        bad = tmp_path / "ds"
+        shutil.copytree(ds, bad)
+        DATASET_DAMAGE[damage](bad)
+        code = cli.main(["eval", "--checkpoint", str(run / "model_final.bin"),
+                         "--dataset", str(bad), "--out", str(tmp_path / "o"),
+                         "--n-points", "100"])
+        assert code == cli.EXIT_CODES[IoError] == 18
+        assert _one_error_line(capsys, "IoError")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -253,12 +253,6 @@ class TestStateIO:
         np.testing.assert_array_equal(mdl2.nets["embed"].values,
                                       mdl.nets["embed"].values)
 
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "bogus.bin"
-        path.write_bytes(b"NOT-A-STATE\n{}")
-        with pytest.raises(CheckpointError):
-            train.load_state(path, fresh_model(tiny_spec()))
-
     def test_model_mismatch_rejected(self, tmp_path):
         spec = tiny_spec()
         mdl = fresh_model(spec, mode=model_mod.DIRECT_LATENT, n_frames=3)
