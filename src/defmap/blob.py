@@ -57,10 +57,23 @@ def read(path, magic: bytes, what: str, keys) -> tuple[dict, bytes]:
     return header, data[nl + 1:]
 
 
-def array(payload: bytes, entry: dict) -> np.ndarray:
-    """A fresh copy of the array one header entry points at."""
+def array(payload: bytes, entry, shape, what: str,
+          keys=("count", "offset", "shape")) -> np.ndarray:
+    """A fresh copy of the array header entry ``entry`` points at.
+
+    The entry must hold exactly the fields ``keys`` and describe an array
+    of ``shape`` (a ``None`` axis takes the stored length) that lies inside
+    ``payload``. An entry without a ``shape`` field is read as ``shape``.
+    """
+    check_keys(entry, keys, what, CheckpointError)
+    stored = entry.get("shape", list(shape))
     offset, count = entry["offset"], entry["count"]
+    if not (isinstance(stored, list) and len(stored) == len(shape)
+            and all(type(n) is int and n >= 0 for n in (offset, count, *stored))
+            and all(want in (None, n) for n, want in zip(stored, shape))
+            and count == int(np.prod(stored))):
+        raise CheckpointError(f"{what}: entry {entry} is not a {shape} array")
     if len(payload) < offset + 8 * count:
-        raise CheckpointError("checkpoint payload truncated")
+        raise CheckpointError(f"{what}: checkpoint payload truncated")
     vals = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-    return vals.reshape(entry.get("shape", -1)).copy()
+    return vals.reshape(stored).copy()

@@ -35,9 +35,8 @@ IDENTITY_6D = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 class CameraIntrinsics:
     """Projection kind plus a full K for the perspective case.
 
-    K is upper-triangular with K[2,2] = 1; the ``focal`` accessor returns
-    K[0,0] (tests construct square-pixel cameras). Orthographic cameras
-    ignore K entirely.
+    K is upper-triangular with K[2,2] = 1. Orthographic cameras ignore K
+    entirely.
     """
 
     kind: str
@@ -50,14 +49,6 @@ class CameraIntrinsics:
         if K.shape != (3, 3):
             raise DimMismatch(f"K must be 3x3, got {K.shape}")
         object.__setattr__(self, "K", K)
-
-    @property
-    def focal(self) -> float:
-        return float(self.K[0, 0])
-
-    @property
-    def principal(self) -> np.ndarray:
-        return self.K[:2, 2].copy()
 
 
 @dataclass(frozen=True)
@@ -180,8 +171,9 @@ def rotation_distance_var(R: tape.Var, R_ref: np.ndarray) -> tape.Var:
 def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Project camera-frame points (N,3) or (3,) to image coordinates.
 
-    Orthographic drops z. Perspective maps X to (f x/z, f y/z) + principal
-    point and raises BehindCamera when any z <= 0.
+    Orthographic drops z (the result is a view of the x, y columns).
+    Perspective maps X to (f x/z, f y/z) + principal point and raises
+    BehindCamera when any z <= 0.
     """
     X = np.asarray(points, dtype=np.float64)
     single = X.ndim == 1
@@ -189,7 +181,7 @@ def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     if X.shape[1] != 3:
         raise DimMismatch(f"points must be (N,3), got {X.shape}")
     if cam.kind == ORTHOGRAPHIC:
-        out = X[:, :2].copy()
+        out = X[:, :2]
     else:
         z = X[:, 2]
         if np.any(z <= 0.0):
@@ -200,23 +192,16 @@ def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def project_var(
-    cam: CameraIntrinsics, X: tape.Var, min_depth: float | None = None
-) -> tape.Var:
+def project_var(cam: CameraIntrinsics, X: tape.Var, min_depth: float) -> tape.Var:
     """Graph twin of :func:`project` for (N,3) point batches.
 
-    For perspective cameras, ``min_depth`` (when given) clamps z from below
-    instead of raising, which keeps training losses finite while the model
-    still places points behind the camera. The clamp also bounds gradients.
+    For perspective cameras z is clamped from below at ``min_depth`` instead
+    of raising, which keeps training losses finite while the model still
+    places points behind the camera. The clamp also bounds gradients.
     """
     if cam.kind == ORTHOGRAPHIC:
         return X[:, :2]
-    z = X[:, 2]
-    if min_depth is None:
-        if np.any(z.data <= 0.0):
-            raise BehindCamera("perspective projection of point(s) with z <= 0")
-    else:
-        z = tape.clip_min(z, min_depth)
+    z = tape.clip_min(X[:, 2], min_depth)
     fx, fy = cam.K[0, 0], cam.K[1, 1]
     cx, cy = cam.K[0, 2], cam.K[1, 2]
     u = X[:, 0] / z * fx + cx

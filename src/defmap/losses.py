@@ -60,7 +60,6 @@ class LossConfig:
     blur_radii: tuple = (2, 4)    # multi-scale photometric pyramid radii
     min_depth: float = 1e-3       # perspective depth clamp inside graphs
     max_clamped_frac: float = 0.5  # reference exclusion threshold
-    perspective_ray_loss: bool = True  # train-time perspective residual
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,6 @@ def reprojection_loss(
     cam: geom.CameraIntrinsics,
     pixels: np.ndarray,
     cfg: LossConfig,
-    use_ray_residual: bool = False,
 ):
     """Self-consistency between reconstructed points and their source pixels.
 
@@ -209,8 +207,8 @@ def reprojection_loss(
     preprocessing) and the residual is the projected offset. Perspective:
     the translation minimizing the quadratic ray surrogate is solved in
     closed form, exposed as the frame translation, and the robust loss is
-    evaluated at it -- in pixel space by default, or against the rays when
-    ``use_ray_residual`` (the bounded-gradient variant used for training).
+    the bounded-gradient distance of the translated points to their pixel
+    rays (:func:`ray_projection_loss`).
 
     Returns (loss, t) with t a (3,) Var.
     """
@@ -224,13 +222,7 @@ def reprojection_loss(
         return loss, t
     rays = geom.ray_direction(cam, pixels)
     t = closed_form_translation(X_R, rays)
-    X_Rt = X_R + t
-    if use_ray_residual:
-        loss = ray_projection_loss(X_Rt, rays, cfg)
-    else:
-        yhat = geom.project_var(cam, X_Rt, min_depth=cfg.min_depth)
-        loss = tape.vsum(pseudo_huber_rows(yhat - pixels, cfg.eps_geom))
-    return loss, t
+    return ray_projection_loss(X_R + t, rays, cfg), t
 
 
 def cross_project(
@@ -239,11 +231,10 @@ def cross_project(
     """Map target-frame surface points into a reference frame's image.
 
     ``points_world`` are basis(kappa_target) @ alpha_ref; the reference
-    frame's pose carries them into its camera and the camera projects.
+    frame's pose (R_ref, t_ref) carries them into its camera and the camera
+    projects.
     """
-    X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R_ref))
-    if t_ref is not None:
-        X = X + t_ref
+    X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R_ref)) + t_ref
     return geom.project_var(cam, X, min_depth=cfg.min_depth)
 
 
@@ -253,12 +244,7 @@ def cross_project(
 def image_pyramid(image: np.ndarray, radii) -> list[np.ndarray]:
     """[identity] + box-blurred copies of the image at each radius."""
     image = np.asarray(image, dtype=np.float64)
-    levels = [image]
-    for r in radii:
-        win = 2 * int(r) + 1
-        cnt = tape._win_sum(np.ones(image.shape[:2]), win)[..., None]
-        levels.append(tape._win_sum(image, win) / cnt)
-    return levels
+    return [image] + [tape.box_blur(image, int(r)).data for r in radii]
 
 
 def photometric_loss(
@@ -343,9 +329,7 @@ def mask_reprojection_loss(
     out-of-image overshoot so samples beyond the border keep a pull-back
     gradient. Hard: fraction of samples landing outside the mask.
     """
-    X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R))
-    if t is not None:
-        X = X + t
+    X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R)) + t
     proj = geom.project_var(cam, X, min_depth=cfg.min_depth)
     px = raster.to_px_var(proj)
     h, w = mask.shape
@@ -457,9 +441,7 @@ def total_loss(
 
         points = model_mod.reconstruct_points(mdl, leaves, pred.kappa, pred.alpha)
         repro, t = reprojection_loss(
-            points, pred.R, frame.camera, frame.pix_y[idx], cfg,
-            use_ray_residual=(frame.camera.kind == geom.PERSPECTIVE
-                              and cfg.perspective_ray_loss),
+            points, pred.R, frame.camera, frame.pix_y[idx], cfg
         )
         translations.append(t)
         add("repro", repro)
@@ -471,8 +453,8 @@ def total_loss(
             mdl, leaves, tape.Var(sphere), pred.alpha
         )
         soft, _ = mask_reprojection_loss(
-            mask_pts, pred.R, t if frame.camera.kind == geom.PERSPECTIVE else None,
-            frame.camera, frame.raster, frame.mask, frame.mask_dist, cfg,
+            mask_pts, pred.R, t, frame.camera, frame.raster, frame.mask,
+            frame.mask_dist, cfg,
         )
         add("mask", soft)
 
@@ -495,9 +477,8 @@ def total_loss(
         for j in range(1, n_frames):
             ref = frames[j]
             pts = tape.batch_matvec(B_target, preds[j].alpha)
-            t_ref = (translations[j]
-                     if ref.camera.kind == geom.PERSPECTIVE else None)
-            coords = cross_project(pts, preds[j].R, t_ref, ref.camera, cfg)
+            coords = cross_project(pts, preds[j].R, translations[j],
+                                   ref.camera, cfg)
             per_pixel, _, clamped = photometric_loss(
                 ref.levels(cfg.blur_radii), ref.raster, coords, tgt_colors, cfg
             )

@@ -15,7 +15,7 @@ quantities.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,9 @@ AMORTIZED = "amortized"
 DIRECT_LATENT = "direct_latent"
 
 _MODEL_MAGIC = b"DEFMAP-MODEL1\n"
+
+#: networks only amortized models own
+_HEADS = ("shape_head", "texture_head", "view_head")
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,10 @@ def init_model(
     }
     latents = {}
     if mode == AMORTIZED:
-        netp["shape_head"] = nets.init_params(cfgs["shape_head"], rng,
-                                              out_scale=1e-2)
-        netp["texture_head"] = nets.init_params(cfgs["texture_head"], rng,
-                                                out_scale=1e-2)
-        netp["view_head"] = nets.init_params(
-            cfgs["view_head"], rng, out_scale=1e-2,
-            out_bias=geom.IDENTITY_6D,
-        )
+        for key in _HEADS:
+            bias = geom.IDENTITY_6D if key == "view_head" else None
+            netp[key] = nets.init_params(cfgs[key], rng, out_scale=1e-2,
+                                         out_bias=bias)
     else:
         if n_frames < 1:
             raise DimMismatch("direct-latent mode needs n_frames >= 1")
@@ -141,8 +140,8 @@ class FramePrediction:
 
 def embed_pixels(model: DeformerModel, leaves, descriptors) -> tape.Var:
     """Unit-sphere embeddings for (N,F) pixel descriptors."""
-    cfg = model.dims.net_configs()["embed"]
-    raw = nets.mlp_forward(leaves["net:embed"], cfg, descriptors)
+    raw = nets.mlp_forward(leaves["net:embed"], model.nets["embed"].config,
+                           descriptors)
     if raw.ndim == 1:
         raw = tape.reshape(raw, (1, 3))
     return nets.l2norm_rows(raw)
@@ -150,9 +149,9 @@ def embed_pixels(model: DeformerModel, leaves, descriptors) -> tape.Var:
 
 def basis_at(model: DeformerModel, leaves, kappa) -> tape.Var:
     """(N,3,D) deformation basis at (N,3) canonical points."""
-    cfg = model.dims.net_configs()["basis"]
     D = model.dims.n_shape_coeffs
-    flat = nets.mlp_forward(leaves["net:basis"], cfg, kappa)
+    flat = nets.mlp_forward(leaves["net:basis"], model.nets["basis"].config,
+                            kappa)
     if flat.ndim == 1:
         return tape.reshape(flat, (1, 3, D))
     return tape.reshape(flat, (flat.shape[0], 3, D))
@@ -170,13 +169,13 @@ def texture_at(model: DeformerModel, leaves, kappa, beta) -> tape.Var:
     ``kappa`` is consumed as given; callers enforcing the appearance
     stop-gradient must pass a detached embedding.
     """
-    cfg = model.dims.net_configs()["texture"]
     kappa = tape.as_var(kappa)
     n = kappa.shape[0]
     ones = np.ones((n, 1))
     beta_rows = tape.as_var(ones) @ tape.reshape(beta, (1, -1))
     x = tape.concat([kappa, beta_rows], axis=1)
-    return tape.sigmoid(nets.mlp_forward(leaves["net:texture"], cfg, x))
+    return tape.sigmoid(nets.mlp_forward(
+        leaves["net:texture"], model.nets["texture"].config, x))
 
 
 def _pin_first(alpha: tape.Var) -> tape.Var:
@@ -198,13 +197,12 @@ def predict_frame(
     """
     kappa = embed_pixels(model, leaves, pixel_descriptors)
     if model.mode == AMORTIZED:
-        cfgs = model.dims.net_configs()
         g = np.asarray(instance_descriptor, dtype=np.float64)
         if g.shape != (model.dims.instance_dim,):
             raise DimMismatch("instance descriptor width mismatch")
-        alpha = nets.mlp_forward(leaves["net:shape_head"], cfgs["shape_head"], g)
-        beta = nets.mlp_forward(leaves["net:texture_head"], cfgs["texture_head"], g)
-        v6 = nets.mlp_forward(leaves["net:view_head"], cfgs["view_head"], g)
+        alpha, beta, v6 = (
+            nets.mlp_forward(leaves[f"net:{key}"], model.nets[key].config, g)
+            for key in _HEADS)
     else:
         if frame_index < 0 or frame_index >= model.n_frames():
             raise DimMismatch(f"frame index {frame_index} out of range")
@@ -263,10 +261,8 @@ def save_model(path, model: DeformerModel) -> None:
     latents = dict(sorted(model.latents.items()))
     net_entries, lat_entries = blob.layout(net_arrays, latents)
     for key, ent in net_entries.items():
-        c = model.nets[key].config
         del ent["shape"]  # a network's shape is its config
-        ent["config"] = [c.in_dim, c.hidden_dim, c.out_dim, c.n_res_blocks,
-                         c.activation]
+        ent["config"] = list(astuple(model.nets[key].config))
     header = {
         "version": 1,
         "mode": model.mode,
@@ -279,18 +275,41 @@ def save_model(path, model: DeformerModel) -> None:
 
 
 def load_model(path) -> DeformerModel:
+    """A model file written by :func:`save_model`; it must hold exactly the
+    networks and latent tables of its mode, each of the size its ``dims``
+    give."""
     header, payload = blob.read(path, _MODEL_MAGIC, "model",
                                 ("version", "mode", "dims", "nets", "latents"))
     if header["version"] != 1:
         raise CheckpointError(f"unsupported version {header['version']}")
-    if header["mode"] not in (AMORTIZED, DIRECT_LATENT):
-        raise CheckpointError(f"unknown mode {header['mode']!r}")
+    mode = header["mode"]
+    if mode not in (AMORTIZED, DIRECT_LATENT):
+        raise CheckpointError(f"unknown mode {mode!r}")
     check_keys(header["dims"], [f.name for f in fields(ModelDims)],
                "model dims", CheckpointError)
-    netp = {key: nets.MlpParams(nets.MlpConfig(*ent["config"]),
-                                blob.array(payload, ent))
-            for key, ent in header["nets"].items()}
-    latents = {key: blob.array(payload, ent)
-               for key, ent in header["latents"].items()}
-    return DeformerModel(dims=ModelDims(**header["dims"]), mode=header["mode"],
-                         nets=netp, latents=latents)
+    dims = ModelDims(**header["dims"])
+    try:
+        cfgs = dims.net_configs()
+    except (DimMismatch, TypeError) as e:  # a zero or non-numeric width
+        raise CheckpointError(f"model dims: {e}") from e
+    check_keys(header["nets"], [k for k in cfgs
+                                if mode == AMORTIZED or k not in _HEADS],
+               "model nets", CheckpointError)
+    netp = {}
+    for key, ent in header["nets"].items():
+        cfg = cfgs[key]
+        values = blob.array(payload, ent, (nets.n_params(cfg),),
+                            f"model net {key}", ("config", "count", "offset"))
+        if ent["config"] != list(astuple(cfg)):
+            raise CheckpointError(f"model net {key}: config is not its dims'")
+        netp[key] = nets.MlpParams(cfg, values)
+    D, Dp = dims.n_shape_coeffs, dims.n_texture_coeffs
+    shapes = ({"alpha": (None, D), "beta": (None, Dp), "view6d": (None, 6)}
+              if mode == DIRECT_LATENT else {})
+    check_keys(header["latents"], shapes, "model latents", CheckpointError)
+    latents = {key: blob.array(payload, header["latents"][key], shape,
+                               f"model latent {key}")
+               for key, shape in shapes.items()}
+    if len({arr.shape[0] for arr in latents.values()}) > 1:
+        raise CheckpointError("model latents differ in their frame count")
+    return DeformerModel(dims=dims, mode=mode, nets=netp, latents=latents)

@@ -177,7 +177,11 @@ def load_mlp(path) -> MlpParams:
     header, payload = blob.read(path, _MAGIC, "MLP",
                                 ["count", *(f.name for f in fields(MlpConfig))])
     count = header.pop("count")
-    cfg = MlpConfig(**header)
+    try:
+        cfg = MlpConfig(**header)
+    except DimMismatch as e:
+        raise CheckpointError(f"MLP header: {e}") from e
     if count != n_params(cfg) or len(payload) != 8 * count:
         raise CheckpointError("parameter count does not match header")
-    return MlpParams(cfg, blob.array(payload, {"offset": 0, "count": count}))
+    return MlpParams(cfg, blob.array(payload, {"offset": 0, "count": count},
+                                     (count,), "MLP", ("count", "offset")))

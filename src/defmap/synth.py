@@ -372,13 +372,6 @@ def _camera(spec: CategorySpec) -> geom.CameraIntrinsics:
     return geom.CameraIntrinsics(geom.PERSPECTIVE, K)
 
 
-def _project_cam(cam: geom.CameraIntrinsics, pts_cam: np.ndarray) -> np.ndarray:
-    if cam.kind == geom.ORTHOGRAPHIC:
-        return pts_cam[:, :2]
-    z = np.maximum(pts_cam[:, 2], 1e-6)
-    return cam.focal * pts_cam[:, :2] / z[:, None] + cam.principal
-
-
 def _zbuffer(spec, px, z):
     """3x3 splatted z-buffer. Returns (mask, depth grid, winner sample idx)."""
     H, W = spec.image_h, spec.image_w
@@ -432,7 +425,7 @@ def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
 
     def residual(d):
         pts = cat.surface_points(kappa_of(d), alpha) @ R.T + t
-        return _project_cam(cam, pts) - target_y
+        return geom.project(cam, pts) - target_y
 
     h = 1e-7
     for _ in range(max_iter):
@@ -469,7 +462,7 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
     coeff = np.einsum("scd,d->sc", cat.basis_coeffs, alpha)
     X = dense_sh @ coeff + alpha[0] * dense_kappa
     Xc = X @ R.T + t
-    px = raster.to_px(_project_cam(cam, Xc))
+    px = raster.to_px(geom.project(cam, Xc))
     mask, depth, winner = _zbuffer(spec, px, Xc[:, 2])
 
     rows, cols = np.nonzero(mask)
@@ -511,10 +504,8 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
 def _keypoint_visibility(cat, instance, R, t, render) -> np.ndarray:
     """A keypoint is visible when it is the frontmost surface at its pixel."""
     spec = cat.spec
-    cam = _camera(spec)
-    raster = render["raster"]
     Xk = cat.surface_points(cat.keypoints, cat.alphas[instance]) @ R.T + t
-    px = raster.to_px(_project_cam(cam, Xk))
+    px = render["raster"].to_px(geom.project(render["camera"], Xk))
     cols = np.rint(px[:, 0]).astype(int)
     rows = np.rint(px[:, 1]).astype(int)
     H, W = spec.image_h, spec.image_w

@@ -22,6 +22,7 @@ from .errors import (
     DimMismatch,
     InvalidSpec,
     NonFiniteGradient,
+    check_keys,
 )
 
 _STATE_MAGIC = b"DEFMAP-TRAIN1\n"
@@ -224,18 +225,17 @@ def load_state(path, model: model_mod.DeformerModel) -> TrainState:
     if header["version"] != 1:
         raise CheckpointError(f"unsupported version {header['version']}")
     params = model.param_arrays()
-    saved = header["arrays"]["params"]
-    if set(saved) != set(params):
-        raise CheckpointError("state parameters do not match the model")
-    for name, ent in saved.items():
-        arr = blob.array(payload, ent)
-        if arr.shape != params[name].shape:
-            raise CheckpointError(f"shape mismatch for {name}")
+    check_keys(header["arrays"], ("params", "velocity"), "train-state arrays",
+               CheckpointError)
+    saved = {}
+    for part, entries in header["arrays"].items():
+        check_keys(entries, params, f"train-state {part}", CheckpointError)
+        saved[part] = {name: blob.array(payload, ent, params[name].shape,
+                                        f"train-state {part} {name}")
+                       for name, ent in entries.items()}
+    for name, arr in saved["params"].items():
         params[name][...] = arr
-    velocity = {name: blob.array(payload, ent)
-                for name, ent in header["arrays"]["velocity"].items()}
-    if set(velocity) != set(params):
-        raise CheckpointError("momentum buffers do not match the parameters")
+    velocity = saved["velocity"]
     rng = np.random.default_rng()
     rng.bit_generator.state = header["rng"]
     return TrainState(params=params, velocity=velocity, rng=rng,

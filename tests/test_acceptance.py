@@ -1,9 +1,8 @@
 """Acceptance gate: one test per shipped guarantee, tolerances pinned.
 
 Each test here is a contract the package must keep; run with ``-v`` to get
-one pass/fail line per criterion. The heavyweight end-to-end criteria
-(benchmark recovery, ablation structure) train real models and dominate
-the suite's runtime.
+one pass/fail line per criterion. Every criterion runs on small inputs and
+trains only tiny models; none checks that a fit recovers held-out shapes.
 """
 
 import time
@@ -29,12 +28,6 @@ def clean_cat():
         constant_albedo=True, background_matches_albedo=True,
     )
     return synth.generate_category(spec)
-
-
-@pytest.fixture(scope="module")
-def bench_cat():
-    """The default textured noisy benchmark category."""
-    return synth.generate_category(synth.benchmark_spec(0))
 
 
 class TestCriterion01LossGradients:
@@ -110,7 +103,7 @@ class TestCriterion03RayGradientBound:
             np.full(60, 1e-3),
         ])
         v = tape.Var(X)
-        proj = geom.project_var(cam, v, min_depth=None)
+        proj = geom.project_var(cam, v, min_depth=1e-4)  # below the probe
         tape.backward(tape.vsum(losses.pseudo_huber_rows(
             proj - np.zeros((60, 2)), C.eps_geom)))
         per_point = np.linalg.norm(v.grad, axis=1)
@@ -213,7 +206,7 @@ class TestCriterion05GroundTruthFixedPoint:
             worst["emb_align"] = max(worst["emb_align"], ea)
 
             soft, _ = losses.mask_reprojection_loss(
-                tape.Var(pts), tape.Var(fr.gt_R), None, fr.camera,
+                tape.Var(pts), tape.Var(fr.gt_R), fr.gt_t, fr.camera,
                 fr.raster, fr.mask, fr.mask_dist, C)
             worst["mask"] = max(worst["mask"], float(soft.data))
 
@@ -232,7 +225,7 @@ class TestCriterion05GroundTruthFixedPoint:
         for ref in refs:
             pts = cat.surface_points(target.gt_kappa, ref.gt_alpha)
             coords = losses.cross_project(
-                tape.Var(pts), tape.Var(ref.gt_R), None, ref.camera, C)
+                tape.Var(pts), tape.Var(ref.gt_R), ref.gt_t, ref.camera, C)
             per_pixel, _, _ = losses.photometric_loss(
                 ref.levels(C.blur_radii), ref.raster, coords, tgt_colors, C)
             cols.append(per_pixel)

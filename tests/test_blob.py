@@ -79,11 +79,42 @@ CORRUPTIONS = {
     "unknown_mode": _edit_header(lambda d: d.update(mode="bogus")),
     "dims_field_missing": _edit_header(lambda d: d["dims"].pop("head_blocks")),
     "unknown_dims_field": _edit_header(lambda d: d["dims"].update(bogus=1)),
+    "dims_width_not_a_number": _edit_header(
+        lambda d: d["dims"].update(embed_hidden="8")),
+    "nets_of_other_mode": _edit_header(lambda d: d.update(mode="amortized")),
+    "net_missing": _edit_header(lambda d: d["nets"].pop("basis")),
+    "net_count_missing": _edit_header(lambda d: d["nets"]["basis"].pop("count")),
+    "net_config_two_numbers": _edit_header(
+        lambda d: d["nets"]["basis"].update(config=[3, 8])),
+    "net_config_zero_width": _edit_header(
+        lambda d: d["nets"]["basis"].update(config=[3, 0, 12, 1, "relu"])),
+    "net_config_other_activation": _edit_header(
+        lambda d: d["nets"]["basis"].update(config=[3, 8, 12, 1, "tanh"])),
+    "latent_shape_wrong": _edit_header(
+        lambda d: d["latents"]["beta"].update(shape=[1, 9])),
+    "latent_rows_differ": _edit_header(
+        lambda d: d["latents"]["alpha"].update(shape=[2, 4], count=8)),
+    "array_count_missing": _edit_header(
+        lambda d: d["arrays"]["params"]["net:basis"].pop("count")),
+    "velocity_shape_wrong": _edit_header(
+        lambda d: d["arrays"]["velocity"]["lat:alpha"].update(shape=[4, 3])),
+    "unknown_arrays_section": _edit_header(
+        lambda d: d["arrays"].update(bogus={})),
+    "zero_width": _edit_header(lambda d: d.update(hidden_dim=0)),
 }
-# only the model header carries a mode and the network widths
-MODEL_ONLY = ("unknown_mode", "dims_field_missing", "unknown_dims_field")
+# corruptions of header fields that only one kind of file has
+ONLY = {
+    "model": ("unknown_mode", "dims_field_missing", "unknown_dims_field",
+              "dims_width_not_a_number", "nets_of_other_mode", "net_missing",
+              "net_count_missing", "net_config_two_numbers",
+              "net_config_zero_width", "net_config_other_activation",
+              "latent_shape_wrong", "latent_rows_differ"),
+    "state": ("array_count_missing", "velocity_shape_wrong",
+              "unknown_arrays_section"),
+    "mlp": ("zero_width",),
+}
 CASES = [(kind, c) for kind in sorted(KINDS) for c in sorted(CORRUPTIONS)
-         if kind == "model" or c not in MODEL_ONLY]
+         if all(c not in names for k, names in ONLY.items() if k != kind)]
 
 
 @pytest.mark.parametrize("kind,corruption", CASES)

@@ -282,18 +282,19 @@ class TestFit:
         assert code == cli.EXIT_CODES[CheckpointError] == 17
         assert "error[CheckpointError]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [
-        {"bogus": 1},
-        {"weights": {"w_bogus": 1.0}},
-        {"loss_cfg": {"bogus": 1}},
-    ], ids=["top_level", "weights", "loss_cfg"])
+    @pytest.mark.parametrize("config,key", [
+        ({"bogus": 1}, "bogus"),
+        ({"weights": {"w_bogus": 1.0}}, "w_bogus"),
+        ({"loss_cfg": {"bogus": 1}}, "bogus"),
+        ({"loss_cfg": {"perspective_ray_loss": True}}, "perspective_ray_loss"),
+    ], ids=["top_level", "weights", "loss_cfg", "removed_loss_cfg_field"])
     def test_unknown_config_key_is_invalid_spec(self, ds, tmp_path, capsys,
-                                                config):
+                                                config, key):
         cfg = write_json(tmp_path / "tc.json", config)
         code = cli.main(["fit", "--dataset", str(ds), "--out",
                          str(tmp_path / "o"), "--config", cfg])
         assert code == cli.EXIT_CODES[InvalidSpec] == 14
-        assert "bogus" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_resume_continues_epochs(self, work, ds, tmp_path):
         cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)

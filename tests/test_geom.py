@@ -153,7 +153,7 @@ class TestProjection:
             geom.CameraIntrinsics(geom.PERSPECTIVE, np.diag([1.5, 1.5, 1.0])),
         ):
             np.testing.assert_allclose(
-                geom.project_var(cam, tape.Var(X)).data,
+                geom.project_var(cam, tape.Var(X), min_depth=1e-3).data,
                 geom.project(cam, X),
                 atol=1e-12,
             )
@@ -161,8 +161,6 @@ class TestProjection:
     def test_project_var_depth_clamp(self):
         cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.eye(3))
         X = np.array([[0.5, 0.5, -2.0]])
-        with pytest.raises(BehindCamera):
-            geom.project_var(cam, tape.Var(X))
         out = geom.project_var(cam, tape.Var(X), min_depth=1e-3)
         np.testing.assert_allclose(out.data, [[500.0, 500.0]])
 

@@ -248,17 +248,6 @@ class TestReprojection:
                 X @ R.T, rays, probe
             ) + 1e-12
 
-    def test_ray_variant_zero_at_exact_geometry(self):
-        rng = np.random.default_rng(14)
-        cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.diag([1.5, 1.5, 1.0]))
-        R = geom.rotation_from_6d(rng.standard_normal(6))
-        X = rng.standard_normal((20, 3)) * 0.5
-        pix = geom.project(cam, X @ R.T + np.array([0.0, 0.0, 6.0]))
-        loss, _ = losses.reprojection_loss(
-            tape.Var(X), tape.Var(R), cam, pix, CFG, use_ray_residual=True
-        )
-        assert float(loss.data) < 1e-18
-
     def test_grad_check_through_inner_solve(self):
         rng = np.random.default_rng(15)
         cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.diag([1.1, 1.1, 1.0]))
@@ -267,8 +256,7 @@ class TestReprojection:
         def f(v):
             X = tape.reshape(v[slice(0, 18)], (6, 3))
             R = geom.rotation_from_6d_var(v[slice(18, 24)])
-            loss, _ = losses.reprojection_loss(X, R, cam, pix, CFG,
-                                               use_ray_residual=True)
+            loss, _ = losses.reprojection_loss(X, R, cam, pix, CFG)
             return loss
 
         x0 = np.concatenate([
@@ -278,26 +266,6 @@ class TestReprojection:
 
 
 class TestRayProjectionGradients:
-    def test_gradient_bounded_at_any_magnitude(self):
-        rng = np.random.default_rng(16)
-        rays = losses.sample_sphere(1, rng)
-        rays[0, 2] = abs(rays[0, 2]) + 0.5
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        for mag in (1.0, 1e3, 1e6):
-            X = tape.Var(unit(rng.standard_normal(3))[None, :] * mag)
-            out = losses.ray_projection_loss(X, rays, CFG)
-            tape.backward(out)
-            assert np.linalg.norm(X.grad) <= 1.0 + 1e-6
-
-    def test_naive_perspective_gradient_explodes_near_camera(self):
-        cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.eye(3))
-        X = tape.Var(np.array([[0.4, -0.3, 1e-3]]))
-        pix = np.array([[0.0, 0.0]])
-        yhat = geom.project_var(cam, X)
-        out = tape.vsum(losses.pseudo_huber_rows(yhat - pix, CFG.eps_geom))
-        tape.backward(out)
-        assert np.linalg.norm(X.grad) > 1e3
-
     def test_zero_on_ray(self):
         rays = np.array([unit([0.2, 0.1, 1.0])])
         X = tape.Var(rays * 3.7)
@@ -383,12 +351,13 @@ class TestMaskLoss:
         self.mask, self.dist = disk_mask_frame_geometry()
         self.raster = geom.Raster(ppu=10.0, cx=15.5, cy=15.5)
         self.cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
+        self.t = tape.Var(np.zeros(3))
 
     def test_inside_is_zero(self):
         rng = np.random.default_rng(20)
         pts = losses.sample_sphere(500, rng) * 0.5  # projects within the disk
         soft, hard = losses.mask_reprojection_loss(
-            tape.Var(pts), tape.Var(np.eye(3)), None, self.cam, self.raster,
+            tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
             self.mask, self.dist, CFG,
         )
         assert float(soft.data) == 0.0
@@ -398,7 +367,7 @@ class TestMaskLoss:
         rng = np.random.default_rng(21)
         pts = losses.sample_sphere(500, rng) * 100.0  # everything outside
         soft, hard = losses.mask_reprojection_loss(
-            tape.Var(pts), tape.Var(np.eye(3)), None, self.cam, self.raster,
+            tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
             self.mask, self.dist, CFG,
         )
         assert hard == 1.0
@@ -407,7 +376,7 @@ class TestMaskLoss:
     def test_soft_zero_inside_positive_outside(self):
         pts = np.array([[0.0, 0.0, 0.0], [2.4, 0.0, 0.0]])  # in, out (in-image)
         soft, hard = losses.mask_reprojection_loss(
-            tape.Var(pts), tape.Var(np.eye(3)), None, self.cam, self.raster,
+            tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
             self.mask, self.dist, CFG,
         )
         assert hard == pytest.approx(0.5)
@@ -419,7 +388,7 @@ class TestMaskLoss:
         def f(v):
             pts = tape.reshape(v, (8, 3)) * 1.4
             soft, _ = losses.mask_reprojection_loss(
-                pts, tape.Var(np.eye(3)), None, self.cam, self.raster,
+                pts, tape.Var(np.eye(3)), self.t, self.cam, self.raster,
                 self.mask, self.dist, CFG,
             )
             return soft

@@ -191,13 +191,16 @@ class TestMakeBatches:
                                np.random.default_rng(8))
 
 
-class TestRenderedGeometry:
+class RenderedGeometryContract:
+    """Per-frame geometry every camera kind renders exactly; subclasses
+    supply the category as the ``small_cat`` fixture."""
+
     def test_refined_pixels_reproject_exactly(self, small_cat):
         worst = 0.0
         for fr in small_cat.frames:
             X = small_cat.surface_points(fr.gt_kappa, fr.gt_alpha) @ fr.gt_R.T \
                 + fr.gt_t
-            y = synth._project_cam(fr.camera, X)
+            y = geom.project(fr.camera, X)
             worst = max(worst, float(np.abs(y - fr.pix_y).max()))
         assert worst <= 1e-12
 
@@ -227,6 +230,15 @@ class TestRenderedGeometry:
             assert np.all(fr.mask_dist[~fr.mask] > 0)
             assert fr.mask[fr.pix_rc[:, 0], fr.pix_rc[:, 1]].all()
 
+
+class TestPerspectiveRenderedGeometry(RenderedGeometryContract):
+    @pytest.fixture(scope="class")
+    def small_cat(self):
+        return synth.generate_category(
+            dataclasses.replace(SMALL, camera_kind=geom.PERSPECTIVE))
+
+
+class TestRenderedGeometry(RenderedGeometryContract):
     def test_instances_unit_variance(self, small_cat):
         probe = synth.fibonacci_sphere(4000)
         for i in range(small_cat.spec.n_instances):
@@ -245,11 +257,11 @@ class TestRenderedGeometry:
         n_vis, n_hid = 0, 0
         for fr in small_cat.frames:
             Xd = small_cat.surface_points(dense, fr.gt_alpha) @ fr.gt_R.T + fr.gt_t
-            pd = fr.raster.to_px(synth._project_cam(fr.camera, Xd))
+            pd = fr.raster.to_px(geom.project(fr.camera, Xd))
             rpd = np.rint(pd)
             Xk = small_cat.surface_points(small_cat.keypoints, fr.gt_alpha) \
                 @ fr.gt_R.T + fr.gt_t
-            pk = fr.raster.to_px(synth._project_cam(fr.camera, Xk))
+            pk = fr.raster.to_px(geom.project(fr.camera, Xk))
             rpk = np.rint(pk)
             h, w = fr.image.shape[:2]
             for k in range(len(Xk)):
