@@ -377,44 +377,22 @@ def cmd_eval(args) -> int:
 
 # -- gradcheck ----------------------------------------------------------------------
 
-GRADCHECK_ROWS = (
-    "pseudo_huber",
-    "prior",
-    "reprojection_ortho",
-    "reprojection_ray",
-    "embedding_alignment",
-    "mask",
-    "texture",
-    "min_k",
-)
-
-# one-hot weight sets isolating each term inside the composite objective;
-# the texture term carries its own internal photo/percep weights
-_ZEROED = dict(w_prior=0.0, w_repro=0.0, w_emb_align=0.0, w_mask=0.0,
-               w_min_k=0.0, w_tex_photo=0.0, w_tex_percep=0.0)
-_ROW_WEIGHTS = {
-    "prior": {**_ZEROED, "w_prior": 1.0},
-    "reprojection_ortho": {**_ZEROED, "w_repro": 1.0},
-    "reprojection_ray": {**_ZEROED, "w_repro": 1.0},
-    "embedding_alignment": {**_ZEROED, "w_emb_align": 1.0},
-    "mask": {**_ZEROED, "w_mask": 1.0},
-    "texture": {**_ZEROED, "w_tex_photo": 1.0, "w_tex_percep": 0.1},
-    "min_k": {**_ZEROED, "w_min_k": 1.0},
-}
-
-# finite differences are only meaningful where the designed gradient is
-# complete: the appearance term stops its gradient at the embedding, and
-# each term simply never touches some networks
+# row -> (the loss term it isolates, the parameters it probes). Finite
+# differences are only meaningful where the designed gradient is complete:
+# the appearance term stops its gradient at the embedding, and each term
+# simply never touches some networks. Row pseudo_huber checks the robust
+# penalty alone.
 _GEOM_LEAVES = ("net:embed", "net:basis", "net:shape_head", "net:view_head")
-_ROW_LEAVES = {
-    "prior": _GEOM_LEAVES,
-    "reprojection_ortho": _GEOM_LEAVES,
-    "reprojection_ray": _GEOM_LEAVES,
-    "embedding_alignment": ("net:embed", "net:view_head"),
-    "mask": ("net:basis", "net:shape_head", "net:view_head"),
-    "texture": ("net:texture", "net:texture_head"),
-    "min_k": _GEOM_LEAVES,
+_ROWS = {
+    "prior": ("prior", _GEOM_LEAVES),
+    "reprojection_ortho": ("repro", _GEOM_LEAVES),
+    "reprojection_ray": ("repro", _GEOM_LEAVES),
+    "embedding_alignment": ("emb_align", ("net:embed", "net:view_head")),
+    "mask": ("mask", ("net:basis", "net:shape_head", "net:view_head")),
+    "texture": ("texture", ("net:texture", "net:texture_head")),
+    "min_k": ("min_k", _GEOM_LEAVES),
 }
+GRADCHECK_ROWS = ("pseudo_huber", *_ROWS)
 
 _GRADCHECK_TOL = 1e-4
 _gradcheck_cats: dict = {}
@@ -489,7 +467,12 @@ def check_gradients(name: str, n_points: int = 100, seed: int = 0,
     mdl = _gradcheck_model(seed)
     frames = list(cat.frames[:3])
     labels = [fr.labels for fr in frames]
-    weights = losses.LossWeights(**_ROW_WEIGHTS[name])
+    # the isolated term at the default weights, with w_repro and w_min_k
+    # raised to 1 so their rows are not scaled down
+    term, pool_leaves = _ROWS[name]
+    weights = train.effective_weights(
+        losses.LossWeights(w_repro=1.0, w_min_k=1.0),
+        [t for t in losses.TERMS if t != term])
     cfg = losses.LossConfig(n_mask_samples=80)
 
     arrays = mdl.param_arrays()
@@ -516,7 +499,7 @@ def check_gradients(name: str, n_points: int = 100, seed: int = 0,
     pool = []
     off = 0
     for n, size in zip(names, sizes):
-        if n in _ROW_LEAVES[name]:
+        if n in pool_leaves:
             pool.extend(range(off, off + size))
         off += size
     coords = rng.choice(np.asarray(pool), size=min(n_points, len(pool)),
@@ -540,8 +523,8 @@ def run_gradcheck(scope=None, corrupt_one: bool = False, n_points: int = 100,
         raise errors.InvalidSpec(f"no gradcheck row matches scope {scope!r}")
     out = []
     for i, name in enumerate(rows):
-        err = check_gradients(name, n_points=n_points, seed=seed,
-                              corrupt=(corrupt_one and i == 0))
+        err = float(check_gradients(name, n_points=n_points, seed=seed,
+                                    corrupt=(corrupt_one and i == 0)))
         out.append((name, err, err < _GRADCHECK_TOL))
     return out
 
@@ -691,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--validate-every", type=int, default=None)
     f.add_argument("--checkpoint-every", type=int, default=None)
     f.add_argument("--ablate", action="append", default=[],
-                   choices=sorted(train.ABLATABLE),
+                   choices=sorted(losses.TERMS),
                    help="zero one loss term (repeatable)")
     f.add_argument("--holdout-every", type=int, default=0,
                    help="every K-th frame is held out for validation "

@@ -172,7 +172,7 @@ def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Project camera-frame points (N,3) or (3,) to image coordinates.
 
     Orthographic drops z (the result is a view of the x, y columns).
-    Perspective maps X to (f x/z, f y/z) + principal point and raises
+    Perspective maps X to the first two entries of K X / z and raises
     BehindCamera when any z <= 0.
     """
     X = np.asarray(points, dtype=np.float64)
@@ -186,9 +186,9 @@ def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
         z = X[:, 2]
         if np.any(z <= 0.0):
             raise BehindCamera("perspective projection of point(s) with z <= 0")
-        fx, fy = cam.K[0, 0], cam.K[1, 1]
-        cx, cy = cam.K[0, 2], cam.K[1, 2]
-        out = np.stack([fx * X[:, 0] / z + cx, fy * X[:, 1] / z + cy], axis=1)
+        (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
+        out = np.stack([(fx * X[:, 0] + skew * X[:, 1]) / z + cx,
+                        fy * X[:, 1] / z + cy], axis=1)
     return out[0] if single else out
 
 
@@ -201,12 +201,10 @@ def project_var(cam: CameraIntrinsics, X: tape.Var, min_depth: float) -> tape.Va
     """
     if cam.kind == ORTHOGRAPHIC:
         return X[:, :2]
-    z = tape.clip_min(X[:, 2], min_depth)
-    fx, fy = cam.K[0, 0], cam.K[1, 1]
-    cx, cy = cam.K[0, 2], cam.K[1, 2]
-    u = X[:, 0] / z * fx + cx
-    v = X[:, 1] / z * fy + cy
-    return tape.stack([u, v], axis=1)
+    z = tape.clip(X[:, 2], min_depth, np.inf)
+    (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
+    x_z, y_z = X[:, 0] / z, X[:, 1] / z
+    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy], axis=1)
 
 
 def ray_direction(cam: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:

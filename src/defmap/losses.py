@@ -33,6 +33,7 @@ from .errors import (
 __all__ = [
     "LossConfig",
     "LossWeights",
+    "TERMS",
     "NrsfmLabels",
     "pseudo_huber",
     "pseudo_huber_rows",
@@ -83,6 +84,19 @@ class LossWeights:
         if camera_kind == geom.PERSPECTIVE:
             return replace(base, w_repro=1.0)
         return base
+
+
+#: loss term -> the LossWeights fields that scale it, in summation order.
+#: The texture term applies its two weights itself; w_alpha and w_rot weigh
+#: parts of the prior term.
+TERMS = {
+    "prior": ("w_prior",),
+    "repro": ("w_repro",),
+    "emb_align": ("w_emb_align",),
+    "mask": ("w_mask",),
+    "texture": ("w_tex_photo", "w_tex_percep"),
+    "min_k": ("w_min_k",),
+}
 
 
 @dataclass
@@ -258,7 +272,7 @@ def photometric_loss(
 
     ``coords`` (N,2 Var, normalized units) index the reference frame;
     ``target_level_colors`` holds the target frame's colors at its own
-    pixels for each pyramid level. Returns (per_pixel (N,) Var, sum Var,
+    pixels for each pyramid level. Returns (per_pixel (N,) Var,
     clamped_fraction float). Samples falling outside the reference image
     are clamped to its border by the sampler.
     """
@@ -269,7 +283,7 @@ def photometric_loss(
         cost = pseudo_huber_rows(sampled - tgt, cfg.eps_color)
         per_pixel = cost if per_pixel is None else per_pixel + cost
     clamped = float(np.mean(tape.clamp_mask(ref_levels[0].shape, px.data)))
-    return per_pixel, tape.vsum(per_pixel), clamped
+    return per_pixel, clamped
 
 
 def min_k_loss(cost_matrix, k: int):
@@ -291,7 +305,7 @@ def min_k_loss(cost_matrix, k: int):
         picked = cost
     else:
         idx = np.argpartition(cost.data, k - 1, axis=1)[:, :k]
-        picked = tape.take_along(cost, idx)
+        picked = cost[np.arange(n)[:, None], idx]
     raw = tape.vsum(picked) * (1.0 / k)
     return raw * (1.0 / n), raw
 
@@ -306,7 +320,7 @@ def embedding_alignment_loss(kappa, R) -> tape.Var:
     kbar = tape.vmean(kappa, axis=0)
     # clamp inside the sqrt: its backward divides by the output, so an
     # exactly-zero mean embedding must never reach it
-    norm = tape.sqrt(tape.clip_min(tape.dot(kbar, kbar), 1e-16))
+    norm = tape.sqrt(tape.clip(tape.dot(kbar, kbar), 1e-16, np.inf))
     u = kbar / norm
     z_row = tape.as_var(R)[2]
     return tape.dot(z_row, u)
@@ -318,32 +332,26 @@ def mask_reprojection_loss(
     t,
     cam: geom.CameraIntrinsics,
     raster: geom.Raster,
-    mask: np.ndarray,
     mask_dist: np.ndarray,
     cfg: LossConfig,
 ):
     """Keep uniformly sampled surface points projecting inside the silhouette.
 
-    Soft (returned first, differentiable): mean squared distance-transform
-    value at each projection, zero inside the mask, plus the squared
-    out-of-image overshoot so samples beyond the border keep a pull-back
-    gradient. Hard: fraction of samples landing outside the mask.
+    ``mask_dist`` is the distance transform of the silhouette's outside.
+    Mean squared distance-transform value at each projection, zero inside
+    the mask, plus the squared out-of-image overshoot so samples beyond the
+    border keep a pull-back gradient.
     """
     X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R)) + t
     proj = geom.project_var(cam, X, min_depth=cfg.min_depth)
     px = raster.to_px_var(proj)
-    h, w = mask.shape
+    h, w = mask_dist.shape
     lim = np.array([w - 1.0, h - 1.0])
     inside_px = tape.clip(px, np.zeros(2), lim)
     overshoot = px - inside_px
     d = tape.bilinear_sample(mask_dist[:, :, None], inside_px)
-    soft = tape.vmean(d * d) + tape.vmean(tape.vsum(overshoot * overshoot, axis=1))
-
-    cols = np.clip(np.rint(px.data[:, 0]).astype(int), 0, w - 1)
-    rows = np.clip(np.rint(px.data[:, 1]).astype(int), 0, h - 1)
-    out_img = tape.clamp_mask(mask.shape + (1,), px.data)
-    hard = float(np.mean(~mask[rows, cols] | out_img))
-    return soft, hard
+    return (tape.vmean(d * d)
+            + tape.vmean(tape.vsum(overshoot * overshoot, axis=1)))
 
 
 def texture_loss(
@@ -364,7 +372,7 @@ def texture_loss(
     the multi-scale stand-in blurs the sparse error image and penalizes it
     at the same pixels.
 
-    Returns (weighted_total, photo_sum, percep_sum).
+    Returns the weighted sum of the two terms.
     """
     kappa_det = tape.detach(kappa)
     pred = model_mod.texture_at(mdl, leaves, kappa_det, beta)
@@ -379,8 +387,7 @@ def texture_loss(
         blurred = tape.box_blur(diff_img, int(r))
         at_pix = blurred[rc[:, 0], rc[:, 1]]
         percep = percep + tape.vsum(pseudo_huber_rows(at_pix, cfg.eps_color))
-    total = weights.w_tex_photo * photo + weights.w_tex_percep * percep
-    return total, photo, percep
+    return weights.w_tex_photo * photo + weights.w_tex_percep * percep
 
 
 # -- batch assembly -----------------------------------------------------------
@@ -418,12 +425,10 @@ def total_loss(
     preds = []
     subsets = []
     translations = []
-    terms = {"prior": 0.0, "repro": 0.0, "emb_align": 0.0, "mask": 0.0,
-             "texture": 0.0}
-    acc = {k: None for k in terms}
+    acc = {}
 
     def add(key, value):
-        acc[key] = value if acc[key] is None else acc[key] + value
+        acc[key] = acc[key] + value if key in acc else value
 
     for frame, lab in zip(frames, labels):
         idx = _frame_pixel_subset(frame, n_pixels, rng)
@@ -452,18 +457,15 @@ def total_loss(
         mask_pts = model_mod.reconstruct_points(
             mdl, leaves, tape.Var(sphere), pred.alpha
         )
-        soft, _ = mask_reprojection_loss(
-            mask_pts, pred.R, t, frame.camera, frame.raster, frame.mask,
-            frame.mask_dist, cfg,
-        )
-        add("mask", soft)
+        add("mask", mask_reprojection_loss(
+            mask_pts, pred.R, t, frame.camera, frame.raster, frame.mask_dist,
+            cfg,
+        ))
+        add("texture", texture_loss(mdl, leaves, frame, idx, pred.kappa,
+                                    pred.beta, weights, cfg))
 
-        tex, _, _ = texture_loss(mdl, leaves, frame, idx, pred.kappa,
-                                 pred.beta, weights, cfg)
-        add("texture", tex)
-
+    terms = {key: acc[key] * (1.0 / n_frames) for key in acc}  # batch means
     # min-k cross-frame appearance for the target frame
-    min_k_val = None
     min_k_raw = 0.0
     n_refs_used = 0
     if n_frames > 1:
@@ -479,7 +481,7 @@ def total_loss(
             pts = tape.batch_matvec(B_target, preds[j].alpha)
             coords = cross_project(pts, preds[j].R, translations[j],
                                    ref.camera, cfg)
-            per_pixel, _, clamped = photometric_loss(
+            per_pixel, clamped = photometric_loss(
                 ref.levels(cfg.blur_radii), ref.raster, coords, tgt_colors, cfg
             )
             if clamped > cfg.max_clamped_frac:
@@ -489,27 +491,17 @@ def total_loss(
             n_refs_used = len(columns)
             cost = tape.stack(columns, axis=1)
             k_eff = min(cfg.min_k, n_refs_used)
-            min_k_val, raw = min_k_loss(cost, k_eff)
+            terms["min_k"], raw = min_k_loss(cost, k_eff)
             min_k_raw = float(raw.data)
 
     total = tape.as_var(0.0)
-    breakdown = {}
-    inv = 1.0 / n_frames
-    for key, w in (
-        ("prior", weights.w_prior),
-        ("repro", weights.w_repro),
-        ("emb_align", weights.w_emb_align),
-        ("mask", weights.w_mask),
-        ("texture", 1.0),  # texture term carries its own internal weights
-    ):
-        term = acc[key] * inv
-        breakdown[key] = float(term.data)
-        total = total + w * term
-    if min_k_val is not None:
-        breakdown["min_k"] = float(min_k_val.data)
-        total = total + weights.w_min_k * min_k_val
-    else:
-        breakdown["min_k"] = 0.0
+    breakdown = dict.fromkeys(TERMS, 0.0)
+    for key, fields in TERMS.items():
+        if key in terms:  # min-k is absent without a usable reference
+            breakdown[key] = float(terms[key].data)
+            # a term with several weights (texture) applies them itself
+            w = getattr(weights, fields[0]) if len(fields) == 1 else 1.0
+            total = total + w * terms[key]
     breakdown["min_k_raw"] = min_k_raw
     breakdown["min_k_refs"] = float(n_refs_used)
     breakdown["total"] = float(total.data)

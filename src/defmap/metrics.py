@@ -277,50 +277,28 @@ def depth_error(pred_depth, gt_depth, mask) -> float:
 # -- file formats --------------------------------------------------------------
 
 
-def save_ply(path, points, colors=None) -> None:
-    """ASCII PLY cloud; optional (N,3) colors in [0,1] stored as uchar."""
+def save_ply(path, points) -> None:
+    """ASCII PLY cloud of (N,3) points."""
     pts = _as_cloud(points)
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {pts.shape[0]}",
-        "property double x",
-        "property double y",
-        "property double z",
-    ]
-    if colors is not None:
-        colors = np.asarray(colors, dtype=np.float64)
-        if colors.shape != pts.shape:
-            raise DimMismatch("colors must align with points")
-        rgb = np.clip(np.rint(colors * 255), 0, 255).astype(int)
-        lines += [
-            "property uchar red",
-            "property uchar green",
-            "property uchar blue",
-        ]
-    lines.append("end_header")
+    header = ["ply", "format ascii 1.0", f"element vertex {pts.shape[0]}",
+              "property double x", "property double y", "property double z",
+              "end_header"]
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-        for i in range(pts.shape[0]):
-            row = f"{pts[i, 0]:.17g} {pts[i, 1]:.17g} {pts[i, 2]:.17g}"
-            if colors is not None:
-                row += f" {rgb[i, 0]} {rgb[i, 1]} {rgb[i, 2]}"
-            f.write(row + "\n")
+        f.write("\n".join(header) + "\n")
+        for x, y, z in pts:
+            f.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
 
 
-def load_ply(path):
-    """Read clouds written by :func:`save_ply`. Returns (points, colors|None)."""
+def load_ply(path) -> np.ndarray:
+    """Read the (N,3) points of a cloud written by :func:`save_ply`."""
     with open(path) as f:
         if f.readline().strip() != "ply":
             raise DimMismatch("not a PLY file")
         n = None
-        has_color = False
         for line in f:
             token = line.strip()
             if token.startswith("element vertex"):
                 n = int(token.split()[-1])
-            elif token == "property uchar red":
-                has_color = True
             elif token == "end_header":
                 break
         if n is None:
@@ -328,6 +306,4 @@ def load_ply(path):
         rows = np.loadtxt(f, dtype=np.float64, ndmin=2, max_rows=n)
     if rows.shape[0] != n:
         raise DimMismatch("PLY payload truncated")
-    points = rows[:, :3]
-    colors = rows[:, 3:6] / 255.0 if has_color else None
-    return points, colors
+    return rows[:, :3]

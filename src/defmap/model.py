@@ -140,11 +140,8 @@ class FramePrediction:
 
 def embed_pixels(model: DeformerModel, leaves, descriptors) -> tape.Var:
     """Unit-sphere embeddings for (N,F) pixel descriptors."""
-    raw = nets.mlp_forward(leaves["net:embed"], model.nets["embed"].config,
-                           descriptors)
-    if raw.ndim == 1:
-        raw = tape.reshape(raw, (1, 3))
-    return nets.l2norm_rows(raw)
+    return nets.l2norm_rows(nets.mlp_forward(
+        leaves["net:embed"], model.nets["embed"].config, descriptors))
 
 
 def basis_at(model: DeformerModel, leaves, kappa) -> tape.Var:
@@ -152,8 +149,6 @@ def basis_at(model: DeformerModel, leaves, kappa) -> tape.Var:
     D = model.dims.n_shape_coeffs
     flat = nets.mlp_forward(leaves["net:basis"], model.nets["basis"].config,
                             kappa)
-    if flat.ndim == 1:
-        return tape.reshape(flat, (1, 3, D))
     return tape.reshape(flat, (flat.shape[0], 3, D))
 
 

@@ -124,7 +124,7 @@ def l2norm_rows(x: tape.Var) -> tape.Var:
     the clamp even though the clamp zeroes that gradient.
     """
     sq = tape.vsum(x * x, axis=-1, keepdims=True)
-    return x / tape.sqrt(tape.clip_min(sq, 1e-16))
+    return x / tape.sqrt(tape.clip(sq, 1e-16, np.inf))
 
 
 def mlp_forward(theta, cfg: MlpConfig, x) -> tape.Var:

@@ -11,16 +11,16 @@ never appear on the forward or backward path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import DimMismatch
 
 __all__ = [
     "Var",
     "as_var",
     "backward",
-    "GradientBundle",
     "collect",
     "grad_check",
 ]
@@ -83,12 +83,6 @@ class Var:
 
     def __getitem__(self, key):
         return take(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return vsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def as_var(x) -> Var:
@@ -162,30 +156,15 @@ def div(a, b) -> Var:
 
 
 def matmul(a, b) -> Var:
-    """Matrix product supporting 1D/2D operands with numpy semantics."""
+    """Product of two 2-D operands."""
     a, b = as_var(a), as_var(b)
-    a2 = a.data if a.data.ndim == 2 else a.data[None, :]
-    b2 = b.data if b.data.ndim == 2 else b.data[:, None]
-    out2 = a2 @ b2
-    out = out2
-    if a.data.ndim == 1:
-        out = out[0]
-    if b.data.ndim == 1:
-        out = out[..., 0] if out.ndim > 0 else out
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DimMismatch(f"matmul takes 2-D operands, got {a.data.shape} "
+                          f"and {b.data.shape}")
+    out = a.data @ b.data
 
     def vjp(g):
-        g2 = np.asarray(g, dtype=np.float64)
-        if a.data.ndim == 1:
-            g2 = g2[None, ...]
-        if b.data.ndim == 1:
-            g2 = g2[..., None]
-        ga = g2 @ b2.T
-        gb = a2.T @ g2
-        if a.data.ndim == 1:
-            ga = ga[0]
-        if b.data.ndim == 1:
-            gb = gb[:, 0]
-        return ga, gb
+        return g @ b.data.T, a.data.T @ g
 
     return _node(out, (a, b), vjp)
 
@@ -228,15 +207,16 @@ def reshape(a, shape) -> Var:
     return _node(out, (a,), vjp)
 
 
-def transpose(a, axes=None) -> Var:
+def transpose(a) -> Var:
+    """Transpose of a 2-D operand."""
     a = as_var(a)
-    out = a.data.transpose(axes)
+    if a.data.ndim != 2:
+        raise DimMismatch(f"transpose takes a 2-D operand, got {a.data.shape}")
 
     def vjp(g):
-        inv = None if axes is None else np.argsort(axes)
-        return (np.asarray(g).transpose(inv),)
+        return (g.T,)
 
-    return _node(out, (a,), vjp)
+    return _node(a.data.T, (a,), vjp)
 
 
 def take(a, key) -> Var:
@@ -326,17 +306,6 @@ def relu(a) -> Var:
     return _node(out, (a,), vjp)
 
 
-def clip_min(a, lo: float) -> Var:
-    """max(a, lo); gradient is zero where the floor is active."""
-    a = as_var(a)
-    out = np.maximum(a.data, lo)
-
-    def vjp(g):
-        return (g * (a.data > lo),)
-
-    return _node(out, (a,), vjp)
-
-
 def clip(a, lo, hi) -> Var:
     """Two-sided clamp; gradient passes only strictly inside the range.
 
@@ -404,21 +373,6 @@ def batch_matvec(M, v) -> Var:
         return gM, gv
 
     return _node(out, (M, v), vjp)
-
-
-def take_along(a, idx: np.ndarray) -> Var:
-    """Row-wise gather: out[n, j] = a[n, idx[n, j]] for constant idx."""
-    a = as_var(a)
-    idx = np.asarray(idx)
-    out = np.take_along_axis(a.data, idx, axis=1)
-
-    def vjp(g):
-        z = np.zeros_like(a.data)
-        rows = np.arange(a.data.shape[0])[:, None]
-        np.add.at(z, (rows, idx), g)
-        return (z,)
-
-    return _node(out, (a,), vjp)
 
 
 # -- image ops -------------------------------------------------------------
@@ -525,7 +479,7 @@ def scatter_rows(shape, rc: np.ndarray, values) -> Var:
 # -- driver ----------------------------------------------------------------
 
 
-def backward(root: Var, seed=None) -> None:
+def backward(root: Var) -> None:
     """Populate ``.grad`` on every node reachable from ``root``."""
     order: list[Var] = []
     seen: set[int] = set()
@@ -545,9 +499,7 @@ def backward(root: Var, seed=None) -> None:
 
     for node in order:
         node.grad = np.zeros_like(node.data)
-    root.grad = (
-        np.ones_like(root.data) if seed is None else np.asarray(seed, dtype=np.float64)
-    )
+    root.grad = np.ones_like(root.data)
     for node in reversed(order):
         if node._vjp is None or not node._parents:
             continue
@@ -557,23 +509,16 @@ def backward(root: Var, seed=None) -> None:
                 parent.grad = parent.grad + g
 
 
-@dataclass
-class GradientBundle:
-    """Scalar loss value plus gradients for a named set of leaf variables."""
-
-    value: float
-    grads: dict
-
-
-def collect(loss: Var, leaves: dict) -> GradientBundle:
-    """Run backward and gather gradients for ``leaves`` (name -> leaf Var)."""
+def collect(loss: Var, leaves: dict) -> tuple[float, dict]:
+    """Run backward; return the loss value and the gradient of each leaf
+    (name -> leaf Var), zeros for a leaf the loss does not reach."""
     backward(loss)
-    grads = {}
-    for name, leaf in leaves.items():
-        grads[name] = (
-            np.array(leaf.grad) if leaf.grad is not None else np.zeros_like(leaf.data)
-        )
-    return GradientBundle(value=float(loss.data), grads=grads)
+    grads = {
+        name: np.array(leaf.grad) if leaf.grad is not None
+        else np.zeros_like(leaf.data)
+        for name, leaf in leaves.items()
+    }
+    return float(loss.data), grads
 
 
 def grad_check(

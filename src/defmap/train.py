@@ -27,20 +27,7 @@ from .errors import (
 
 _STATE_MAGIC = b"DEFMAP-TRAIN1\n"
 
-#: loss terms that can be switched off for ablation runs
-ABLATABLE = ("prior", "repro", "min_k", "emb_align", "mask", "texture")
-
-_ZERO_WEIGHTS = {
-    "prior": {"w_prior": 0.0},
-    "repro": {"w_repro": 0.0},
-    "min_k": {"w_min_k": 0.0},
-    "emb_align": {"w_emb_align": 0.0},
-    "mask": {"w_mask": 0.0},
-    "texture": {"w_tex_photo": 0.0, "w_tex_percep": 0.0},
-}
-
-LOG_TERMS = ("prior", "repro", "emb_align", "mask", "texture", "min_k",
-             "min_k_raw", "min_k_refs")
+LOG_TERMS = (*losses.TERMS, "min_k_raw", "min_k_refs")
 
 #: metrics.csv columns; the epoch-log rows carry them plus ``val_failed``
 METRIC_COLS = ("epoch", "mean_total", *(f"mean_{t}" for t in LOG_TERMS),
@@ -81,19 +68,16 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidSpec("momentum must lie in [0, 1)")
         for name in self.ablate:
-            if name not in _ZERO_WEIGHTS:
+            if name not in losses.TERMS:
                 raise InvalidSpec(f"unknown ablation target {name!r}")
         if self.epochs < 0 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise InvalidSpec("schedule sizes must be positive")
 
 
 def effective_weights(weights: losses.LossWeights, ablate) -> losses.LossWeights:
-    """Copy of ``weights`` with every ablated term's weight set to zero."""
-    for name in ablate:
-        if name not in _ZERO_WEIGHTS:
-            raise InvalidSpec(f"unknown ablation target {name!r}")
-        weights = replace(weights, **_ZERO_WEIGHTS[name])
-    return weights
+    """Copy of ``weights`` with every ablated term's weights set to zero."""
+    return replace(weights, **{f: 0.0 for name in ablate
+                               for f in losses.TERMS[name]})
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -198,8 +182,8 @@ def _plateau_step(s: TrainState, value: float, patience: int, factor: float,
 # -- state io ------------------------------------------------------------------
 
 #: TrainState fields stored as train-state header scalars, under their names
-_STATE_SCALARS = ("lr", "momentum", "lr_scale", "step", "epoch", "best",
-                  "wait", "decays", "nonfinite")
+_STATE_COUNTERS = ("step", "epoch", "wait", "decays", "nonfinite")
+_STATE_SCALARS = ("lr", "momentum", "best", "lr_scale", *_STATE_COUNTERS)
 
 
 def save_state(path, state: TrainState) -> None:
@@ -233,12 +217,24 @@ def load_state(path, model: model_mod.DeformerModel) -> TrainState:
         saved[part] = {name: blob.array(payload, ent, params[name].shape,
                                         f"train-state {part} {name}")
                        for name, ent in entries.items()}
+    # counters are ints (a bool is not); lr, momentum, best and the
+    # lr_scale values are numbers
+    check_keys(header["lr_scale"], params, "train-state lr_scale",
+               CheckpointError)
+    numbers = (header["lr"], header["momentum"], header["best"],
+               *header["lr_scale"].values())
+    if not (all(type(header[k]) is int for k in _STATE_COUNTERS)
+            and all(type(v) in (int, float) for v in numbers)):
+        raise CheckpointError("train-state header: a counter is not an int "
+                              "or a rate, momentum or best not a number")
+    rng = np.random.default_rng()
+    try:
+        rng.bit_generator.state = header["rng"]
+    except (KeyError, OverflowError, TypeError, ValueError) as e:
+        raise CheckpointError(f"train-state rng: {e!r}") from e
     for name, arr in saved["params"].items():
         params[name][...] = arr
-    velocity = saved["velocity"]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = header["rng"]
-    return TrainState(params=params, velocity=velocity, rng=rng,
+    return TrainState(params=params, velocity=saved["velocity"], rng=rng,
                       **{k: header[k] for k in _STATE_SCALARS})
 
 
@@ -388,20 +384,20 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
                 total, breakdown = losses.total_loss(
                     model, leaves, bf, bl, w_eff, cfg.loss_cfg, state.rng,
                     n_pixels=cfg.n_pixels)
-                bundle = tape.collect(total, leaves)
+                value, grads = tape.collect(total, leaves)
                 try:
-                    gnorm = clip_global_norm(bundle.grads, cfg.clip_norm)
-                    sgd_momentum_step(state, bundle.grads, state.lr)
+                    gnorm = clip_global_norm(grads, cfg.clip_norm)
+                    sgd_momentum_step(state, grads, state.lr)
                 except NonFiniteGradient:
                     state.nonfinite += 1
                     gnorm = np.nan
-                totals.append(bundle.value)
+                totals.append(value)
                 for t in LOG_TERMS:
                     term_sums[t] += breakdown[t]
                 if log_w is not None:
                     log_w.writerow([
                         state.step, state.epoch, repr(state.lr),
-                        repr(bundle.value),
+                        repr(value),
                         *(repr(breakdown[t]) for t in LOG_TERMS),
                         repr(gnorm),
                     ])

@@ -205,13 +205,13 @@ class TestCriterion05GroundTruthFixedPoint:
             assert ea < 0.0
             worst["emb_align"] = max(worst["emb_align"], ea)
 
-            soft, _ = losses.mask_reprojection_loss(
+            soft = losses.mask_reprojection_loss(
                 tape.Var(pts), tape.Var(fr.gt_R), fr.gt_t, fr.camera,
-                fr.raster, fr.mask, fr.mask_dist, C)
+                fr.raster, fr.mask_dist, C)
             worst["mask"] = max(worst["mask"], float(soft.data))
 
             idx = np.arange(len(fr.gt_kappa))
-            tex_total, _, _ = losses.texture_loss(
+            tex_total = losses.texture_loss(
                 mdl, leaves, fr, idx, tape.Var(fr.gt_kappa),
                 tape.Var(np.zeros(2)), W, C)
             worst["texture"] = max(worst["texture"], float(tex_total.data))
@@ -226,7 +226,7 @@ class TestCriterion05GroundTruthFixedPoint:
             pts = cat.surface_points(target.gt_kappa, ref.gt_alpha)
             coords = losses.cross_project(
                 tape.Var(pts), tape.Var(ref.gt_R), ref.gt_t, ref.camera, C)
-            per_pixel, _, _ = losses.photometric_loss(
+            per_pixel, _ = losses.photometric_loss(
                 ref.levels(C.blur_radii), ref.raster, coords, tgt_colors, C)
             cols.append(per_pixel)
         min_k, _ = losses.min_k_loss(tape.stack(cols, axis=1), C.min_k)
@@ -281,8 +281,8 @@ class TestCriterion09StopGradient:
         idx = np.arange(0, len(fr.descriptors), 7)
         pred = model_mod.predict_frame(mdl, leaves, fr.instance_desc,
                                        fr.frame_id, fr.descriptors[idx])
-        total, _, _ = losses.texture_loss(mdl, leaves, fr, idx, pred.kappa,
-                                          pred.beta, W, C)
+        total = losses.texture_loss(mdl, leaves, fr, idx, pred.kappa,
+                                    pred.beta, W, C)
         tape.backward(total)
         for name in ("net:embed", "net:basis"):
             g = leaves[name].grad

@@ -101,7 +101,24 @@ CORRUPTIONS = {
     "unknown_arrays_section": _edit_header(
         lambda d: d["arrays"].update(bogus={})),
     "zero_width": _edit_header(lambda d: d.update(hidden_dim=0)),
+    "rng_empty": _edit_header(lambda d: d.update(rng={})),
+    "rng_state_not_a_dict": _edit_header(
+        lambda d: d.update(rng={"bit_generator": "PCG64", "state": 3})),
+    "step_a_string": _edit_header(lambda d: d.update(step="5")),
+    "epoch_a_bool": _edit_header(lambda d: d.update(epoch=True)),
+    "lr_null": _edit_header(lambda d: d.update(lr=None)),
+    "momentum_a_string": _edit_header(lambda d: d.update(momentum="0.9")),
+    "lr_scale_a_list": _edit_header(lambda d: d.update(lr_scale=[])),
+    "lr_scale_key_missing": _edit_header(
+        lambda d: d["lr_scale"].pop("net:basis")),
+    "lr_scale_value_null": _edit_header(
+        lambda d: d["lr_scale"].update({"net:basis": None})),
 }
+#: corruptions of the train-state header's scalars and rng
+STATE_HEADER = ("rng_empty", "rng_state_not_a_dict", "step_a_string",
+                "epoch_a_bool", "lr_null", "momentum_a_string",
+                "lr_scale_a_list", "lr_scale_key_missing",
+                "lr_scale_value_null")
 # corruptions of header fields that only one kind of file has
 ONLY = {
     "model": ("unknown_mode", "dims_field_missing", "unknown_dims_field",
@@ -110,7 +127,7 @@ ONLY = {
               "net_config_zero_width", "net_config_other_activation",
               "latent_shape_wrong", "latent_rows_differ"),
     "state": ("array_count_missing", "velocity_shape_wrong",
-              "unknown_arrays_section"),
+              "unknown_arrays_section", *STATE_HEADER),
     "mlp": ("zero_width",),
 }
 CASES = [(kind, c) for kind in sorted(KINDS) for c in sorted(CORRUPTIONS)

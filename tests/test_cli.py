@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, manifests, oracles, exit codes."""
 
+import csv
 import json
 import shutil
 
@@ -10,6 +11,7 @@ from defmap import cli, metrics, synth
 from defmap import model as model_mod
 from defmap.errors import (CheckpointError, DegenerateCloud, InvalidSpec,
                            IoError)
+from test_blob import CORRUPTIONS, STATE_HEADER, _split
 
 SPEC = {
     "n_instances": 3,
@@ -282,6 +284,18 @@ class TestFit:
         assert code == cli.EXIT_CODES[CheckpointError] == 17
         assert "error[CheckpointError]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corruption", STATE_HEADER)
+    def test_resume_from_malformed_state_header_exits_17(
+            self, ds, run, tmp_path, capsys, corruption):
+        p1 = tmp_path / "p1"
+        shutil.copytree(run, p1)
+        state = p1 / "state_final.bin"
+        state.write_bytes(CORRUPTIONS[corruption](*_split(state.read_bytes())))
+        code = cli.main(["fit", "--dataset", str(ds), "--out",
+                         str(tmp_path / "p2"), "--resume", str(p1)])
+        assert code == cli.EXIT_CODES[CheckpointError] == 17
+        assert _one_error_line(capsys, "CheckpointError")
+
     @pytest.mark.parametrize("config,key", [
         ({"bogus": 1}, "bogus"),
         ({"weights": {"w_bogus": 1.0}}, "w_bogus"),
@@ -390,8 +404,7 @@ class TestEval:
                          "--dataset", str(ds_flat), "--out", str(out),
                          "--n-points", "300", "--frames", "1",
                          "--dump-ply"]) == 0
-        pts, _ = metrics.load_ply(out / "pred_frame0001.ply")
-        assert pts.shape == (300, 3)
+        assert metrics.load_ply(out / "pred_frame0001.ply").shape == (300, 3)
 
     def test_degenerate_frame_is_nan_and_counted(self, ds, run, tmp_path,
                                                  monkeypatch, capsys):
@@ -464,7 +477,9 @@ class TestGradcheck:
         out = tmp_path / "gc"
         assert cli.main(["gradcheck", "--points", "3", "--scope", "prior",
                          "--out", str(out)]) == 0
-        assert (out / "gradcheck.csv").exists()
+        with open(out / "gradcheck.csv") as f:
+            errs = [float(r["max_rel_err"]) for r in csv.DictReader(f)]
+        assert len(errs) == 1 and errs[0] < 1e-4
         assert (out / "manifest.json").exists()
         assert cli.main(["gradcheck", "--points", "3", "--scope", "prior",
                          "--corrupt-one"]) == 1

@@ -182,6 +182,18 @@ class TestRays:
         back = geom.project(cam, d / d[:, 2:3])
         np.testing.assert_allclose(back, y, atol=1e-9)
 
+    def test_skewed_K_projects_along_the_ray(self):
+        K = np.array([[2.0, 0.3, 0.1], [0, 2.0, -0.1], [0, 0, 1.0]])
+        cam = geom.CameraIntrinsics(geom.PERSPECTIVE, K)
+        X = np.array([[0.4, 0.5, 3.0], [-0.7, 0.2, 2.0]])
+        y = geom.project(cam, X)
+        np.testing.assert_allclose(geom.ray_direction(cam, y),
+                                   X / np.linalg.norm(X, axis=1)[:, None],
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            geom.project_var(cam, tape.Var(X), min_depth=1e-3).data, y,
+            atol=1e-12)
+
     def test_orthographic_rays_rejected(self):
         cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
         with pytest.raises(WrongCameraKind):

@@ -1,11 +1,12 @@
 """Loss contracts: analytic values, independent oracles, gradient checks."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from defmap import geom, losses, model, tape
+from defmap import geom, losses, model, tape, train
 from defmap.errors import EmptyVisibleSet, KTooLarge, SingularSystem
 
 CFG = losses.LossConfig()
@@ -348,7 +349,7 @@ def disk_mask_frame_geometry(h=32, w=32, radius_px=10.0):
 
 class TestMaskLoss:
     def setup_method(self):
-        self.mask, self.dist = disk_mask_frame_geometry()
+        _, self.dist = disk_mask_frame_geometry()
         self.raster = geom.Raster(ppu=10.0, cx=15.5, cy=15.5)
         self.cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
         self.t = tape.Var(np.zeros(3))
@@ -356,30 +357,27 @@ class TestMaskLoss:
     def test_inside_is_zero(self):
         rng = np.random.default_rng(20)
         pts = losses.sample_sphere(500, rng) * 0.5  # projects within the disk
-        soft, hard = losses.mask_reprojection_loss(
+        soft = losses.mask_reprojection_loss(
             tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-            self.mask, self.dist, CFG,
+            self.dist, CFG,
         )
         assert float(soft.data) == 0.0
-        assert hard == 0.0
 
     def test_scaled_up_shape_escapes(self):
         rng = np.random.default_rng(21)
         pts = losses.sample_sphere(500, rng) * 100.0  # everything outside
-        soft, hard = losses.mask_reprojection_loss(
+        soft = losses.mask_reprojection_loss(
             tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-            self.mask, self.dist, CFG,
+            self.dist, CFG,
         )
-        assert hard == 1.0
         assert float(soft.data) > 100.0
 
     def test_soft_zero_inside_positive_outside(self):
         pts = np.array([[0.0, 0.0, 0.0], [2.4, 0.0, 0.0]])  # in, out (in-image)
-        soft, hard = losses.mask_reprojection_loss(
+        soft = losses.mask_reprojection_loss(
             tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-            self.mask, self.dist, CFG,
+            self.dist, CFG,
         )
-        assert hard == pytest.approx(0.5)
         assert 0.0 < float(soft.data)
 
     def test_grad_check(self):
@@ -387,11 +385,10 @@ class TestMaskLoss:
 
         def f(v):
             pts = tape.reshape(v, (8, 3)) * 1.4
-            soft, _ = losses.mask_reprojection_loss(
+            return losses.mask_reprojection_loss(
                 pts, tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-                self.mask, self.dist, CFG,
+                self.dist, CFG,
             )
-            return soft
 
         x0 = losses.sample_sphere(8, rng).ravel()
         assert tape.grad_check(f, x0, h=1e-6) < 1e-5
@@ -455,10 +452,10 @@ class TestPhotometric:
         levels = f.levels(CFG.blur_radii)
         tgt = [lvl[rc[:, 0], rc[:, 1]] for lvl in levels]
         coords = tape.Var(f.pix_y[idx])
-        _, total, clamped = losses.photometric_loss(
+        per_pixel, clamped = losses.photometric_loss(
             levels, f.raster, coords, tgt, CFG
         )
-        assert float(total.data) < 1e-20
+        assert float(per_pixel.data.sum()) < 1e-20
         assert clamped == 0.0
 
     def test_constant_color_images(self):
@@ -470,11 +467,11 @@ class TestPhotometric:
         idx = np.arange(12)
         tgt = [np.tile(c1, (12, 1))]
         coords = tape.Var(fa.pix_y[idx])
-        _, total, _ = losses.photometric_loss(
+        per_pixel, _ = losses.photometric_loss(
             ref_levels, fa.raster, coords, tgt, CFG
         )
         want = 12 * float(losses.pseudo_huber(c1 - c2, CFG.eps_color).data)
-        assert float(total.data) == pytest.approx(want, rel=1e-9)
+        assert float(per_pixel.data.sum()) == pytest.approx(want, rel=1e-9)
 
     def test_out_of_bounds_fraction_reported(self):
         rng = np.random.default_rng(25)
@@ -482,7 +479,7 @@ class TestPhotometric:
         coords = tape.Var(np.array([[50.0, 50.0], [0.0, 0.0]]))  # one far out
         levels = f.levels(())
         tgt = [np.zeros((2, 3))]
-        _, _, clamped = losses.photometric_loss(levels, f.raster, coords, tgt, CFG)
+        _, clamped = losses.photometric_loss(levels, f.raster, coords, tgt, CFG)
         assert clamped == pytest.approx(0.5)
 
 
@@ -495,14 +492,14 @@ class TestTextureLoss:
         idx = np.arange(f.descriptors.shape[0])
         kappa = model.embed_pixels(m, leaves, f.descriptors[idx])
         beta = tape.Var(rng.standard_normal(3))
-        total, photo, percep = losses.texture_loss(
+        total = losses.texture_loss(
             m, leaves, f, idx, kappa, beta, losses.LossWeights(), CFG
         )
-        bundle = tape.collect(total, {**leaves, "beta": beta})
-        assert not np.any(bundle.grads["net:embed"])
-        assert not np.any(bundle.grads["net:basis"])
-        assert np.any(bundle.grads["net:texture"])
-        assert np.any(bundle.grads["beta"])
+        _, grads = tape.collect(total, {**leaves, "beta": beta})
+        assert not np.any(grads["net:embed"])
+        assert not np.any(grads["net:basis"])
+        assert np.any(grads["net:texture"])
+        assert np.any(grads["beta"])
 
     def test_perfect_reconstruction_zero(self):
         rng = np.random.default_rng(27)
@@ -517,11 +514,10 @@ class TestTextureLoss:
         pred = model.texture_at(m, leaves, tape.detach(kappa), beta)
         f.colors = pred.data.copy()
         f.image[f.pix_rc[:, 0], f.pix_rc[:, 1]] = pred.data
-        total, photo, percep = losses.texture_loss(
+        total = losses.texture_loss(
             m, leaves, f, idx, kappa, beta, losses.LossWeights(), CFG
         )
-        assert float(photo.data) < 1e-18
-        assert float(percep.data) < 1e-18
+        assert float(total.data) < 1e-18
 
 
 class TestTotalLoss:
@@ -579,6 +575,27 @@ class TestTotalLoss:
         )
         assert br["min_k"] == 0.0
         assert br["min_k_refs"] == 0.0
+
+    def test_terms_name_every_weight(self):
+        # w_alpha and w_rot weigh parts of the prior term
+        fields = {f.name for f in dataclasses.fields(losses.LossWeights)}
+        named = [f for fs in losses.TERMS.values() for f in fs]
+        assert sorted(named) == sorted(fields - {"w_alpha", "w_rot"})
+
+    def test_ablating_every_term_zeroes_loss_and_gradients(self):
+        rng = np.random.default_rng(35)
+        m = small_model(seed=8)
+        frames, labels = self._batch(rng)
+        w = train.effective_weights(losses.LossWeights(), losses.TERMS)
+        leaves = model.make_leaves(m)
+        total, _ = losses.total_loss(
+            m, leaves, frames, labels, w,
+            losses.LossConfig(n_mask_samples=20, min_k=2),
+            np.random.default_rng(4),
+        )
+        value, grads = tape.collect(total, leaves)
+        assert value == 0.0
+        assert not any(np.any(g) for g in grads.values())
 
     @staticmethod
     def _flat_param_objective(m, frames, labels, cfg, weights):

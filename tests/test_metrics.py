@@ -362,19 +362,7 @@ class TestPlyIO:
         pts = rng.standard_normal((25, 3))
         p = tmp_path / "c.ply"
         metrics.save_ply(p, pts)
-        got, colors = metrics.load_ply(p)
-        np.testing.assert_allclose(got, pts, atol=0)
-        assert colors is None
-
-    def test_roundtrip_colors(self, tmp_path):
-        rng = np.random.default_rng(19)
-        pts = rng.standard_normal((10, 3))
-        col = rng.random((10, 3))
-        p = tmp_path / "c.ply"
-        metrics.save_ply(p, pts, col)
-        got, got_col = metrics.load_ply(p)
-        np.testing.assert_allclose(got, pts, atol=0)
-        np.testing.assert_allclose(got_col, col, atol=0.5 / 255)
+        np.testing.assert_allclose(metrics.load_ply(p), pts, atol=0)
 
     def test_rejects_non_ply(self, tmp_path):
         p = tmp_path / "x.ply"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defmap import tape
+from defmap.errors import DimMismatch
 
 
 def fd_grad(f, x, h=1e-6):
@@ -60,14 +61,14 @@ class TestArithmetic:
         def build(v):
             A = tape.reshape(v[slice(0, 6)], (2, 3))
             B = tape.reshape(v[slice(6, 12)], (3, 2))
-            x = v[slice(12, 15)]
             m = A @ B
-            mv = A @ x
-            vm = x @ B
-            s = tape.dot(x, x)
-            return tape.vsum(m * m) + tape.vsum(mv) + tape.vsum(vm) + s
+            return tape.vsum(m * m) + tape.dot(v, v)
 
-        check_op(build, 15, rng)
+        check_op(build, 12, rng)
+        A, x = tape.Var(np.ones((2, 3))), tape.Var(np.ones(3))
+        for a, b in ((A, x), (x, A)):
+            with pytest.raises(DimMismatch):
+                tape.matmul(a, b)
 
     def test_sum_axes_and_mean(self):
         rng = np.random.default_rng(3)
@@ -90,9 +91,9 @@ class TestNonlinear:
 
         check_op(build, 11, rng)
 
-    def test_clip_min_gradient_gate(self):
+    def test_clip_gradient_gate(self):
         v = tape.Var(np.array([-1.0, 0.5, 2.0]))
-        out = tape.vsum(tape.clip_min(v, 0.0))
+        out = tape.vsum(tape.clip(v, 0.0, np.inf))
         tape.backward(out)
         np.testing.assert_array_equal(v.grad, [0.0, 1.0, 1.0])
 
@@ -165,13 +166,13 @@ class TestStructured:
 
         check_op(build, 26, rng)
 
-    def test_take_along(self):
+    def test_take_rowwise_gather(self):
         rng = np.random.default_rng(11)
         idx = np.array([[0, 2], [1, 1], [3, 0]])
 
         def build(v):
             a = tape.reshape(v, (3, 4))
-            picked = tape.take_along(a, idx)
+            picked = a[np.arange(3)[:, None], idx]
             return tape.vsum(picked * picked)
 
         check_op(build, 12, rng)
@@ -263,9 +264,9 @@ class TestDriver:
     def test_collect_returns_zero_for_unused_leaf(self):
         a, b = tape.Var(np.ones(3)), tape.Var(np.ones(2))
         loss = tape.vsum(a * a)
-        bundle = tape.collect(loss, {"a": a, "b": b})
-        assert bundle.value == 3.0
-        np.testing.assert_array_equal(bundle.grads["b"], np.zeros(2))
+        value, grads = tape.collect(loss, {"a": a, "b": b})
+        assert value == 3.0
+        np.testing.assert_array_equal(grads["b"], np.zeros(2))
 
     def test_grad_check_passes_and_catches_corruption(self):
         rng = np.random.default_rng(17)

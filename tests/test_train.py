@@ -330,9 +330,9 @@ class TestFit:
                 n_pixels=cfg.n_pixels)
             assert repr(float(total.data)) == row["total"]
             assert repr(breakdown["prior"]) == row["prior"]
-            bundle = tape.collect(total, leaves)
-            train.clip_global_norm(bundle.grads, cfg.clip_norm)
-            train.sgd_momentum_step(state, bundle.grads, state.lr)
+            _, grads = tape.collect(total, leaves)
+            train.clip_global_norm(grads, cfg.clip_norm)
+            train.sgd_momentum_step(state, grads, state.lr)
 
     def test_same_seed_same_run(self, tiny_cat, tmp_path):
         cfg = tiny_cfg(epochs=1)
