@@ -178,9 +178,10 @@ def cmd_synth_gen(args) -> int:
 
 
 def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
-    base = {}
-    if args.config is not None:
-        base = _load_json(args.config)
+    """``--config`` (or a resumed run's ``config.json``) under explicit flags."""
+    path = (args.config if args.resume is None
+            else os.path.join(args.resume, "config.json"))
+    base = {} if path is None else _load_json(path)
     weights = base.pop("weights", {})
     lc_fields = base.pop("loss_cfg", {})
     if "blur_radii" in lc_fields:
@@ -244,18 +245,18 @@ def _fit_usage_error(msg: str):
 
 def cmd_fit(args) -> int:
     cat = _require_dataset(args.dataset)
-    cfg = _build_train_config(args, cat.spec.camera_kind)
     state = None
     if args.resume is not None:
-        if args.mode is not None or args.model_config is not None:
-            _fit_usage_error("--mode and --model-config do not apply to --resume; "
-                         "the checkpoint fixes the model")
+        if (args.mode, args.model_config, args.config) != (None, None, None):
+            _fit_usage_error("--mode, --model-config and --config do not apply "
+                             "to --resume; the resumed run fixes them")
         mdl = _require_model(os.path.join(args.resume, "model_final.bin"))
         state_path = os.path.join(args.resume, "state_final.bin")
         if not os.path.isfile(state_path):
             raise errors.IoError(f"no training state at {state_path!r}")
         state = train.load_state(state_path, mdl)
-    else:
+    cfg = _build_train_config(args, cat.spec.camera_kind)
+    if state is None:
         mdl = _build_model(args, cat, np.random.default_rng(cfg.seed))
     if mdl.mode == model_mod.DIRECT_LATENT and args.holdout_every > 0:
         # decided on the model actually used, built or resumed
@@ -566,18 +567,6 @@ def write_ppm(path, image: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         f.write(q.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """(H,W,3) float image in [0,1] from a binary PPM written by write_ppm."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    parts = blob.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] != b"P6" or parts[3] != b"255":
-        raise errors.IoError(f"{path!r} is not an 8-bit binary PPM")
-    w, h = int(parts[1]), int(parts[2])
-    pix = np.frombuffer(parts[4], dtype=np.uint8, count=h * w * 3)
-    return pix.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
 def transfer_texture(cat: synth.GroundTruthCategory,

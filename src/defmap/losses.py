@@ -430,7 +430,7 @@ def total_loss(
     def add(key, value):
         acc[key] = acc[key] + value if key in acc else value
 
-    for frame, lab in zip(frames, labels):
+    for i, (frame, lab) in enumerate(zip(frames, labels)):
         idx = _frame_pixel_subset(frame, n_pixels, rng)
         subsets.append(idx)
         pred = model_mod.predict_frame(
@@ -444,7 +444,10 @@ def total_loss(
         kp_basis = model_mod.basis_at(mdl, leaves, kp_emb)
         add("prior", prior_loss(kp_basis, pred.alpha, pred.R, lab, weights, cfg))
 
-        points = model_mod.reconstruct_points(mdl, leaves, pred.kappa, pred.alpha)
+        basis = model_mod.basis_at(mdl, leaves, pred.kappa)
+        if i == 0:
+            B_target = basis  # the min-k term reprojects the target's points
+        points = tape.batch_matvec(basis, pred.alpha)
         repro, t = reprojection_loss(
             points, pred.R, frame.camera, frame.pix_y[idx], cfg
         )
@@ -474,7 +477,6 @@ def total_loss(
         tgt_levels = target.levels(cfg.blur_radii)
         tgt_rc = target.pix_rc[idx0]
         tgt_colors = [lvl[tgt_rc[:, 0], tgt_rc[:, 1]] for lvl in tgt_levels]
-        B_target = model_mod.basis_at(mdl, leaves, preds[0].kappa)
         columns = []
         for j in range(1, n_frames):
             ref = frames[j]

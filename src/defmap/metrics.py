@@ -28,7 +28,6 @@ __all__ = [
     "point_cloud_distance",
     "depth_error",
     "save_ply",
-    "load_ply",
 ]
 
 # Route switch of one-off `nearest_neighbors` calls (the Chamfer distance):
@@ -287,23 +286,3 @@ def save_ply(path, points) -> None:
         f.write("\n".join(header) + "\n")
         for x, y, z in pts:
             f.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-
-
-def load_ply(path) -> np.ndarray:
-    """Read the (N,3) points of a cloud written by :func:`save_ply`."""
-    with open(path) as f:
-        if f.readline().strip() != "ply":
-            raise DimMismatch("not a PLY file")
-        n = None
-        for line in f:
-            token = line.strip()
-            if token.startswith("element vertex"):
-                n = int(token.split()[-1])
-            elif token == "end_header":
-                break
-        if n is None:
-            raise DimMismatch("PLY header missing vertex count")
-        rows = np.loadtxt(f, dtype=np.float64, ndmin=2, max_rows=n)
-    if rows.shape[0] != n:
-        raise DimMismatch("PLY payload truncated")
-    return rows[:, :3]

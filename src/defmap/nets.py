@@ -3,14 +3,15 @@
 Architecture: input linear layer, then ``n_res_blocks`` residual blocks, then
 an output linear layer. Each block computes
 
-    x + W2 @ act(W1 @ l2norm(x) + b1) + b2
+    x + W2 @ relu(W1 @ l2norm(x) + b1) + b2
 
 where l2norm divides by max(||x||, 1e-8) per row and carries no trainable
 parameters. With all block weights at zero a block is the identity.
 
 Parameters live in one flat float64 vector whose layout is fixed by the
-config; all forward code runs on the autodiff tape, so the same function
-serves training and plain evaluation.
+config. One :func:`mlp_forward` call is one tape node, a numpy forward on
+views of that vector with a VJP that writes one flat gradient, so the same
+function serves training and plain evaluation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import numpy as np
 
 from . import blob, tape
 from .errors import CheckpointError, DimMismatch
-
-_ACTIVATIONS = {"relu": tape.relu, "tanh": tape.tanh}
 
 _MAGIC = b"DEFMAP-MLP1\n"
 
@@ -40,7 +39,7 @@ class MlpConfig:
             raise DimMismatch("all MLP dimensions must be positive")
         if self.n_res_blocks < 0:
             raise DimMismatch("n_res_blocks must be >= 0")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation != "relu":
             raise DimMismatch(f"unknown activation {self.activation!r}")
 
 
@@ -63,6 +62,16 @@ def n_params(cfg: MlpConfig) -> int:
     return sum(int(np.prod(s)) for _, s in layer_shapes(cfg))
 
 
+def _layers(cfg: MlpConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """name -> writable view of each layer inside the flat vector ``flat``."""
+    views, off = {}, 0
+    for name, shape in layer_shapes(cfg):
+        size = int(np.prod(shape))
+        views[name] = flat[off : off + size].reshape(shape)
+        off += size
+    return views
+
+
 @dataclass
 class MlpParams:
     """Config plus the flat parameter vector."""
@@ -79,13 +88,7 @@ class MlpParams:
 
     def view(self, name: str) -> np.ndarray:
         """Writable view of one layer inside the flat vector."""
-        off = 0
-        for n, shape in layer_shapes(self.config):
-            size = int(np.prod(shape))
-            if n == name:
-                return self.values[off : off + size].reshape(shape)
-            off += size
-        raise KeyError(name)
+        return _layers(self.config, self.values)[name]
 
 
 def init_params(
@@ -131,32 +134,49 @@ def mlp_forward(theta, cfg: MlpConfig, x) -> tape.Var:
     """Forward pass producing (N,out_dim) (or (out_dim,) for a single row).
 
     ``theta`` is the flat parameter vector (Var or ndarray); gradients flow
-    into it when it is a Var. ``x`` may likewise be a Var or ndarray.
+    into it when it is a Var. ``x`` may likewise be a Var or ndarray. The
+    result is one tape node with parents ``theta`` and ``x``; every block
+    normalizes as :func:`l2norm_rows` does, clamp and gradient gate included.
     """
-    theta = tape.as_var(theta)
-    x = tape.as_var(x)
-    single = x.ndim == 1
-    if single:
-        x = tape.reshape(x, (1, -1))
-    if x.shape[1] != cfg.in_dim:
-        raise DimMismatch(f"input width {x.shape[1]} != in_dim {cfg.in_dim}")
-    act = _ACTIVATIONS[cfg.activation]
+    theta, x = tape.as_var(theta), tape.as_var(x)
+    rows = x.data.reshape(1, -1) if x.ndim == 1 else x.data
+    if rows.shape[1] != cfg.in_dim:
+        raise DimMismatch(f"input width {rows.shape[1]} != in_dim {cfg.in_dim}")
+    p = _layers(cfg, theta.data)
 
-    views = {}
-    off = 0
-    for name, shape in layer_shapes(cfg):
-        size = int(np.prod(shape))
-        views[name] = tape.reshape(theta[slice(off, off + size)], shape)
-        off += size
-
-    h = x @ tape.transpose(views["w_in"]) + views["b_in"]
+    h = rows @ p["w_in"].T + p["b_in"]
+    blocks = []  # each residual block's forward values, for the VJP
     for k in range(cfg.n_res_blocks):
-        r = l2norm_rows(h)
-        r = act(r @ tape.transpose(views[f"blk{k}_w1"]) + views[f"blk{k}_b1"])
-        r = r @ tape.transpose(views[f"blk{k}_w2"]) + views[f"blk{k}_b2"]
-        h = h + r
-    out = h @ tape.transpose(views["w_out"]) + views["b_out"]
-    return tape.reshape(out, (cfg.out_dim,)) if single else out
+        sq = (h * h).sum(axis=-1, keepdims=True)
+        s = np.sqrt(np.clip(sq, 1e-16, np.inf))
+        n = h / s
+        r = np.maximum(n @ p[f"blk{k}_w1"].T + p[f"blk{k}_b1"], 0.0)
+        blocks.append((h, sq, s, n, r))
+        h = h + (r @ p[f"blk{k}_w2"].T + p[f"blk{k}_b2"])
+    out = h @ p["w_out"].T + p["b_out"]
+
+    def vjp(g):
+        grad = np.zeros_like(theta.data)
+        gp = _layers(cfg, grad)
+
+        def linear(w, b, inp, g):
+            """Write the gradients of inp @ w.T + b; return inp's."""
+            gp[w][:] = (inp.T @ g).T
+            gp[b][:] = g.sum(axis=0)
+            return g @ p[w]
+
+        gh = linear("w_out", "b_out", h, np.reshape(g, out.shape))
+        for k in reversed(range(cfg.n_res_blocks)):
+            hk, sq, s, n, r = blocks[k]
+            gr = linear(f"blk{k}_w2", f"blk{k}_b2", r, gh) * (r > 0.0)
+            gn = linear(f"blk{k}_w1", f"blk{k}_b1", n, gr)
+            # n = hk / s with s = sqrt(clip(sq)); the clamp passes no gradient
+            gs = (-gn * hk / (s * s)).sum(axis=-1, keepdims=True)
+            gsq = gs * 0.5 / s * (sq > 1e-16)
+            gh = gh + gn / s + 2.0 * (gsq * hk)
+        return grad, linear("w_in", "b_in", rows, gh).reshape(x.shape)
+
+    return tape._node(out.reshape(-1) if x.ndim == 1 else out, (theta, x), vjp)
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:

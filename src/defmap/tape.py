@@ -274,16 +274,6 @@ def sqrt(a) -> Var:
     return _node(out, (a,), vjp)
 
 
-def tanh(a) -> Var:
-    a = as_var(a)
-    out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _node(out, (a,), vjp)
-
-
 def sigmoid(a) -> Var:
     a = as_var(a)
     x = a.data
@@ -292,16 +282,6 @@ def sigmoid(a) -> Var:
 
     def vjp(g):
         return (g * out * (1.0 - out),)
-
-    return _node(out, (a,), vjp)
-
-
-def relu(a) -> Var:
-    a = as_var(a)
-    out = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
 
     return _node(out, (a,), vjp)
 

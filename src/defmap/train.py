@@ -315,10 +315,11 @@ def validate_frames(category, model: model_mod.DeformerModel, frame_ids,
 # -- fit -------------------------------------------------------------------------
 
 
-def _csv_writer(path, header, fresh: bool):
-    f = open(path, "w" if fresh else "a", newline="")
+def _csv_writer(path, header):
+    """Append to ``path``; a new or empty file gets the header row first."""
+    f = open(path, "a", newline="")
     w = csv.writer(f)
-    if fresh:
+    if f.tell() == 0:
         w.writerow(header)
     return f, w
 
@@ -338,6 +339,8 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
 
     With a ``run_dir`` the run writes ``config.json``, a per-step
     ``log.csv``, a per-epoch ``metrics.csv`` and model/state checkpoints.
+    A resumed run appends to the logs it finds there; a new log file
+    starts with its header row.
     Non-finite gradient steps are skipped, counted, and reported.
     """
     frames = category.frames
@@ -359,16 +362,15 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     if run_dir is not None:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
-        if fresh:
-            (run_dir / "config.json").write_text(
-                json.dumps(asdict(cfg), indent=2, sort_keys=True))
+        (run_dir / "config.json").write_text(
+            json.dumps(asdict(cfg), indent=2, sort_keys=True))
+        if fresh:  # a fresh run starts its logs over
+            for name in ("log.csv", "metrics.csv"):
+                (run_dir / name).unlink(missing_ok=True)
         log_f, log_w = _csv_writer(
             run_dir / "log.csv",
-            ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"],
-            fresh,
-        )
-        met_f, met_w = _csv_writer(run_dir / "metrics.csv", METRIC_COLS,
-                                   fresh)
+            ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"])
+        met_f, met_w = _csv_writer(run_dir / "metrics.csv", METRIC_COLS)
 
     epoch_log = []
     try:

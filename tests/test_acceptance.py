@@ -347,4 +347,5 @@ class TestCriterion10DeterminismAndResume:
             == (r2 / "model_final.bin").read_bytes()
         u_rows = (u / "log.csv").read_text().splitlines()
         r2_rows = (r2 / "log.csv").read_text().splitlines()
-        assert r2_rows == u_rows[1 + 8:]   # epoch-2 rows, byte for byte
+        assert r2_rows[0] == u_rows[0]     # a new log.csv gets its header
+        assert r2_rows[1:] == u_rows[1 + 8:]   # epoch-2 rows, byte for byte

@@ -12,6 +12,7 @@ from defmap import model as model_mod
 from defmap.errors import (CheckpointError, DegenerateCloud, InvalidSpec,
                            IoError)
 from test_blob import CORRUPTIONS, STATE_HEADER, _split
+from test_metrics import load_ply
 
 SPEC = {
     "n_instances": 3,
@@ -71,6 +72,18 @@ def run(work, ds):
                      "--batch-size", "2", "--seed", "0",
                      "--ablate", "repro"]) == 0
     return out
+
+
+def read_ppm(path) -> np.ndarray:
+    """(H,W,3) float image in [0,1] from a binary PPM written by ``cli.write_ppm``."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    parts = blob.split(maxsplit=4)
+    if len(parts) < 5 or parts[0] != b"P6" or parts[3] != b"255":
+        raise IoError(f"{path!r} is not an 8-bit binary PPM")
+    w, h = int(parts[1]), int(parts[2])
+    pix = np.frombuffer(parts[4], dtype=np.uint8, count=h * w * 3)
+    return pix.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
 def affine_oracle_model(cat, rng):
@@ -236,9 +249,8 @@ class TestFit:
                          "--seed", "0"]) == 0
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit", "--dataset", str(ds), "--out",
-                      str(tmp_path / "p2"), "--config", cfg,
-                      "--resume", str(p1), "--epochs", "2",
-                      "--holdout-every", "2"])
+                      str(tmp_path / "p2"), "--resume", str(p1),
+                      "--epochs", "2", "--holdout-every", "2"])
         assert exc.value.code == 2
         assert not (tmp_path / "p2").exists()
 
@@ -259,17 +271,45 @@ class TestFit:
         assert (out / "metrics.csv").read_text().splitlines()[-1] \
             .startswith("1,")
 
-    @pytest.mark.parametrize("flag", ["--mode", "--model-config"])
+    @pytest.mark.parametrize("flag", ["--mode", "--model-config", "--config"])
     def test_resume_rejects_model_flags(self, ds, run, tmp_path, flag):
-        # the checkpoint fixes the model; a conflicting flag is not ignored
+        # the checkpoint fixes the model and the resumed run's config.json
+        # the train config; a conflicting flag is not ignored
         value = {"--mode": "direct-latent",
                  "--model-config": write_json(tmp_path / "md.json",
-                                              MODEL_CFG)}[flag]
+                                              MODEL_CFG),
+                 "--config": write_json(tmp_path / "tc.json",
+                                        TRAIN_CFG)}[flag]
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit", "--dataset", str(ds), "--out",
                       str(tmp_path / "o"), "--resume", str(run), flag, value])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    def test_resume_trains_with_the_resumed_config(self, ds, run, tmp_path):
+        # `run` fitted 1 epoch of 6 batches of 2 with --ablate repro and a
+        # --config; resuming with --epochs 2 alone must continue that run
+        unbroken, resumed = tmp_path / "u", tmp_path / "r"
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(unbroken),
+                         "--config", write_json(tmp_path / "tc.json",
+                                                TRAIN_CFG),
+                         "--model-config", write_json(tmp_path / "md.json",
+                                                      MODEL_CFG),
+                         "--epochs", "2", "--batches-per-epoch", "6",
+                         "--batch-size", "2", "--seed", "0",
+                         "--ablate", "repro"]) == 0
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(resumed),
+                         "--resume", str(run), "--epochs", "2"]) == 0
+        assert (resumed / "config.json").read_text() \
+            == (unbroken / "config.json").read_text()
+        for name in ("log.csv", "metrics.csv"):
+            first = (run / name).read_text().splitlines()
+            rest = (resumed / name).read_text().splitlines()
+            whole = (unbroken / name).read_text().splitlines()
+            assert rest[0] == whole[0]                  # header
+            assert first[1:] + rest[1:] == whole[1:]    # rows, bit for bit
+        assert (resumed / "model_final.bin").read_bytes() \
+            == (unbroken / "model_final.bin").read_bytes()
 
     def test_resume_from_truncated_state_exits_17(self, ds, run, tmp_path,
                                                   capsys):
@@ -319,9 +359,10 @@ class TestFit:
         p1, p2 = tmp_path / "p1", tmp_path / "p2"
         assert cli.main(["fit", *base, "--model-config", md,
                          "--out", str(p1), "--epochs", "1"]) == 0
-        assert cli.main(["fit", *base, "--out", str(p2), "--epochs", "2",
-                         "--resume", str(p1)]) == 0
-        rows = (p2 / "metrics.csv").read_text().splitlines()
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(p2),
+                         "--epochs", "2", "--resume", str(p1)]) == 0
+        header, *rows = (p2 / "metrics.csv").read_text().splitlines()
+        assert header.startswith("epoch,")
         assert len(rows) == 1 and rows[0].startswith("2,")
         m = json.loads((p2 / "manifest.json").read_text())
         assert "resume_state" in m["inputs"]
@@ -404,7 +445,7 @@ class TestEval:
                          "--dataset", str(ds_flat), "--out", str(out),
                          "--n-points", "300", "--frames", "1",
                          "--dump-ply"]) == 0
-        assert metrics.load_ply(out / "pred_frame0001.ply").shape == (300, 3)
+        assert load_ply(out / "pred_frame0001.ply").shape == (300, 3)
 
     def test_degenerate_frame_is_nan_and_counted(self, ds, run, tmp_path,
                                                  monkeypatch, capsys):
@@ -502,7 +543,7 @@ class TestTextureTransfer:
         assert cli.main(["texture-transfer", "--checkpoint", str(ckpt),
                          "--dataset", str(ds_flat), "--target-frame", "0",
                          "--texture-frame", "3", "--out", str(out)]) == 0
-        img = cli.read_ppm(out)
+        img = read_ppm(out)
         assert img.shape == (SPEC["image_h"], SPEC["image_w"], 3)
         assert (tmp_path / "t.ppm.manifest.json").exists()
 
@@ -512,7 +553,7 @@ class TestTextureTransfer:
         cli.main(["texture-transfer", "--checkpoint", str(ckpt),
                   "--dataset", str(ds_flat), "--target-frame", "0",
                   "--texture-frame", "3", "--out", str(out)])
-        img = cli.read_ppm(out)
+        img = read_ppm(out)
         fr = synth.load_category(ds_flat).frames[0]
         orig_q = np.rint(np.clip(fr.image, 0, 1) * 255.0) / 255.0
         np.testing.assert_array_equal(img[~fr.mask], orig_q[~fr.mask])
@@ -560,7 +601,7 @@ class TestTextureTransfer:
         assert cli.main(["texture-transfer", "--checkpoint", str(ckpt),
                          "--dataset", str(ds_c), "--target-frame", "0",
                          "--texture-frame", "0", "--out", str(out)]) == 0
-        img = cli.read_ppm(out)
+        img = read_ppm(out)
         fr = cat.frames[0]
         assert np.abs(img[fr.mask] - fr.image[fr.mask]).max() <= 1.0 / 255.0
 
@@ -570,14 +611,14 @@ class TestPpmRoundtrip:
         rng = np.random.default_rng(0)
         img = rng.random((7, 5, 3))
         cli.write_ppm(tmp_path / "x.ppm", img)
-        back = cli.read_ppm(tmp_path / "x.ppm")
+        back = read_ppm(tmp_path / "x.ppm")
         np.testing.assert_allclose(back, np.rint(img * 255) / 255.0,
                                    atol=1e-12)
 
     def test_rejects_non_ppm(self, tmp_path):
         (tmp_path / "x.ppm").write_bytes(b"not an image")
         with pytest.raises(IoError):
-            cli.read_ppm(tmp_path / "x.ppm")
+            read_ppm(tmp_path / "x.ppm")
 
 
 def _rewrite_npz(path, edit):

@@ -3,8 +3,55 @@
 import numpy as np
 import pytest
 
-from defmap import nets, tape
+from defmap import cli, nets, tape
+from defmap import model as model_mod
 from defmap.errors import DimMismatch
+
+
+def composed_mlp_forward(theta, cfg, x):
+    """Reference: the same net built from generic tape ops, a slice of the
+    flat vector per layer, so a call is 56-77 nodes instead of one."""
+    theta, x = tape.as_var(theta), tape.as_var(x)
+    single = x.ndim == 1
+    if single:
+        x = tape.reshape(x, (1, -1))
+    views, off = {}, 0
+    for name, shape in nets.layer_shapes(cfg):
+        size = int(np.prod(shape))
+        views[name] = tape.reshape(theta[slice(off, off + size)], shape)
+        off += size
+
+    def linear(inp, layer, bias):
+        return inp @ tape.transpose(views[layer]) + views[bias]
+
+    h = linear(x, "w_in", "b_in")
+    for k in range(cfg.n_res_blocks):
+        # relu: clip's gradient gate (a > 0) is relu's
+        r = tape.clip(linear(nets.l2norm_rows(h), f"blk{k}_w1", f"blk{k}_b1"),
+                      0.0, np.inf)
+        h = h + linear(r, f"blk{k}_w2", f"blk{k}_b2")
+    out = linear(h, "w_out", "b_out")
+    return tape.reshape(out, (cfg.out_dim,)) if single else out
+
+
+NET_CONFIGS = [
+    *(pytest.param(cfg, id=f"paper-{name}")
+      for name, cfg in model_mod.ModelDims().net_configs().items()),
+    *(pytest.param(cfg, id=f"gradcheck-{name}")
+      for name, cfg in cli._gradcheck_model(0).dims.net_configs().items()),
+]
+
+
+def _grads(forward, theta0, cfg, x0, w):
+    theta, x = tape.Var(theta0), tape.Var(x0)
+    out = forward(theta, cfg, x)
+    tape.backward(tape.vsum(out * tape.Var(w)))
+    return out.data, theta.grad, x.grad
+
+
+def _assert_rel_close(got, want, rtol=1e-13):
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 class TestStructure:
@@ -95,6 +142,52 @@ class TestGradients:
         a = nets.mlp_eval(p, x)
         b = nets.mlp_eval(p, x)
         np.testing.assert_array_equal(a, b)
+
+
+class TestOneNode:
+    @pytest.mark.parametrize("n_rows", [1, 5, 220, 1000])
+    @pytest.mark.parametrize("cfg", NET_CONFIGS)
+    def test_matches_composed_ops(self, cfg, n_rows):
+        rng = np.random.default_rng(n_rows)
+        theta = nets.init_params(cfg, rng).values
+        theta += 0.25 * rng.standard_normal(theta.shape)
+        # one row takes the 1-D head path
+        shape = (cfg.in_dim,) if n_rows == 1 else (n_rows, cfg.in_dim)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(shape[:-1] + (cfg.out_dim,))
+        out, g_theta, g_x = _grads(nets.mlp_forward, theta, cfg, x, w)
+        ref_out, ref_theta, ref_x = _grads(composed_mlp_forward, theta, cfg,
+                                           x, w)
+        np.testing.assert_array_equal(out, ref_out)
+        _assert_rel_close(g_theta, ref_theta)
+        _assert_rel_close(g_x, ref_x)
+
+    @pytest.mark.parametrize("cfg", NET_CONFIGS)
+    def test_zero_hidden_row_gradient(self, cfg):
+        # with b_in zeroed, a zero input row reaches the first block's
+        # normalization as an all-zero row, and a tiny one as a row inside
+        # the clamp, where the gradient gate must cut the norm's gradient
+        rng = np.random.default_rng(3)
+        p = nets.init_params(cfg, rng)
+        p.view("b_in")[:] = 0.0
+        x = rng.standard_normal((4, cfg.in_dim))
+        x[2] = 0.0
+        x[3] *= 1e-12
+        w = rng.standard_normal((4, cfg.out_dim))
+        out, g_theta, g_x = _grads(nets.mlp_forward, p.values, cfg, x, w)
+        ref_out, ref_theta, ref_x = _grads(composed_mlp_forward, p.values,
+                                           cfg, x, w)
+        np.testing.assert_array_equal(out, ref_out)
+        _assert_rel_close(g_theta, ref_theta)
+        _assert_rel_close(g_x, ref_x)
+
+    def test_one_call_is_one_node(self):
+        cfg = nets.MlpConfig(in_dim=3, hidden_dim=6, out_dim=2, n_res_blocks=2)
+        theta = tape.Var(nets.init_params(cfg, np.random.default_rng(1)).values)
+        x = tape.Var(np.random.default_rng(2).standard_normal((5, 3)))
+        out = nets.mlp_forward(theta, cfg, x)
+        assert out._parents == (theta, x)
+        assert theta._parents == () and x._parents == ()
 
 
 class TestCheckpoint:

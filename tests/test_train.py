@@ -364,7 +364,8 @@ class TestFit:
         rows_full = (tmp_path / "full" / "log.csv").read_text().splitlines()
         rows_a = (tmp_path / "p1" / "log.csv").read_text().splitlines()
         rows_b = (tmp_path / "p2" / "log.csv").read_text().splitlines()
-        assert rows_full == rows_a + rows_b
+        assert rows_a[0] == rows_b[0] == rows_full[0]   # each has its header
+        assert rows_full[1:] == rows_a[1:] + rows_b[1:]
 
     def test_nonfinite_steps_skipped_and_counted(self, tmp_path):
         cat = synth.generate_category(tiny_spec(seed=9))
