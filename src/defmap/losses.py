@@ -26,6 +26,7 @@ from . import geom, model as model_mod, tape
 from .errors import (
     DimMismatch,
     EmptyVisibleSet,
+    InvalidSpec,
     KTooLarge,
     SingularSystem,
 )
@@ -61,6 +62,10 @@ class LossConfig:
     blur_radii: tuple = (2, 4)    # multi-scale photometric pyramid radii
     min_depth: float = 1e-3       # perspective depth clamp inside graphs
     max_clamped_frac: float = 0.5  # reference exclusion threshold
+
+    def __post_init__(self):
+        if self.n_mask_samples < 1:
+            raise InvalidSpec("n_mask_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -256,9 +261,12 @@ def cross_project(
 
 
 def image_pyramid(image: np.ndarray, radii) -> list[np.ndarray]:
-    """[identity] + box-blurred copies of the image at each radius."""
+    """[identity] + box-blurred copies of the (H,W,C) image at each radius."""
     image = np.asarray(image, dtype=np.float64)
-    return [image] + [tape.box_blur(image, int(r)).data for r in radii]
+    rc = np.indices(image.shape[:2]).reshape(2, -1).T
+    rows = image.reshape(len(rc), -1)
+    return [image] + [tape.window_mean(image.shape, rc, rows, int(r))
+                      .data.reshape(image.shape) for r in radii]
 
 
 def photometric_loss(
@@ -380,13 +388,11 @@ def texture_loss(
     photo = tape.vsum(pseudo_huber_rows(pred - ref, cfg.eps_color))
 
     rc = frame.pix_rc[pix_idx]
-    h, w = frame.image.shape[:2]
-    diff_img = tape.scatter_rows((h, w, 3), rc, pred - ref)
+    diff = pred - ref
     percep = tape.as_var(0.0)
     for r in cfg.blur_radii:
-        blurred = tape.box_blur(diff_img, int(r))
-        at_pix = blurred[rc[:, 0], rc[:, 1]]
-        percep = percep + tape.vsum(pseudo_huber_rows(at_pix, cfg.eps_color))
+        blurred = tape.window_mean(frame.image.shape, rc, diff, int(r))
+        percep = percep + tape.vsum(pseudo_huber_rows(blurred, cfg.eps_color))
     return weights.w_tex_photo * photo + weights.w_tex_percep * percep
 
 

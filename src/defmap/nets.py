@@ -16,6 +16,7 @@ function serves training and plain evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -58,18 +59,24 @@ def layer_shapes(cfg: MlpConfig) -> list[tuple[str, tuple]]:
     return shapes
 
 
+@functools.cache
+def _layout(cfg: MlpConfig) -> tuple[tuple[str, int, int, tuple], ...]:
+    """(name, start, stop, shape) of each layer inside the flat vector."""
+    table, off = [], 0
+    for name, shape in layer_shapes(cfg):
+        size = int(np.prod(shape))
+        table.append((name, off, off + size, shape))
+        off += size
+    return tuple(table)
+
+
 def n_params(cfg: MlpConfig) -> int:
-    return sum(int(np.prod(s)) for _, s in layer_shapes(cfg))
+    return _layout(cfg)[-1][2]
 
 
 def _layers(cfg: MlpConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
     """name -> writable view of each layer inside the flat vector ``flat``."""
-    views, off = {}, 0
-    for name, shape in layer_shapes(cfg):
-        size = int(np.prod(shape))
-        views[name] = flat[off : off + size].reshape(shape)
-        off += size
-    return views
+    return {name: flat[a:b].reshape(shape) for name, a, b, shape in _layout(cfg)}
 
 
 @dataclass

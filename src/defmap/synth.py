@@ -14,8 +14,8 @@ the chart but never gets it for free.
 
 Frame attribute contract consumed by :mod:`defmap.losses`: ``frame_id``,
 ``instance_id``, ``camera``, ``raster``, ``image`` (H,W,3), ``levels(radii)``
-memoized blur pyramid, ``mask`` (H,W) bool, ``mask_dist`` (zero inside,
-distance to the silhouette outside), ``pix_rc`` (N,2) int pixel indices,
+memoized blur pyramid, ``mask_dist`` (zero inside, distance to the
+silhouette outside), ``pix_rc`` (N,2) int pixel indices,
 ``pix_y`` (N,2) normalized coordinates of those pixel centers,
 ``descriptors`` (N,F), ``colors`` (N,3), ``kp_desc`` (K,F),
 ``instance_desc`` (G,).

@@ -2,8 +2,10 @@
 
 The engine records a dynamic computation graph: every operation returns a
 :class:`Var` holding the forward value, its parent nodes, and a vector-Jacobian
-callback. :func:`backward` replays the graph in reverse topological order and
-accumulates gradients on every node it visits, leaves included.
+callback. :func:`backward` replays the graph in reverse topological order,
+storing a node's first incoming gradient as is and adding later ones; an
+interior node drops its gradient once propagated, a leaf keeps it. Stored
+gradients may be shared, so no VJP may write into its incoming gradient.
 
 All values are float64. Operations are vectorized; per-element Python loops
 never appear on the forward or backward path.
@@ -402,65 +404,38 @@ def clamp_mask(image_shape, coords: np.ndarray) -> np.ndarray:
     return (x < 0) | (x > W - 1) | (y < 0) | (y > H - 1)
 
 
-def _win_sum(img: np.ndarray, win: int) -> np.ndarray:
-    """Centered window sum with edge truncation, via padded cumsum."""
-    r = win // 2
-    h, w = img.shape[0], img.shape[1]
-    acc = np.cumsum(np.cumsum(img, axis=0), axis=1)
-    pad = np.zeros((h + 1, w + 1) + img.shape[2:])
-    pad[1:, 1:] = acc
-    y0 = np.clip(np.arange(h) - r, 0, h)
-    y1 = np.clip(np.arange(h) + r + 1, 0, h)
-    x0 = np.clip(np.arange(w) - r, 0, w)
-    x1 = np.clip(np.arange(w) + r + 1, 0, w)
-    return (
-        pad[y1[:, None], x1[None, :]]
-        - pad[y0[:, None], x1[None, :]]
-        - pad[y1[:, None], x0[None, :]]
-        + pad[y0[:, None], x0[None, :]]
-    )
+def window_mean(shape, rc, values, radius: int) -> Var:
+    """Box blur, at the integer (row, col) pixels ``rc``, of the (H,W,C)
+    image that holds the (N,C) ``values`` there and zero elsewhere.
 
-
-def box_blur(a, radius: int) -> Var:
-    """Centered box blur of an (H,W,C) Var with edge-truncated windows.
-
-    The window is symmetric, so the transpose operation reuses the same
-    window sum applied to the count-normalized gradient.
+    Windows are ``2 * radius + 1`` wide, centered and edge-truncated, and
+    duplicate pixels accumulate. The window is symmetric, so the VJP is the
+    same operator applied to the count-normalized gradient.
     """
-    a = as_var(a)
-    h, w = a.data.shape[0], a.data.shape[1]
-    win = 2 * radius + 1
-    cnt = _win_sum(np.ones((h, w)), win)[..., None]
-    out = _win_sum(a.data, win) / cnt
+    values, rc = as_var(values), np.asarray(rc)
+    r, c = rc[:, 0], rc[:, 1]
+    y0, y1 = np.maximum(r - radius, 0), np.minimum(r + radius + 1, shape[0])
+    x0, x1 = np.maximum(c - radius, 0), np.minimum(c + radius + 1, shape[1])
+    cnt = ((y1 - y0) * (x1 - x0)).astype(np.float64)[:, None]
 
-    def vjp(g):
-        return (_win_sum(np.asarray(g) / cnt, win),)
+    def window_sums(v, norm=1.0):
+        """Window sums at rc of the image holding v / norm, via one cumsum."""
+        img = np.zeros(shape)
+        np.add.at(img, (r, c), v)
+        img[r, c] /= norm  # after the scatter, so duplicates sum first
+        pad = np.zeros((shape[0] + 1, shape[1] + 1) + tuple(shape[2:]))
+        pad[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
+        return pad[y1, x1] - pad[y0, x1] - pad[y1, x0] + pad[y0, x0]
 
-    return _node(out, (a,), vjp)
-
-
-def scatter_rows(shape, rc: np.ndarray, values) -> Var:
-    """Build an (H,W,C) Var that is zero except values at integer (row,col).
-
-    Duplicate indices accumulate, which keeps the gather below an exact
-    transpose.
-    """
-    values = as_var(values)
-    rc = np.asarray(rc)
-    out = np.zeros(shape, dtype=np.float64)
-    np.add.at(out, (rc[:, 0], rc[:, 1]), values.data)
-
-    def vjp(g):
-        return (np.asarray(g)[rc[:, 0], rc[:, 1]],)
-
-    return _node(out, (values,), vjp)
+    return _node(window_sums(values.data) / cnt, (values,),
+                 lambda g: (window_sums(g, cnt),))
 
 
 # -- driver ----------------------------------------------------------------
 
 
 def backward(root: Var) -> None:
-    """Populate ``.grad`` on every node reachable from ``root``."""
+    """Set ``.grad`` on the leaves behind ``root``; interior nodes end at None."""
     order: list[Var] = []
     seen: set[int] = set()
     stack_: list[tuple[Var, bool]] = [(root, False)]
@@ -472,21 +447,21 @@ def backward(root: Var) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        node.grad = None  # a leaf may hold one from an earlier pass
         stack_.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack_.append((p, False))
 
-    for node in order:
-        node.grad = np.zeros_like(node.data)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node._vjp is None or not node._parents:
-            continue
+        if node._vjp is None or node.grad is None:
+            continue  # a leaf, or no gradient reached the node
         grads = node._vjp(node.grad)
+        node.grad = None
         for parent, g in zip(node._parents, grads):
             if g is not None:
-                parent.grad = parent.grad + g
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def collect(loss: Var, leaves: dict) -> tuple[float, dict]:

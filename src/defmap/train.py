@@ -72,6 +72,8 @@ class TrainConfig:
                 raise InvalidSpec(f"unknown ablation target {name!r}")
         if self.epochs < 0 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise InvalidSpec("schedule sizes must be positive")
+        if self.n_pixels is not None and self.n_pixels < 1:
+            raise InvalidSpec("n_pixels must be >= 1 (or null for every pixel)")
 
 
 def effective_weights(weights: losses.LossWeights, ablate) -> losses.LossWeights:

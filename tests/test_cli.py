@@ -350,6 +350,22 @@ class TestFit:
         assert code == cli.EXIT_CODES[InvalidSpec] == 14
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,config,key", [
+        (["--n-pixels", "0"], {}, "n_pixels"),
+        (["--n-pixels", "-3"], {}, "n_pixels"),
+        ([], {"loss_cfg": {"n_mask_samples": 0}}, "n_mask_samples"),
+    ], ids=["n_pixels_zero", "n_pixels_negative", "n_mask_samples_zero"])
+    def test_out_of_range_size_is_invalid_spec(self, ds, tmp_path, capsys,
+                                               flags, config, key):
+        cfg = write_json(tmp_path / "tc.json", config)
+        out = tmp_path / "o"
+        code = cli.main(["fit", "--dataset", str(ds), "--out", str(out),
+                         "--config", cfg, "--epochs", "1",
+                         "--batches-per-epoch", "1", *flags])
+        assert code == cli.EXIT_CODES[InvalidSpec] == 14
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_continues_epochs(self, work, ds, tmp_path):
         cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
         md = write_json(tmp_path / "md.json", MODEL_CFG)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defmap import tape
+from defmap import losses, tape
 from defmap.errors import DimMismatch
 
 
@@ -16,6 +16,46 @@ def fd_grad(f, x, h=1e-6):
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def _win_sum(img, win):
+    """Centered window sums over the whole image, edges truncated."""
+    r = win // 2
+    h, w = img.shape[0], img.shape[1]
+    acc = np.cumsum(np.cumsum(img, axis=0), axis=1)
+    pad = np.zeros((h + 1, w + 1) + img.shape[2:])
+    pad[1:, 1:] = acc
+    y0 = np.clip(np.arange(h) - r, 0, h)
+    y1 = np.clip(np.arange(h) + r + 1, 0, h)
+    x0 = np.clip(np.arange(w) - r, 0, w)
+    x1 = np.clip(np.arange(w) + r + 1, 0, w)
+    return (
+        pad[y1[:, None], x1[None, :]]
+        - pad[y0[:, None], x1[None, :]]
+        - pad[y1[:, None], x0[None, :]]
+        + pad[y0[:, None], x0[None, :]]
+    )
+
+
+def reference_box_blur(a, radius):
+    """Whole-image box blur of an (H,W,C) Var, as one graph node."""
+    h, w = a.data.shape[0], a.data.shape[1]
+    win = 2 * radius + 1
+    cnt = _win_sum(np.ones((h, w)), win)[..., None]
+
+    def vjp(g):
+        return (_win_sum(np.asarray(g) / cnt, win),)
+
+    return tape._node(_win_sum(a.data, win) / cnt, (a,), vjp)
+
+
+def reference_window_mean(shape, rc, values, radius):
+    """Scatter into a zero image, blur the whole image, gather at ``rc``."""
+    out = np.zeros(shape)
+    np.add.at(out, (rc[:, 0], rc[:, 1]), values.data)
+    img = tape._node(out, (values,),
+                     lambda g: (np.asarray(g)[rc[:, 0], rc[:, 1]],))
+    return reference_box_blur(img, radius)[rc[:, 0], rc[:, 1]]
 
 
 def check_op(build, n, rng, tol=1e-6, h=1e-6):
@@ -211,35 +251,66 @@ class TestImageOps:
         out = tape.bilinear_sample(img, tape.Var(coords))
         np.testing.assert_allclose(out.data, 1.0)
 
-    def test_box_blur_constant_preserved(self):
-        img = tape.Var(np.full((5, 6, 3), 2.5))
-        out = tape.box_blur(img, radius=2)
+    def test_window_mean_matches_whole_image_reference(self):
+        rng = np.random.default_rng(14)
+        shape = (6, 7, 3)
+        # duplicates, every corner, and random interior pixels
+        rc = np.concatenate([
+            [[0, 0], [0, 6], [5, 0], [5, 6], [2, 3], [2, 3], [0, 0]],
+            rng.integers(0, [6, 7], size=(13, 2)),
+        ])
+        vals = rng.standard_normal((len(rc), 3))
+        w = rng.standard_normal((len(rc), 3))
+        for radius in (0, 1, 2, 4, 9):  # 9 spans the whole image
+            got, want = tape.Var(vals), tape.Var(vals)
+            out = tape.window_mean(shape, rc, got, radius)
+            ref = reference_window_mean(shape, rc, want, radius)
+            assert out.data.tobytes() == ref.data.tobytes(), radius
+            tape.backward(tape.vsum(out * w))
+            tape.backward(tape.vsum(ref * w))
+            assert got.grad.tobytes() == want.grad.tobytes(), radius
+
+    def test_image_pyramid_matches_whole_image_blur(self):
+        img = np.random.default_rng(15).random((9, 11, 3))
+        levels = losses.image_pyramid(img, (1, 2, 4, 20))
+        assert np.array_equal(levels[0], img)
+        for lvl, r in zip(levels[1:], (1, 2, 4, 20)):
+            ref = reference_box_blur(tape.Var(img), r).data
+            assert lvl.tobytes() == ref.tobytes(), r
+
+    def test_window_mean_keeps_a_constant_image(self):
+        rc = np.indices((5, 6)).reshape(2, -1).T
+        out = tape.window_mean((5, 6, 3), rc, np.full((30, 3), 2.5), 2)
         np.testing.assert_allclose(out.data, 2.5, atol=1e-12)
 
-    def test_box_blur_grad(self):
-        rng = np.random.default_rng(14)
-        w = rng.standard_normal((4, 4, 1))
+    def test_window_mean_grad(self):
+        rng = np.random.default_rng(16)
+        rc = np.array([[0, 1], [2, 3], [1, 0], [2, 3], [3, 3]])
+        w = rng.standard_normal((5, 2))
 
         def build(v):
-            img = tape.reshape(v, (4, 4, 1))
-            out = tape.box_blur(img, radius=1)
-            return tape.vsum(out * w)
+            vals = tape.reshape(v, (5, 2))
+            out = tape.window_mean((4, 4, 2), rc, vals, 1)
+            return tape.vsum(out * out * w)
 
-        check_op(build, 16, rng)
-
-    def test_scatter_rows_roundtrip(self):
-        rng = np.random.default_rng(15)
-        rc = np.array([[0, 1], [2, 3], [1, 0]])
-
-        def build(v):
-            vals = tape.reshape(v, (3, 2))
-            img = tape.scatter_rows((3, 4, 2), rc, vals)
-            return tape.vsum(img * img) + tape.vsum(img[0])
-
-        check_op(build, 6, rng)
+        check_op(build, 10, rng)
 
 
 class TestDriver:
+    def test_interior_gradients_are_dropped(self):
+        x = tape.Var(np.array([1.0, -2.0]))
+        y = x * 3.0
+        out = tape.vsum(y * y)
+        tape.backward(out)
+        assert y.grad is None and out.grad is None
+        np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+
+    def test_leaf_on_two_paths_gets_the_sum(self):
+        x = tape.Var(np.array([2.0, 5.0]))
+        tape.backward(tape.vsum(x * 3.0) + tape.vsum(tape.sigmoid(x)))
+        s = 1.0 / (1.0 + np.exp(-x.data))
+        np.testing.assert_allclose(x.grad, 3.0 + s * (1.0 - s), rtol=1e-15)
+
     def test_grad_accumulates_on_shared_node(self):
         x = tape.Var(np.array([3.0]))
         y = x * 2.0
