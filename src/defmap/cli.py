@@ -244,6 +244,8 @@ def _fit_usage_error(msg: str):
 
 
 def cmd_fit(args) -> int:
+    if args.holdout_every < 0:
+        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
     cat = _require_dataset(args.dataset)
     state = None
     if args.resume is not None:
@@ -270,9 +272,8 @@ def cmd_fit(args) -> int:
     else:
         train_ids = val_ids = ids
 
-    os.makedirs(args.out, exist_ok=True)
-    _, epoch_log = train.fit(cat, mdl, cfg, train_ids=train_ids,
-                             val_ids=val_ids, run_dir=args.out, state=state)
+    epoch_log = train.fit(cat, mdl, cfg, train_ids, val_ids, args.out,
+                          state=state)
 
     cfg_dict = asdict(cfg)
     cfg_dict["effective_weights"] = asdict(
@@ -327,6 +328,8 @@ def _report_failures(what: str, failed) -> None:
 
 
 def cmd_eval(args) -> int:
+    if args.n_points < 2:  # one point or none has no spread to compare
+        raise errors.InvalidSpec("--n-points must be >= 2")
     cat = _require_dataset(args.dataset)
     mdl = _require_model(args.checkpoint)
     frame_ids = (list(range(len(cat.frames))) if not args.frames
@@ -467,7 +470,6 @@ def check_gradients(name: str, n_points: int = 100, seed: int = 0,
     cat = _gradcheck_category(kind, seed)
     mdl = _gradcheck_model(seed)
     frames = list(cat.frames[:3])
-    labels = [fr.labels for fr in frames]
     # the isolated term at the default weights, with w_repro and w_min_k
     # raised to 1 so their rows are not scaled down
     term, pool_leaves = _ROWS[name]
@@ -476,35 +478,25 @@ def check_gradients(name: str, n_points: int = 100, seed: int = 0,
         [t for t in losses.TERMS if t != term])
     cfg = losses.LossConfig(n_mask_samples=80)
 
+    # an amortized model's leaves are its networks' flat vectors, in order
     arrays = mdl.param_arrays()
-    names = sorted(arrays)
-    shapes = [arrays[n].shape for n in names]
-    sizes = [arrays[n].size for n in names]
-    point = np.concatenate([arrays[n].ravel() for n in names])
+    stops = np.cumsum([arr.size for arr in arrays.values()])
+    spans = {n: (stop - arr.size, stop)
+             for (n, arr), stop in zip(arrays.items(), stops)}
+    point = np.concatenate(list(arrays.values()))
 
     def f(theta: tape.Var) -> tape.Var:
-        leaves = {}
-        off = 0
-        for n, shape, size in zip(names, shapes, sizes):
-            chunk = theta[slice(off, off + size)]
-            leaves[n] = chunk if len(shape) == 1 \
-                else tape.reshape(chunk, shape)
-            off += size
+        leaves = {n: theta[start:stop] for n, (start, stop) in spans.items()}
         total, _ = losses.total_loss(
-            mdl, leaves, frames, labels, weights, cfg,
+            mdl, leaves, frames, weights, cfg,
             np.random.default_rng(seed + 7), n_pixels=25)
         if corrupt:
             total = total + 0.05 * tape.detach(theta[int(coords[0])])
         return total
 
-    pool = []
-    off = 0
-    for n, size in zip(names, sizes):
-        if n in pool_leaves:
-            pool.extend(range(off, off + size))
-        off += size
-    coords = rng.choice(np.asarray(pool), size=min(n_points, len(pool)),
-                        replace=False)
+    pool = np.concatenate([np.arange(*spans[n]) for n in spans
+                           if n in pool_leaves])
+    coords = rng.choice(pool, size=min(n_points, len(pool)), replace=False)
 
     # a check comparing zero against zero proves nothing
     probe = tape.Var(point)
@@ -519,6 +511,8 @@ def check_gradients(name: str, n_points: int = 100, seed: int = 0,
 def run_gradcheck(scope=None, corrupt_one: bool = False, n_points: int = 100,
                   seed: int = 0) -> list[tuple[str, float, bool]]:
     """(name, max relative error, passed) per loss family."""
+    if n_points < 1:
+        raise errors.InvalidSpec("gradcheck needs at least 1 point per row")
     rows = [r for r in GRADCHECK_ROWS if scope is None or scope in r]
     if not rows:
         raise errors.InvalidSpec(f"no gradcheck row matches scope {scope!r}")
@@ -581,14 +575,11 @@ def transfer_texture(cat: synth.GroundTruthCategory,
     target = cat.frames[target_id]
     tex = cat.frames[texture_id]
     kappa = model_mod.embed_np(mdl, target.descriptors)
-    if mdl.mode == model_mod.DIRECT_LATENT:
-        beta = mdl.latents["beta"][texture_id]
-    else:
-        beta = model_mod.predict_np(mdl, tex.instance_desc, tex.frame_id,
-                                    tex.kp_desc)["beta"]
+    beta = model_mod.predict_np(mdl, tex.instance_desc, tex.frame_id,
+                                tex.kp_desc)["beta"]
     leaves = model_mod.make_leaves(mdl)
     colors = model_mod.texture_at(mdl, leaves, tape.Var(kappa),
-                                  tape.Var(np.asarray(beta))).data
+                                  tape.Var(beta)).data
     out = target.image.copy()
     out[target.pix_rc[:, 0], target.pix_rc[:, 1]] = colors
     return out

@@ -169,27 +169,23 @@ def rotation_distance_var(R: tape.Var, R_ref: np.ndarray) -> tape.Var:
 
 
 def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
-    """Project camera-frame points (N,3) or (3,) to image coordinates.
+    """Project camera-frame points (N,3) to image coordinates (N,2).
 
     Orthographic drops z (the result is a view of the x, y columns).
     Perspective maps X to the first two entries of K X / z and raises
     BehindCamera when any z <= 0.
     """
     X = np.asarray(points, dtype=np.float64)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != 3:
+    if X.ndim != 2 or X.shape[1] != 3:
         raise DimMismatch(f"points must be (N,3), got {X.shape}")
     if cam.kind == ORTHOGRAPHIC:
-        out = X[:, :2]
-    else:
-        z = X[:, 2]
-        if np.any(z <= 0.0):
-            raise BehindCamera("perspective projection of point(s) with z <= 0")
-        (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
-        out = np.stack([(fx * X[:, 0] + skew * X[:, 1]) / z + cx,
-                        fy * X[:, 1] / z + cy], axis=1)
-    return out[0] if single else out
+        return X[:, :2]
+    z = X[:, 2]
+    if np.any(z <= 0.0):
+        raise BehindCamera("perspective projection of point(s) with z <= 0")
+    (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
+    return np.stack([(fx * X[:, 0] + skew * X[:, 1]) / z + cx,
+                     fy * X[:, 1] / z + cy], axis=1)
 
 
 def project_var(cam: CameraIntrinsics, X: tape.Var, min_depth: float) -> tape.Var:
@@ -208,15 +204,14 @@ def project_var(cam: CameraIntrinsics, X: tape.Var, min_depth: float) -> tape.Va
 
 
 def ray_direction(cam: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
-    """Unit ray directions K^-1 (u, v, 1) for perspective cameras."""
+    """Unit ray directions K^-1 (u, v, 1), (N,3), for (N,2) perspective
+    pixels."""
     if cam.kind != PERSPECTIVE:
         raise WrongCameraKind("rays are defined for perspective cameras only")
-    y = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-    if y.shape[1] != 2:
+    y = np.asarray(pixels, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != 2:
         raise DimMismatch(f"pixels must be (N,2), got {y.shape}")
-    ones = np.ones((y.shape[0], 1))
-    h = np.concatenate([y, ones], axis=1)
+    h = np.concatenate([y, np.ones((len(y), 1))], axis=1)
     d = np.linalg.solve(cam.K, h.T).T
-    d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return d[0] if np.asarray(pixels).ndim == 1 else d
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
 

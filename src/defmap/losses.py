@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geom, model as model_mod, tape
+from . import geom, model as model_mod, nets, tape
 from .errors import (
     DimMismatch,
     EmptyVisibleSet,
@@ -324,14 +324,8 @@ def embedding_alignment_loss(kappa, R) -> tape.Var:
     Minimizing it turns the average visible embedding away from the camera
     axis, which globally disambiguates front from back.
     """
-    kappa = tape.as_var(kappa)
-    kbar = tape.vmean(kappa, axis=0)
-    # clamp inside the sqrt: its backward divides by the output, so an
-    # exactly-zero mean embedding must never reach it
-    norm = tape.sqrt(tape.clip(tape.dot(kbar, kbar), 1e-16, np.inf))
-    u = kbar / norm
-    z_row = tape.as_var(R)[2]
-    return tape.dot(z_row, u)
+    u = nets.l2norm_rows(tape.vmean(tape.as_var(kappa), axis=0))
+    return tape.dot(tape.as_var(R)[2], u)
 
 
 def mask_reprojection_loss(
@@ -410,7 +404,6 @@ def total_loss(
     mdl: model_mod.DeformerModel,
     leaves,
     frames: list,
-    labels: list,
     weights: LossWeights,
     cfg: LossConfig,
     rng: np.random.Generator,
@@ -436,7 +429,7 @@ def total_loss(
     def add(key, value):
         acc[key] = acc[key] + value if key in acc else value
 
-    for i, (frame, lab) in enumerate(zip(frames, labels)):
+    for i, frame in enumerate(frames):
         idx = _frame_pixel_subset(frame, n_pixels, rng)
         subsets.append(idx)
         pred = model_mod.predict_frame(
@@ -445,6 +438,7 @@ def total_loss(
         )
         preds.append(pred)
 
+        lab = frame.labels
         vis = np.asarray(lab.visible, dtype=bool)
         kp_emb = model_mod.embed_pixels(mdl, leaves, frame.kp_desc[vis])
         kp_basis = model_mod.basis_at(mdl, leaves, kp_emb)

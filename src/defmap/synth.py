@@ -482,10 +482,8 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
     )
     image[rows, cols] = colors
 
-    surf = cat.surface_points(kappa, alpha) @ R.T + t
-    depth_out = np.full(depth.shape, np.nan)
-    depth_out[mask] = depth[mask]
-    depth_out[rows, cols] = surf[:, 2]
+    # refined pixels read their own surface depth; the rest keep the splat's
+    depth[rows, cols] = (cat.surface_points(kappa, alpha) @ R.T + t)[:, 2]
 
     return {
         "camera": cam,
@@ -493,7 +491,7 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
         "image": image,
         "mask": mask,
         "mask_dist": distance_transform_edt(~mask),
-        "depth": depth_out,
+        "depth": depth,
         "pix_rc": np.stack([rows, cols], axis=1),
         "pix_y": pix_y,
         "gt_kappa": kappa,
@@ -510,13 +508,9 @@ def _keypoint_visibility(cat, instance, R, t, render) -> np.ndarray:
     rows = np.rint(px[:, 1]).astype(int)
     H, W = spec.image_h, spec.image_w
     inside = (rows >= 0) & (rows < H) & (cols >= 0) & (cols < W)
-    vis = np.zeros(len(Xk), dtype=bool)
-    depth = render["depth"]
-    for i in np.flatnonzero(inside):
-        d = depth[rows[i], cols[i]]
-        if np.isfinite(d) and Xk[i, 2] <= d + 0.05:
-            vis[i] = True
-    return vis
+    d = np.full(len(Xk), np.nan)
+    d[inside] = render["depth"][rows[inside], cols[inside]]
+    return np.isfinite(d) & (Xk[:, 2] <= d + 0.05)
 
 
 # -- generation -----------------------------------------------------------------

@@ -72,6 +72,11 @@ class TrainConfig:
                 raise InvalidSpec(f"unknown ablation target {name!r}")
         if self.epochs < 0 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise InvalidSpec("schedule sizes must be positive")
+        if self.validate_every < 0 or self.checkpoint_every < 0:
+            raise InvalidSpec("validate_every and checkpoint_every must be "
+                              ">= 0 (0 = at the end only)")
+        if self.n_eval_points < 2:
+            raise InvalidSpec("n_eval_points must be >= 2")
         if self.n_pixels is not None and self.n_pixels < 1:
             raise InvalidSpec("n_pixels must be >= 1 (or null for every pixel)")
 
@@ -317,41 +322,34 @@ def validate_frames(category, model: model_mod.DeformerModel, frame_ids,
 # -- fit -------------------------------------------------------------------------
 
 
-def _csv_writer(path, header):
-    """Append to ``path``; a new or empty file gets the header row first."""
-    f = open(path, "a", newline="")
+def _csv_writer(f, header):
+    """CSV writer appending to ``f``; an empty file gets the header row first."""
     w = csv.writer(f)
     if f.tell() == 0:
         w.writerow(header)
-    return f, w
+    return w
 
 
 def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
-        train_ids=None, val_ids=None, run_dir=None,
-        state: TrainState | None = None):
-    """Optimize ``model`` on a category's frames.
+        train_ids, val_ids, run_dir, state: TrainState | None = None):
+    """Optimize ``model`` on a category's frames; returns the per-epoch log.
 
-    Returns (model, per-epoch log). ``train_ids``/``val_ids`` index
-    ``category.frames``; both default to every frame. Each log row holds
+    ``train_ids``/``val_ids`` index ``category.frames``. Each log row holds
     the ``METRIC_COLS`` values plus ``val_failed``, the ``errors`` list of
     every validation frame that failed (see :func:`validate_frames`; empty
     when the epoch was not validated). Passing a loaded
     ``state`` resumes a run: the step/epoch counters, rng stream, plateau
     bookkeeping and momentum buffers continue bit-exactly.
 
-    With a ``run_dir`` the run writes ``config.json``, a per-step
-    ``log.csv``, a per-epoch ``metrics.csv`` and model/state checkpoints.
+    The run writes ``config.json``, a per-step ``log.csv``, a per-epoch
+    ``metrics.csv`` and model/state checkpoints into ``run_dir``.
     A resumed run appends to the logs it finds there; a new log file
     starts with its header row.
     Non-finite gradient steps are skipped, counted, and reported.
     """
-    frames = category.frames
-    train_ids = list(range(len(frames))) if train_ids is None else list(train_ids)
-    val_ids = list(train_ids) if val_ids is None else list(val_ids)
-    if not train_ids:
+    train_frames = [category.frames[i] for i in train_ids]
+    if not train_frames:
         raise DimMismatch("no training frames")
-    train_frames = [frames[i] for i in train_ids]
-    labels = [fr.labels for fr in train_frames]
     instance_ids = [fr.instance_id for fr in train_frames]
     azimuths = [synth.azimuth_of(fr.labels.rotation) for fr in train_frames]
     rebal = synth.rebalance_weights(azimuths)
@@ -360,34 +358,30 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     if fresh:
         state = init_state(model, cfg)
 
-    log_f = met_f = log_w = met_w = None
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.json").write_text(
-            json.dumps(asdict(cfg), indent=2, sort_keys=True))
-        if fresh:  # a fresh run starts its logs over
-            for name in ("log.csv", "metrics.csv"):
-                (run_dir / name).unlink(missing_ok=True)
-        log_f, log_w = _csv_writer(
-            run_dir / "log.csv",
-            ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"])
-        met_f, met_w = _csv_writer(run_dir / "metrics.csv", METRIC_COLS)
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(
+        json.dumps(asdict(cfg), indent=2, sort_keys=True))
+    if fresh:  # a fresh run starts its logs over
+        for name in ("log.csv", "metrics.csv"):
+            (run_dir / name).unlink(missing_ok=True)
 
     epoch_log = []
-    try:
+    with open(run_dir / "log.csv", "a", newline="") as log_f, \
+            open(run_dir / "metrics.csv", "a", newline="") as met_f:
+        log_w = _csv_writer(
+            log_f, ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"])
+        met_w = _csv_writer(met_f, METRIC_COLS)
         while state.epoch < cfg.epochs:
             totals = []
             term_sums = dict.fromkeys(LOG_TERMS, 0.0)
             for _ in range(cfg.batches_per_epoch):
                 batch = synth.make_batches(
                     instance_ids, rebal, cfg.batch_size, 1, state.rng)[0]
-                bf = [train_frames[i] for i in batch]
-                bl = [labels[i] for i in batch]
                 leaves = model_mod.make_leaves(model)
                 total, breakdown = losses.total_loss(
-                    model, leaves, bf, bl, w_eff, cfg.loss_cfg, state.rng,
-                    n_pixels=cfg.n_pixels)
+                    model, leaves, [train_frames[i] for i in batch], w_eff,
+                    cfg.loss_cfg, state.rng, n_pixels=cfg.n_pixels)
                 value, grads = tape.collect(total, leaves)
                 try:
                     gnorm = clip_global_norm(grads, cfg.clip_norm)
@@ -398,13 +392,10 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
                 totals.append(value)
                 for t in LOG_TERMS:
                     term_sums[t] += breakdown[t]
-                if log_w is not None:
-                    log_w.writerow([
-                        state.step, state.epoch, repr(state.lr),
-                        repr(value),
-                        *(repr(breakdown[t]) for t in LOG_TERMS),
-                        repr(gnorm),
-                    ])
+                log_w.writerow([
+                    state.step, state.epoch, repr(state.lr), repr(value),
+                    *(repr(breakdown[t]) for t in LOG_TERMS), repr(gnorm),
+                ])
             mean_total = float(np.mean(totals))
             lr_used = state.lr
             _plateau_step(state, mean_total, cfg.plateau_patience,
@@ -431,23 +422,16 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
                 "val_failed": val_failed,
             }
             epoch_log.append(row)
-            if met_w is not None:
-                met_w.writerow([repr(row[k]) if isinstance(row[k], float)
-                                else row[k] for k in METRIC_COLS])
-                met_f.flush()
-            if log_f is not None:
-                log_f.flush()
-            if (run_dir is not None and cfg.checkpoint_every > 0
+            met_w.writerow([repr(row[k]) if isinstance(row[k], float)
+                            else row[k] for k in METRIC_COLS])
+            met_f.flush()
+            log_f.flush()
+            if (cfg.checkpoint_every > 0
                     and state.epoch % cfg.checkpoint_every == 0
                     and state.epoch < cfg.epochs):
                 model_mod.save_model(run_dir / f"model_ep{state.epoch}.bin",
                                      model)
                 save_state(run_dir / f"state_ep{state.epoch}.bin", state)
-        if run_dir is not None:
-            model_mod.save_model(run_dir / "model_final.bin", model)
-            save_state(run_dir / "state_final.bin", state)
-    finally:
-        for f in (log_f, met_f):
-            if f is not None:
-                f.close()
-    return model, epoch_log
+        model_mod.save_model(run_dir / "model_final.bin", model)
+        save_state(run_dir / "state_final.bin", state)
+    return epoch_log

@@ -321,27 +321,29 @@ class TestCriterion10DeterminismAndResume:
         assert hashes[0] == hashes[1]
 
         cat = synth.generate_category(self.SPEC)
+        ids = list(range(len(cat.frames)))
         logs = []
         for sub in ("r1", "r2"):
             cfg = train.TrainConfig(epochs=1, **self.CFG)
-            train.fit(cat, self._model(cat), cfg, run_dir=tmp_path / sub)
+            train.fit(cat, self._model(cat), cfg, ids, ids, tmp_path / sub)
             logs.append((tmp_path / sub / "log.csv").read_bytes())
         assert logs[0] == logs[1]
 
     def test_resume_is_bit_exact(self, tmp_path):
         cat = synth.generate_category(self.SPEC)
+        ids = list(range(len(cat.frames)))
         u = tmp_path / "unbroken"
         train.fit(cat, self._model(cat), train.TrainConfig(epochs=2, **self.CFG),
-                  run_dir=u)
+                  ids, ids, u)
 
         r1 = tmp_path / "part1"
         train.fit(cat, self._model(cat), train.TrainConfig(epochs=1, **self.CFG),
-                  run_dir=r1)
+                  ids, ids, r1)
         mdl = model_mod.load_model(r1 / "model_final.bin")
         state = train.load_state(r1 / "state_final.bin", mdl)
         r2 = tmp_path / "part2"
         train.fit(cat, mdl, train.TrainConfig(epochs=2, **self.CFG),
-                  run_dir=r2, state=state)
+                  ids, ids, r2, state=state)
 
         assert (u / "model_final.bin").read_bytes() \
             == (r2 / "model_final.bin").read_bytes()

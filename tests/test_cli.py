@@ -236,6 +236,14 @@ class TestFit:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_negative_holdout_is_usage_error(self, ds, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--dataset", str(ds), "--out",
+                      str(tmp_path / "o"), "--holdout-every", "-1"])
+        assert exc.value.code == 2
+        assert "--holdout-every" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_resumed_direct_latent_holdout_is_usage_error(self, ds,
                                                           tmp_path):
         # the mode comes from the checkpoint, not from --mode
@@ -354,7 +362,12 @@ class TestFit:
         (["--n-pixels", "0"], {}, "n_pixels"),
         (["--n-pixels", "-3"], {}, "n_pixels"),
         ([], {"loss_cfg": {"n_mask_samples": 0}}, "n_mask_samples"),
-    ], ids=["n_pixels_zero", "n_pixels_negative", "n_mask_samples_zero"])
+        (["--validate-every", "-3"], {}, "validate_every"),
+        (["--checkpoint-every", "-2"], {}, "checkpoint_every"),
+        ([], {"n_eval_points": 1}, "n_eval_points"),
+    ], ids=["n_pixels_zero", "n_pixels_negative", "n_mask_samples_zero",
+            "validate_every_negative", "checkpoint_every_negative",
+            "n_eval_points_one"])
     def test_out_of_range_size_is_invalid_spec(self, ds, tmp_path, capsys,
                                                flags, config, key):
         cfg = write_json(tmp_path / "tc.json", config)
@@ -505,6 +518,18 @@ class TestEval:
             assert all(np.isfinite(vals))
             assert cells[3][col] == repr(float(np.mean(vals)))
 
+    @pytest.mark.parametrize("n_points", ["0", "-5", "1"])
+    def test_too_few_points_is_invalid_spec(self, ds, run, tmp_path, capsys,
+                                            n_points):
+        # a sweep of one point or none has no spread to score
+        out = tmp_path / "ev"
+        assert cli.main(["eval", "--checkpoint", str(run / "model_final.bin"),
+                         "--dataset", str(ds), "--out", str(out),
+                         "--n-points", n_points]) \
+            == cli.EXIT_CODES[InvalidSpec]
+        assert "--n-points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_frame_out_of_range(self, oracle, tmp_path):
         ds_flat, ckpt = oracle
         assert cli.main(["eval", "--checkpoint", str(ckpt),
@@ -540,6 +565,16 @@ class TestGradcheck:
         assert (out / "manifest.json").exists()
         assert cli.main(["gradcheck", "--points", "3", "--scope", "prior",
                          "--corrupt-one"]) == 1
+
+    @pytest.mark.parametrize("points", ["0", "-4"])
+    def test_too_few_points_is_invalid_spec(self, tmp_path, capsys, points):
+        out = tmp_path / "gc"
+        assert cli.main(["gradcheck", "--points", points,
+                         "--out", str(out)]) == cli.EXIT_CODES[InvalidSpec]
+        captured = capsys.readouterr()
+        assert captured.out == ""   # no row ran
+        assert "InvalidSpec" in captured.err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

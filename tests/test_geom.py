@@ -117,14 +117,14 @@ class TestProjection:
     def test_orthographic_drops_z(self):
         cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
         np.testing.assert_allclose(cam.K, np.eye(3))
-        out = geom.project(cam, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out, [1.0, 2.0])
+        out = geom.project(cam, np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_allclose(out, [[1.0, 2.0]])
 
     def test_perspective_divides_by_depth(self):
         K = np.diag([2.0, 2.0, 1.0])
         cam = geom.CameraIntrinsics(geom.PERSPECTIVE, K)
-        out = geom.project(cam, np.array([1.0, 2.0, 4.0]))
-        np.testing.assert_allclose(out, [0.5, 1.0])
+        out = geom.project(cam, np.array([[1.0, 2.0, 4.0]]))
+        np.testing.assert_allclose(out, [[0.5, 1.0]])
 
     def test_principal_point_offset(self):
         K = np.array([[2.0, 0, 0.3], [0, 2.0, -0.1], [0, 0, 1.0]])
@@ -141,8 +141,9 @@ class TestProjection:
 
     def test_bad_shape_raises(self):
         cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
-        with pytest.raises(DimMismatch):
-            geom.project(cam, np.zeros((4, 2)))
+        for points in (np.zeros((4, 2)), np.zeros(3)):  # 1-D: not a batch
+            with pytest.raises(DimMismatch):
+                geom.project(cam, points)
 
     def test_project_var_matches_numpy(self):
         rng = np.random.default_rng(8)
@@ -168,8 +169,8 @@ class TestProjection:
 class TestRays:
     def test_identity_K_center_ray(self):
         cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.eye(3))
-        d = geom.ray_direction(cam, np.array([0.0, 0.0]))
-        np.testing.assert_allclose(d, [0.0, 0.0, 1.0], atol=1e-12)
+        d = geom.ray_direction(cam, np.array([[0.0, 0.0]]))
+        np.testing.assert_allclose(d, [[0.0, 0.0, 1.0]], atol=1e-12)
 
     def test_rays_are_unit_and_hit_pixels(self):
         K = np.array([[2.0, 0, 0.2], [0, 1.7, -0.3], [0, 0, 1.0]])
@@ -198,6 +199,12 @@ class TestRays:
         cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
         with pytest.raises(WrongCameraKind):
             geom.ray_direction(cam, np.zeros(2))
+
+    def test_bad_pixel_shape_raises(self):
+        cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.eye(3))
+        for pixels in (np.zeros((4, 3)), np.zeros(2)):  # 1-D: not a batch
+            with pytest.raises(DimMismatch):
+                geom.ray_direction(cam, pixels)
 
 
 class TestPoses:

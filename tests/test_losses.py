@@ -523,19 +523,20 @@ class TestTextureLoss:
 class TestTotalLoss:
     def _batch(self, rng, n=3):
         frames = [FakeFrame(rng, frame_id=i, instance_id=i) for i in range(n)]
-        labels = [fake_labels(rng) for _ in range(n)]
-        return frames, labels
+        for fr in frames:
+            fr.labels = fake_labels(rng)
+        return frames
 
     def test_decomposition_exact(self):
         rng = np.random.default_rng(28)
         m = small_model(seed=3)
-        frames, labels = self._batch(rng)
+        frames = self._batch(rng)
         w = losses.LossWeights(w_repro=0.37, w_prior=1.1, w_emb_align=0.5,
                                w_mask=2.0, w_min_k=0.25)
         cfg = losses.LossConfig(n_mask_samples=50, min_k=2)
         leaves = model.make_leaves(m)
         total, br = losses.total_loss(
-            m, leaves, frames, labels, w, cfg, np.random.default_rng(0)
+            m, leaves, frames, w, cfg, np.random.default_rng(0)
         )
         want = (
             w.w_prior * br["prior"] + w.w_repro * br["repro"]
@@ -551,10 +552,10 @@ class TestTotalLoss:
 
         def run():
             rng = np.random.default_rng(29)
-            frames, labels = self._batch(rng)
+            frames = self._batch(rng)
             leaves = model.make_leaves(m)
             total, br = losses.total_loss(
-                m, leaves, frames, labels, losses.LossWeights(), cfg,
+                m, leaves, frames, losses.LossWeights(), cfg,
                 np.random.default_rng(1),
             )
             tape.backward(total)
@@ -567,10 +568,10 @@ class TestTotalLoss:
     def test_single_frame_batch_has_no_min_k(self):
         rng = np.random.default_rng(30)
         m = small_model(seed=5)
-        frames, labels = self._batch(rng, n=1)
+        frames = self._batch(rng, n=1)
         leaves = model.make_leaves(m)
         total, br = losses.total_loss(
-            m, leaves, frames, labels, losses.LossWeights(),
+            m, leaves, frames, losses.LossWeights(),
             losses.LossConfig(n_mask_samples=20), np.random.default_rng(2),
         )
         assert br["min_k"] == 0.0
@@ -585,11 +586,11 @@ class TestTotalLoss:
     def test_ablating_every_term_zeroes_loss_and_gradients(self):
         rng = np.random.default_rng(35)
         m = small_model(seed=8)
-        frames, labels = self._batch(rng)
+        frames = self._batch(rng)
         w = train.effective_weights(losses.LossWeights(), losses.TERMS)
         leaves = model.make_leaves(m)
         total, _ = losses.total_loss(
-            m, leaves, frames, labels, w,
+            m, leaves, frames, w,
             losses.LossConfig(n_mask_samples=20, min_k=2),
             np.random.default_rng(4),
         )
@@ -598,7 +599,7 @@ class TestTotalLoss:
         assert not any(np.any(g) for g in grads.values())
 
     @staticmethod
-    def _flat_param_objective(m, frames, labels, cfg, weights):
+    def _flat_param_objective(m, frames, cfg, weights):
         names = sorted(m.param_arrays())
         arrays = m.param_arrays()
         splits = np.cumsum([arrays[k].size for k in names])[:-1]
@@ -609,7 +610,7 @@ class TestTotalLoss:
             leaves = {k: tape.reshape(v[slice(int(a), int(b))], arrays[k].shape)
                       for k, (a, b) in bounds.items()}
             total, _ = losses.total_loss(
-                m, leaves, frames, labels, weights, cfg,
+                m, leaves, frames, weights, cfg,
                 np.random.default_rng(3),
             )
             return total
@@ -623,10 +624,10 @@ class TestTotalLoss:
         # differences can only certify the other terms on those coordinates.
         rng = np.random.default_rng(31)
         m = small_model(seed=6)
-        frames, labels = self._batch(rng, n=2)
+        frames = self._batch(rng, n=2)
         cfg = losses.LossConfig(n_mask_samples=12, min_k=1)
         w = losses.LossWeights(w_tex_photo=0.0, w_tex_percep=0.0)
-        f, x0, _ = self._flat_param_objective(m, frames, labels, cfg, w)
+        f, x0, _ = self._flat_param_objective(m, frames, cfg, w)
         rng_c = np.random.default_rng(32)
         coords = rng_c.choice(x0.size, size=60, replace=False)
         assert tape.grad_check(f, x0, h=1e-6, coords=coords) < 1e-5
@@ -636,10 +637,10 @@ class TestTotalLoss:
         # their derivative through the full default objective is complete
         rng = np.random.default_rng(33)
         m = small_model(seed=7)
-        frames, labels = self._batch(rng, n=2)
+        frames = self._batch(rng, n=2)
         cfg = losses.LossConfig(n_mask_samples=12, min_k=1)
         f, x0, bounds = self._flat_param_objective(
-            m, frames, labels, cfg, losses.LossWeights()
+            m, frames, cfg, losses.LossWeights()
         )
         pool = np.concatenate([
             np.arange(int(a), int(b))

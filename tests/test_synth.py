@@ -230,6 +230,24 @@ class RenderedGeometryContract:
             assert np.all(fr.mask_dist[~fr.mask] > 0)
             assert fr.mask[fr.pix_rc[:, 0], fr.pix_rc[:, 1]].all()
 
+    def test_visibility_matches_per_keypoint_loop(self, small_cat):
+        # reference: the visibility rule applied one keypoint at a time
+        for fr in small_cat.frames:
+            Xk = small_cat.surface_points(small_cat.keypoints, fr.gt_alpha) \
+                @ fr.gt_R.T + fr.gt_t
+            px = fr.raster.to_px(geom.project(fr.camera, Xk))
+            h, w = fr.depth.shape
+            want = np.zeros(len(Xk), dtype=bool)
+            for k, (c, r) in enumerate(np.rint(px).astype(int)):
+                if 0 <= r < h and 0 <= c < w:
+                    d = fr.depth[r, c]
+                    want[k] = np.isfinite(d) and Xk[k, 2] <= d + 0.05
+            render = {"raster": fr.raster, "camera": fr.camera,
+                      "depth": fr.depth}
+            got = synth._keypoint_visibility(small_cat, fr.instance_id,
+                                             fr.gt_R, fr.gt_t, render)
+            np.testing.assert_array_equal(got, want)
+
 
 class TestPerspectiveRenderedGeometry(RenderedGeometryContract):
     @pytest.fixture(scope="class")

@@ -54,6 +54,10 @@ def tiny_cat():
     return synth.generate_category(tiny_spec())
 
 
+def all_ids(cat):
+    return list(range(len(cat.frames)))
+
+
 def fresh_model(spec, seed=7, mode=model_mod.AMORTIZED, n_frames=0):
     return model_mod.init_model(tiny_dims(spec), mode,
                                 np.random.default_rng(seed), n_frames=n_frames)
@@ -268,7 +272,7 @@ class TestFit:
         cfg = tiny_cfg()
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        _, log = train.fit(tiny_cat, mdl, cfg, run_dir=run, val_ids=[0, 5])
+        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0, 5], run)
         assert len(log) == cfg.epochs
         assert json.loads((run / "config.json").read_text())["lr"] == cfg.lr
         with open(run / "log.csv") as f:
@@ -289,7 +293,7 @@ class TestFit:
         cfg = tiny_cfg(ablate=("repro",))
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        train.fit(tiny_cat, mdl, cfg, run_dir=run, val_ids=[0])
+        train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], run)
         w = train.effective_weights(cfg.weights, cfg.ablate)
         with open(run / "log.csv") as f:
             for row in csv.DictReader(f):
@@ -308,14 +312,13 @@ class TestFit:
         cfg = tiny_cfg(epochs=1)
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        train.fit(tiny_cat, mdl, cfg, run_dir=run, val_ids=[0])
+        train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], run)
         with open(run / "log.csv") as f:
             logged = list(csv.DictReader(f))
 
         mdl2 = fresh_model(tiny_cat.spec)
         state = train.init_state(mdl2, cfg)
         frames = tiny_cat.frames
-        labels = [fr.labels for fr in frames]
         inst = [fr.instance_id for fr in frames]
         rebal = synth.rebalance_weights(
             [synth.azimuth_of(fr.labels.rotation) for fr in frames])
@@ -325,9 +328,8 @@ class TestFit:
                                        state.rng)[0]
             leaves = model_mod.make_leaves(mdl2)
             total, breakdown = losses.total_loss(
-                mdl2, leaves, [frames[i] for i in batch],
-                [labels[i] for i in batch], w, cfg.loss_cfg, state.rng,
-                n_pixels=cfg.n_pixels)
+                mdl2, leaves, [frames[i] for i in batch], w, cfg.loss_cfg,
+                state.rng, n_pixels=cfg.n_pixels)
             assert repr(float(total.data)) == row["total"]
             assert repr(breakdown["prior"]) == row["prior"]
             _, grads = tape.collect(total, leaves)
@@ -339,7 +341,8 @@ class TestFit:
         runs = []
         for sub in ("a", "b"):
             mdl = fresh_model(tiny_cat.spec)
-            train.fit(tiny_cat, mdl, cfg, run_dir=tmp_path / sub, val_ids=[0])
+            train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0],
+                      tmp_path / sub)
             runs.append(mdl)
         assert (tmp_path / "a" / "log.csv").read_bytes() \
             == (tmp_path / "b" / "log.csv").read_bytes()
@@ -349,15 +352,16 @@ class TestFit:
     def test_resume_matches_unbroken_run(self, tiny_cat, tmp_path):
         cfg2 = tiny_cfg(epochs=2)
         full = fresh_model(tiny_cat.spec)
-        train.fit(tiny_cat, full, cfg2, run_dir=tmp_path / "full", val_ids=[0])
+        train.fit(tiny_cat, full, cfg2, all_ids(tiny_cat), [0],
+                  tmp_path / "full")
 
         part = fresh_model(tiny_cat.spec)
-        train.fit(tiny_cat, part, tiny_cfg(epochs=1), run_dir=tmp_path / "p1",
-                  val_ids=[0])
+        train.fit(tiny_cat, part, tiny_cfg(epochs=1), all_ids(tiny_cat), [0],
+                  tmp_path / "p1")
         resumed = model_mod.load_model(tmp_path / "p1" / "model_final.bin")
         state = train.load_state(tmp_path / "p1" / "state_final.bin", resumed)
-        train.fit(tiny_cat, resumed, cfg2, run_dir=tmp_path / "p2",
-                  state=state, val_ids=[0])
+        train.fit(tiny_cat, resumed, cfg2, all_ids(tiny_cat), [0],
+                  tmp_path / "p2", state=state)
 
         for name, arr in full.param_arrays().items():
             np.testing.assert_array_equal(arr, resumed.param_arrays()[name])
@@ -375,25 +379,25 @@ class TestFit:
         before = {k: v.copy() for k, v in mdl.param_arrays().items()}
         cfg = tiny_cfg(epochs=1)
         state = train.init_state(mdl, cfg)
-        train.fit(cat, mdl, cfg, state=state, val_ids=[0])
+        train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path, state=state)
         assert state.nonfinite == cfg.batches_per_epoch
         assert state.step == 0
         for name, arr in mdl.param_arrays().items():
             np.testing.assert_array_equal(arr, before[name])
 
-    def test_direct_latent_mode_trains(self, tiny_cat):
+    def test_direct_latent_mode_trains(self, tiny_cat, tmp_path):
         mdl = fresh_model(tiny_cat.spec, mode=model_mod.DIRECT_LATENT,
                           n_frames=len(tiny_cat.frames))
         lat0 = mdl.latents["alpha"].copy()
         cfg = tiny_cfg(epochs=1, batches_per_epoch=4)
-        _, log = train.fit(tiny_cat, mdl, cfg, val_ids=[0])
+        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], tmp_path)
         assert not np.array_equal(mdl.latents["alpha"], lat0)
         assert np.isfinite(log[0]["mean_total"])
 
-    def test_empty_train_set_rejected(self, tiny_cat):
+    def test_empty_train_set_rejected(self, tiny_cat, tmp_path):
         with pytest.raises(DimMismatch):
-            train.fit(tiny_cat, fresh_model(tiny_cat.spec), tiny_cfg(),
-                      train_ids=[])
+            train.fit(tiny_cat, fresh_model(tiny_cat.spec), tiny_cfg(), [],
+                      [0], tmp_path)
 
 
 def self_consistent_problem(seed=11, n_pix=30):
@@ -484,7 +488,7 @@ def self_consistent_problem(seed=11, n_pix=30):
 
 
 class TestFixedPoint:
-    def test_self_consistent_problem_stays_at_zero(self):
+    def test_self_consistent_problem_stays_at_zero(self, tmp_path):
         # ground truth the model can represent is a fixed point of fit: the
         # signed alignment term (optimum at the sphere boundary, not at gt)
         # is the one switched off
@@ -494,7 +498,8 @@ class TestFixedPoint:
                        n_pixels=None, ablate=("emb_align",),
                        n_eval_points=100)
         state = train.init_state(mdl, cfg)
-        _, log = train.fit(cat, mdl, cfg, state=state)
+        log = train.fit(cat, mdl, cfg, all_ids(cat), all_ids(cat), tmp_path,
+                        state=state)
         assert state.step == 5 and state.nonfinite == 0   # steps really ran
         assert log[0]["mean_total"] < 1e-8
         assert log[0]["mean_prior"] < 1e-10
