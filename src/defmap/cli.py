@@ -445,8 +445,8 @@ def _gradcheck_model(seed: int) -> model_mod.DeformerModel:
     return mdl
 
 
-def check_gradients(name: str, n_points: int = 100, seed: int = 0,
-                    corrupt: bool = False) -> float:
+def check_gradients(name: str, n_points: int, seed: int,
+                    corrupt: bool) -> float:
     """Max FD-vs-analytic relative error for one loss family.
 
     ``corrupt`` adds a stop-gradient term to the objective, making the
@@ -508,8 +508,8 @@ def check_gradients(name: str, n_points: int = 100, seed: int = 0,
     return tape.grad_check(f, point, h=1e-6, coords=coords)
 
 
-def run_gradcheck(scope=None, corrupt_one: bool = False, n_points: int = 100,
-                  seed: int = 0) -> list[tuple[str, float, bool]]:
+def run_gradcheck(scope, corrupt_one: bool, n_points: int,
+                  seed: int) -> list[tuple[str, float, bool]]:
     """(name, max relative error, passed) per loss family."""
     if n_points < 1:
         raise errors.InvalidSpec("gradcheck needs at least 1 point per row")

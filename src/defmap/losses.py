@@ -378,11 +378,10 @@ def texture_loss(
     """
     kappa_det = tape.detach(kappa)
     pred = model_mod.texture_at(mdl, leaves, kappa_det, beta)
-    ref = frame.colors[pix_idx]
-    photo = tape.vsum(pseudo_huber_rows(pred - ref, cfg.eps_color))
+    diff = pred - frame.colors[pix_idx]
+    photo = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color))
 
     rc = frame.pix_rc[pix_idx]
-    diff = pred - ref
     percep = tape.as_var(0.0)
     for r in cfg.blur_radii:
         blurred = tape.window_mean(frame.image.shape, rc, diff, int(r))
@@ -407,16 +406,21 @@ def total_loss(
     weights: LossWeights,
     cfg: LossConfig,
     rng: np.random.Generator,
-    n_pixels: int | None = None,
+    n_pixels: int | None,
 ):
     """Weighted sum of every term over one batch; frames[0] is the target.
 
     Per-frame terms (prior, reprojection, alignment, mask, texture) are
     averaged over the batch in list order; the min-k appearance term is
-    evaluated for the target against the remaining frames. Returns
-    (total Var, breakdown dict). The breakdown holds unweighted per-term
-    values plus the raw (unnormalized) min-k value; the total equals the
-    weighted sum of the normalized terms exactly.
+    evaluated for the target against the remaining frames. The silhouette
+    samples and their basis are shared across the batch: each frame's mask
+    term places the target's sphere samples with its own alpha and pose, so
+    the basis net runs on them once per batch. ``n_pixels=None`` keeps
+    every pixel.
+
+    Returns (total Var, breakdown dict). The breakdown holds unweighted
+    per-term values plus the raw (unnormalized) min-k value; the total
+    equals the weighted sum of the normalized terms exactly.
     """
     n_frames = len(frames)
     if n_frames == 0:
@@ -456,10 +460,11 @@ def total_loss(
 
         add("emb_align", embedding_alignment_loss(pred.kappa, pred.R))
 
+        # every frame draws (later draws stay put); only frame 0's set is used
         sphere = sample_sphere(cfg.n_mask_samples, rng)
-        mask_pts = model_mod.reconstruct_points(
-            mdl, leaves, tape.Var(sphere), pred.alpha
-        )
+        if i == 0:
+            B_sphere = model_mod.basis_at(mdl, leaves, tape.Var(sphere))
+        mask_pts = tape.batch_matvec(B_sphere, pred.alpha)
         add("mask", mask_reprojection_loss(
             mask_pts, pred.R, t, frame.camera, frame.raster, frame.mask_dist,
             cfg,

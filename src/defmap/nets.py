@@ -158,7 +158,7 @@ def mlp_forward(theta, cfg: MlpConfig, x) -> tape.Var:
         s = np.sqrt(np.clip(sq, 1e-16, np.inf))
         n = h / s
         r = np.maximum(n @ p[f"blk{k}_w1"].T + p[f"blk{k}_b1"], 0.0)
-        blocks.append((h, sq, s, n, r))
+        blocks.append((sq > 1e-16, s, n, r))
         h = h + (r @ p[f"blk{k}_w2"].T + p[f"blk{k}_b2"])
     out = h @ p["w_out"].T + p["b_out"]
 
@@ -174,13 +174,11 @@ def mlp_forward(theta, cfg: MlpConfig, x) -> tape.Var:
 
         gh = linear("w_out", "b_out", h, np.reshape(g, out.shape))
         for k in reversed(range(cfg.n_res_blocks)):
-            hk, sq, s, n, r = blocks[k]
+            gate, s, n, r = blocks[k]
             gr = linear(f"blk{k}_w2", f"blk{k}_b2", r, gh) * (r > 0.0)
             gn = linear(f"blk{k}_w1", f"blk{k}_b1", n, gr)
-            # n = hk / s with s = sqrt(clip(sq)); the clamp passes no gradient
-            gs = (-gn * hk / (s * s)).sum(axis=-1, keepdims=True)
-            gsq = gs * 0.5 / s * (sq > 1e-16)
-            gh = gh + gn / s + 2.0 * (gsq * hk)
+            # n = h / s with s = sqrt(clip(sq)); the clamp passes no gradient
+            gh += (gn - gate * n * (n * gn).sum(axis=-1, keepdims=True)) / s
         return grad, linear("w_in", "b_in", rows, gh).reshape(x.shape)
 
     return tape._node(out.reshape(-1) if x.ndim == 1 else out, (theta, x), vjp)

@@ -128,14 +128,14 @@ def init_state(model: model_mod.DeformerModel, cfg: TrainConfig) -> TrainState:
     )
 
 
-def sgd_momentum_step(state: TrainState, grads: dict,
-                      lr: float | None = None) -> TrainState:
+def sgd_momentum_step(state: TrainState, grads: dict) -> TrainState:
     """Classical momentum: v <- mu*v + g; theta <- theta - lr*v.
+
+    ``lr`` is ``state.lr`` (times the parameter's ``lr_scale``).
 
     All gradients are validated before any buffer is touched, so a
     NonFiniteGradient leaves the state exactly as it was.
     """
-    lr = state.lr if lr is None else lr
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in {name}")
@@ -143,7 +143,7 @@ def sgd_momentum_step(state: TrainState, grads: dict,
         v = state.velocity[name]
         v *= state.momentum
         v += g
-        state.params[name] -= (lr * state.lr_scale.get(name, 1.0)) * v
+        state.params[name] -= (state.lr * state.lr_scale.get(name, 1.0)) * v
     state.step += 1
     return state
 
@@ -385,7 +385,7 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
                 value, grads = tape.collect(total, leaves)
                 try:
                     gnorm = clip_global_norm(grads, cfg.clip_norm)
-                    sgd_momentum_step(state, grads, state.lr)
+                    sgd_momentum_step(state, grads)
                 except NonFiniteGradient:
                     state.nonfinite += 1
                     gnorm = np.nan

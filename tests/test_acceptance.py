@@ -36,7 +36,7 @@ class TestCriterion01LossGradients:
 
     def test_every_loss_passes_finite_difference_checks(self):
         t0 = time.time()
-        rows = cli.run_gradcheck(n_points=100, seed=0)
+        rows = cli.run_gradcheck(None, False, n_points=100, seed=0)
         elapsed = time.time() - t0
         assert len(rows) == len(cli.GRADCHECK_ROWS)
         worst = {name: err for name, err, ok in rows if not ok}

@@ -540,20 +540,20 @@ class TestEval:
 
 class TestGradcheck:
     def test_pristine_rows_pass(self):
-        rows = cli.run_gradcheck(n_points=6, seed=0)
+        rows = cli.run_gradcheck(None, False, n_points=6, seed=0)
         assert len(rows) == len(cli.GRADCHECK_ROWS)
         assert all(ok for _, _, ok in rows)
 
     def test_corrupt_one_fails_exactly_one(self):
-        rows = cli.run_gradcheck(corrupt_one=True, n_points=6, seed=0)
+        rows = cli.run_gradcheck(None, True, n_points=6, seed=0)
         assert sum(not ok for _, _, ok in rows) == 1
         assert not rows[0][2]
 
     def test_scope_filters(self):
-        rows = cli.run_gradcheck(scope="pseudo_huber", n_points=4, seed=0)
+        rows = cli.run_gradcheck("pseudo_huber", False, n_points=4, seed=0)
         assert [r[0] for r in rows] == ["pseudo_huber"]
         with pytest.raises(InvalidSpec):
-            cli.run_gradcheck(scope="no_such_loss")
+            cli.run_gradcheck("no_such_loss", False, n_points=4, seed=0)
 
     def test_exit_codes(self, tmp_path):
         out = tmp_path / "gc"

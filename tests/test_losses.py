@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from defmap import geom, losses, model, tape, train
+from defmap import geom, losses, model, nets, tape, train
 from defmap.errors import EmptyVisibleSet, KTooLarge, SingularSystem
 
 CFG = losses.LossConfig()
@@ -536,7 +536,7 @@ class TestTotalLoss:
         cfg = losses.LossConfig(n_mask_samples=50, min_k=2)
         leaves = model.make_leaves(m)
         total, br = losses.total_loss(
-            m, leaves, frames, w, cfg, np.random.default_rng(0)
+            m, leaves, frames, w, cfg, np.random.default_rng(0), n_pixels=None
         )
         want = (
             w.w_prior * br["prior"] + w.w_repro * br["repro"]
@@ -556,7 +556,7 @@ class TestTotalLoss:
             leaves = model.make_leaves(m)
             total, br = losses.total_loss(
                 m, leaves, frames, losses.LossWeights(), cfg,
-                np.random.default_rng(1),
+                np.random.default_rng(1), n_pixels=None,
             )
             tape.backward(total)
             return float(total.data), leaves["net:embed"].grad.copy()
@@ -573,9 +573,68 @@ class TestTotalLoss:
         total, br = losses.total_loss(
             m, leaves, frames, losses.LossWeights(),
             losses.LossConfig(n_mask_samples=20), np.random.default_rng(2),
+            n_pixels=None,
         )
         assert br["min_k"] == 0.0
         assert br["min_k_refs"] == 0.0
+
+    def test_basis_runs_once_on_the_mask_samples(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        m = small_model(seed=9)
+        frames = self._batch(rng)
+        cfg = losses.LossConfig(n_mask_samples=17, min_k=2)
+        basis_rows = []
+        real = nets.mlp_forward
+
+        def spy(theta, mlp_cfg, x):
+            if mlp_cfg == m.nets["basis"].config:
+                basis_rows.append(tape.as_var(x).shape[0])
+            return real(theta, mlp_cfg, x)
+
+        monkeypatch.setattr(nets, "mlp_forward", spy)
+        losses.total_loss(m, model.make_leaves(m), frames,
+                          losses.LossWeights(), cfg, np.random.default_rng(5),
+                          n_pixels=None)
+        assert basis_rows.count(cfg.n_mask_samples) == 1
+
+    def test_mask_term_places_the_target_samples_in_every_frame(self):
+        rng = np.random.default_rng(37)
+        m = small_model(seed=10)
+        frames = self._batch(rng)
+        for fr in frames:  # a silhouette whose outside covers the image
+            fr.mask_dist = rng.uniform(0.5, 2.0, fr.mask_dist.shape)
+        cfg = losses.LossConfig(n_mask_samples=40, min_k=2)
+        leaves = model.make_leaves(m)
+        _, br = losses.total_loss(m, leaves, frames, losses.LossWeights(),
+                                  cfg, np.random.default_rng(6), n_pixels=None)
+
+        # with every pixel kept, frame 0's sphere set is the first draw
+        sphere = losses.sample_sphere(cfg.n_mask_samples,
+                                      np.random.default_rng(6))
+        B = model.basis_at(m, leaves, tape.Var(sphere))
+        want = 0.0
+        for fr in frames:
+            pred = model.predict_frame(m, leaves, fr.instance_desc,
+                                       fr.frame_id, fr.descriptors)
+            want += float(losses.mask_reprojection_loss(
+                tape.batch_matvec(B, pred.alpha), pred.R, np.zeros(3),
+                fr.camera, fr.raster, fr.mask_dist, cfg).data)
+        assert br["mask"] > 0.0
+        assert br["mask"] == pytest.approx(want / len(frames), rel=1e-12)
+
+    def test_rng_stream_is_one_subset_and_one_sphere_per_frame(self):
+        rng = np.random.default_rng(38)
+        m = small_model(seed=11)
+        frames = self._batch(rng)
+        cfg = losses.LossConfig(n_mask_samples=25, min_k=2)
+        used = np.random.default_rng(7)
+        losses.total_loss(m, model.make_leaves(m), frames,
+                          losses.LossWeights(), cfg, used, n_pixels=12)
+        replay = np.random.default_rng(7)
+        for fr in frames:
+            losses._frame_pixel_subset(fr, 12, replay)
+            losses.sample_sphere(cfg.n_mask_samples, replay)
+        assert used.bit_generator.state == replay.bit_generator.state
 
     def test_terms_name_every_weight(self):
         # w_alpha and w_rot weigh parts of the prior term
@@ -592,7 +651,7 @@ class TestTotalLoss:
         total, _ = losses.total_loss(
             m, leaves, frames, w,
             losses.LossConfig(n_mask_samples=20, min_k=2),
-            np.random.default_rng(4),
+            np.random.default_rng(4), n_pixels=None,
         )
         value, grads = tape.collect(total, leaves)
         assert value == 0.0
@@ -611,7 +670,7 @@ class TestTotalLoss:
                       for k, (a, b) in bounds.items()}
             total, _ = losses.total_loss(
                 m, leaves, frames, weights, cfg,
-                np.random.default_rng(3),
+                np.random.default_rng(3), n_pixels=None,
             )
             return total
 

@@ -334,7 +334,7 @@ class TestFit:
             assert repr(breakdown["prior"]) == row["prior"]
             _, grads = tape.collect(total, leaves)
             train.clip_global_norm(grads, cfg.clip_norm)
-            train.sgd_momentum_step(state, grads, state.lr)
+            train.sgd_momentum_step(state, grads)
 
     def test_same_seed_same_run(self, tiny_cat, tmp_path):
         cfg = tiny_cfg(epochs=1)
