@@ -107,12 +107,6 @@ def write_manifest(path, command: str, argv, config: dict, inputs: dict,
     return manifest
 
 
-def _require_dataset(path) -> synth.GroundTruthCategory:
-    if not os.path.isfile(os.path.join(path, "category.json")):
-        raise errors.IoError(f"no dataset at {path!r} (category.json missing)")
-    return synth.load_category(path)
-
-
 def _require_model(path) -> model_mod.DeformerModel:
     if not os.path.isfile(path):
         raise errors.IoError(f"no checkpoint at {path!r}")
@@ -159,13 +153,11 @@ def _build_spec(args) -> synth.CategorySpec:
 def cmd_synth_gen(args) -> int:
     spec = _build_spec(args)
     cat = synth.generate_category(spec)
-    synth.save_category(args.out, cat)
+    outputs = synth.save_category(args.out, cat)
     ds_hash = synth.dataset_hash(args.out)
-    outputs = ["category.json", "arrays.npz", "labels.json", "keypoints.csv",
-               *(f"frames/frame_{fr.frame_id:04d}.npz" for fr in cat.frames)]
     write_manifest(
         os.path.join(args.out, "manifest.json"),
-        "synth-gen", args.argv, synth._spec_to_json(spec),
+        "synth-gen", args.argv, asdict(spec),
         inputs={}, outputs=outputs, seed=spec.seed,
     )
     print(f"dataset: {args.out}")
@@ -184,8 +176,9 @@ def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
     base = {} if path is None else _load_json(path)
     weights = base.pop("weights", {})
     lc_fields = base.pop("loss_cfg", {})
-    if "blur_radii" in lc_fields:
-        lc_fields["blur_radii"] = tuple(lc_fields["blur_radii"])
+    radii = lc_fields.get("blur_radii") if isinstance(lc_fields, dict) else None
+    if isinstance(radii, list):     # JSON has no tuples
+        lc_fields["blur_radii"] = tuple(radii)
     overrides = {
         "epochs": args.epochs,
         "batches_per_epoch": args.batches_per_epoch,
@@ -246,7 +239,7 @@ def _fit_usage_error(msg: str):
 def cmd_fit(args) -> int:
     if args.holdout_every < 0:
         _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
-    cat = _require_dataset(args.dataset)
+    cat = synth.load_category(args.dataset)
     state = None
     if args.resume is not None:
         if (args.mode, args.model_config, args.config) != (None, None, None):
@@ -330,7 +323,7 @@ def _report_failures(what: str, failed) -> None:
 def cmd_eval(args) -> int:
     if args.n_points < 2:  # one point or none has no spread to compare
         raise errors.InvalidSpec("--n-points must be >= 2")
-    cat = _require_dataset(args.dataset)
+    cat = synth.load_category(args.dataset)
     mdl = _require_model(args.checkpoint)
     frame_ids = (list(range(len(cat.frames))) if not args.frames
                  else sorted(set(args.frames)))
@@ -586,7 +579,7 @@ def transfer_texture(cat: synth.GroundTruthCategory,
 
 
 def cmd_texture_transfer(args) -> int:
-    cat = _require_dataset(args.dataset)
+    cat = synth.load_category(args.dataset)
     mdl = _require_model(args.checkpoint)
     for fid, label in ((args.target_frame, "target"),
                        (args.texture_frame, "texture")):

@@ -2,8 +2,11 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 the CLI can map error classes to distinct exit codes. :func:`check_keys` is
-the one field check of every stored record's reader.
+the one field check of every stored record's reader, :func:`check_types`
+the type check of every record built from JSON.
 """
+
+from dataclasses import fields
 
 
 class DefmapError(Exception):
@@ -86,3 +89,18 @@ def check_keys(found, expected, what: str, error: type) -> None:
     if missing or unknown:
         raise error(f"{what}: missing fields {sorted(missing)}, "
                     f"unknown fields {sorted(unknown)}")
+
+
+#: field annotation -> the types it admits (an int is a float too)
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+          "tuple": tuple}
+
+
+def check_types(record, error: type) -> None:
+    """Raise ``error`` unless each field of the dataclass ``record`` holds a
+    value of its annotated type; a bool is only a bool."""
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if not isinstance(v, _TYPES[f.type]) or (
+                isinstance(v, bool) and f.type != "bool"):
+            raise error(f"{f.name} must be {f.type}, got {v!r}")

@@ -29,6 +29,7 @@ from .errors import (
     InvalidSpec,
     KTooLarge,
     SingularSystem,
+    check_types,
 )
 
 __all__ = [
@@ -64,8 +65,18 @@ class LossConfig:
     max_clamped_frac: float = 0.5  # reference exclusion threshold
 
     def __post_init__(self):
-        if self.n_mask_samples < 1:
-            raise InvalidSpec("n_mask_samples must be >= 1")
+        check_types(self, InvalidSpec)
+        if not (self.eps_geom > 0 and self.eps_color > 0):
+            raise InvalidSpec("eps_geom and eps_color must be > 0")
+        if self.min_k < 1 or self.n_mask_samples < 1:
+            raise InvalidSpec("min_k and n_mask_samples must be >= 1")
+        if not all(type(r) is int and r >= 0 for r in self.blur_radii):
+            raise InvalidSpec("blur_radii must be non-negative ints, got "
+                              f"{list(self.blur_radii)}")
+        if not self.min_depth > 0:
+            raise InvalidSpec("min_depth must be > 0")
+        if not 0.0 <= self.max_clamped_frac <= 1.0:
+            raise InvalidSpec("max_clamped_frac must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,9 @@ class LossWeights:
     w_mask: float = 1.0
     w_tex_photo: float = 1.0
     w_tex_percep: float = 0.1
+
+    def __post_init__(self):
+        check_types(self, InvalidSpec)
 
     @staticmethod
     def defaults_for(camera_kind: str) -> "LossWeights":

@@ -20,7 +20,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import blob, geom, nets, tape
-from .errors import CheckpointError, DimMismatch, check_keys
+from .errors import (CheckpointError, DimMismatch, InvalidSpec, check_keys,
+                     check_types)
 
 AMORTIZED = "amortized"
 DIRECT_LATENT = "direct_latent"
@@ -48,6 +49,9 @@ class ModelDims:
     head_hidden: int = 32
     head_blocks: int = 2
     pin_first_coeff: bool = False
+
+    def __post_init__(self):
+        check_types(self, InvalidSpec)
 
     def net_configs(self) -> dict[str, nets.MlpConfig]:
         D, Dp = self.n_shape_coeffs, self.n_texture_coeffs
@@ -282,10 +286,10 @@ def load_model(path) -> DeformerModel:
         raise CheckpointError(f"unknown mode {mode!r}")
     check_keys(header["dims"], [f.name for f in fields(ModelDims)],
                "model dims", CheckpointError)
-    dims = ModelDims(**header["dims"])
     try:
+        dims = ModelDims(**header["dims"])
         cfgs = dims.net_configs()
-    except (DimMismatch, TypeError) as e:  # a zero or non-numeric width
+    except (InvalidSpec, DimMismatch) as e:  # a non-int or zero width
         raise CheckpointError(f"model dims: {e}") from e
     check_keys(header["nets"], [k for k in cfgs
                                 if mode == AMORTIZED or k not in _HEADS],

@@ -40,6 +40,7 @@ from .errors import (
     InvalidSpec,
     IoError,
     check_keys,
+    check_types,
 )
 
 __all__ = [
@@ -151,6 +152,7 @@ class CategorySpec:
     n_surface_samples: int = 24000
 
     def __post_init__(self):
+        check_types(self, InvalidSpec)
         if self.camera_kind not in (geom.ORTHOGRAPHIC, geom.PERSPECTIVE):
             raise InvalidSpec(f"unknown camera kind {self.camera_kind!r}")
         positive = {
@@ -185,16 +187,16 @@ class CategorySpec:
 
 @dataclass
 class Frame:
-    """One rendered view plus its training-time observations."""
+    """One rendered view plus its training-time observations; the spec fixes
+    ``camera`` and ``raster``, and ``frame_id`` is the frame's index."""
 
     frame_id: int
     instance_id: int
     camera: geom.CameraIntrinsics
     raster: geom.Raster
-    image: np.ndarray
-    mask: np.ndarray
-    mask_dist: np.ndarray
-    depth: np.ndarray           # camera-frame depth, NaN outside the mask
+    image: np.ndarray           # (H,W,3)
+    mask_dist: np.ndarray       # (H,W) 0 on the silhouette, distance outside
+    depth: np.ndarray           # (H,W) camera-frame z, NaN off the silhouette
     pix_rc: np.ndarray          # (N,2) int (row, col) of refined pixels
     pix_y: np.ndarray           # (N,2) exact normalized pixel-center coords
     descriptors: np.ndarray     # (N,F)
@@ -227,8 +229,10 @@ class GroundTruthCategory:
     alphas: np.ndarray            # (n_instances, D)
     betas: np.ndarray             # (n_instances, T)
     keypoints: np.ndarray         # (K,3) canonical anchors
-    pix_scramble: tuple           # (W1 (h,3), W2 (F,h))
-    inst_scramble: tuple          # (W1 (h,D+T+6), W2 (G,h))
+    pix_w1: np.ndarray            # (h,3)  pixel descriptor scramble
+    pix_w2: np.ndarray            # (F,h)
+    inst_w1: np.ndarray           # (h,D+T+6)  instance descriptor scramble
+    inst_w2: np.ndarray           # (G,h)
     frames: list
 
     def basis_at(self, kappa: np.ndarray) -> np.ndarray:
@@ -252,16 +256,14 @@ class GroundTruthCategory:
         return np.clip(0.5 + raw, 0.02, 0.98)
 
     def pixel_descriptor(self, kappa, rng=None) -> np.ndarray:
-        W1, W2 = self.pix_scramble
-        d = np.tanh(np.asarray(kappa) @ W1.T) @ W2.T
+        d = np.tanh(np.asarray(kappa) @ self.pix_w1.T) @ self.pix_w2.T
         if rng is not None and self.spec.sigma_descriptor > 0:
             d = d + rng.normal(0.0, self.spec.sigma_descriptor, size=d.shape)
         return d
 
     def instance_descriptor(self, alpha, beta, view6d, rng=None) -> np.ndarray:
-        W1, W2 = self.inst_scramble
         v = np.concatenate([alpha, beta, view6d])
-        d = W2 @ np.tanh(W1 @ v)
+        d = self.inst_w2 @ np.tanh(self.inst_w1 @ v)
         if rng is not None and self.spec.sigma_descriptor > 0:
             d = d + rng.normal(0.0, self.spec.sigma_descriptor, size=d.shape)
         return d
@@ -489,7 +491,6 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
         "camera": cam,
         "raster": raster,
         "image": image,
-        "mask": mask,
         "mask_dist": distance_transform_edt(~mask),
         "depth": depth,
         "pix_rc": np.stack([rows, cols], axis=1),
@@ -551,17 +552,7 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         farthest_point_sample(fibonacci_sphere(512), spec.n_keypoints)
     ]
 
-    hidden = max(3 * F, 32)
-    pix_scramble = (
-        rng_shape.standard_normal((hidden, 3)) * 1.2,
-        rng_shape.standard_normal((F, hidden)) / np.sqrt(hidden),
-    )
-    hidden_g = max(3 * G, 32)
-    inst_scramble = (
-        rng_shape.standard_normal((hidden_g, D + T + 6)) * 0.8,
-        rng_shape.standard_normal((G, hidden_g)) / np.sqrt(hidden_g),
-    )
-
+    hidden, hidden_g = max(3 * F, 32), max(3 * G, 32)
     cat = GroundTruthCategory(
         spec=spec,
         basis_coeffs=basis_coeffs,
@@ -570,8 +561,11 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         alphas=alphas,
         betas=betas,
         keypoints=keypoints,
-        pix_scramble=pix_scramble,
-        inst_scramble=inst_scramble,
+        # keyword order is the rng_shape draw order
+        pix_w1=rng_shape.standard_normal((hidden, 3)) * 1.2,
+        pix_w2=rng_shape.standard_normal((F, hidden)) / np.sqrt(hidden),
+        inst_w1=rng_shape.standard_normal((hidden_g, D + T + 6)) * 0.8,
+        inst_w2=rng_shape.standard_normal((G, hidden_g)) / np.sqrt(hidden_g),
         frames=[],
     )
 
@@ -593,7 +587,6 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         else np.array([0.0, 0.0, spec.standoff])
     )
 
-    frame_id = 0
     for i in range(spec.n_instances):
         for _ in range(spec.frames_per_instance):
             if rng_pose.random() < spec.azimuth_major_weight:
@@ -626,7 +619,7 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
 
             view6d = np.concatenate([R[:, 0], R[:, 1]])
             cat.frames.append(Frame(
-                frame_id=frame_id, instance_id=i, **render,
+                frame_id=len(cat.frames), instance_id=i, **render,
                 # keyword order is the rng_noise draw order
                 descriptors=cat.pixel_descriptor(render["gt_kappa"], rng_noise),
                 kp_desc=cat.pixel_descriptor(cat.keypoints, rng_noise),
@@ -636,7 +629,6 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
                 gt_beta=cat.betas[i].copy(), gt_R=R, gt_t=t.copy(),
                 gt_azimuth=az, gt_elevation=el,
             ))
-            frame_id += 1
     return cat
 
 
@@ -673,75 +665,54 @@ def benchmark_spec(seed: int = 0) -> CategorySpec:
 # -- dataset io -----------------------------------------------------------------
 
 
-def _spec_to_json(spec: CategorySpec) -> dict:
-    d = asdict(spec)
-    for k, v in d.items():
-        if isinstance(v, (np.floating, np.integer)):
-            d[k] = v.item()
-    return d
+#: arrays.npz members, in file order. Category members: the
+#: GroundTruthCategory arrays
+_CATEGORY_KEYS = tuple(f.name for f in fields(GroundTruthCategory)
+                       if f.name not in ("spec", "frames"))
+#: Frame fields of one shape in every frame, stacked on a frame axis
+_FRAME_KEYS = ("instance_id", "image", "mask_dist", "depth", "kp_desc",
+               "instance_desc", "gt_alpha", "gt_beta", "gt_R", "gt_t",
+               "gt_azimuth", "gt_elevation")
+#: Frame fields with one row per refined pixel, concatenated in frame order
+#: and split at the ``pix_count`` member (rows per frame)
+_PIXEL_KEYS = ("pix_rc", "pix_y", "descriptors", "colors", "gt_kappa")
+#: ``label_<field>`` per NrsfmLabels field, stacked on a frame axis
+_LABEL_KEYS = tuple(f"label_{f.name}" for f in fields(losses.NrsfmLabels))
 
 
-#: frame_NNNN.npz members in file order: the Frame field of the same name,
-#: except the camera (kind and K) and the raster (ppu, cx, cy)
-_FRAME_KEYS = ("instance_id", "camera_kind", "camera_K", "raster", "image",
-               "mask", "mask_dist", "depth", "pix_rc", "pix_y", "descriptors",
-               "colors", "kp_desc", "instance_desc", "gt_kappa", "gt_alpha",
-               "gt_beta", "gt_R", "gt_t", "gt_azimuth", "gt_elevation")
-#: arrays.npz members in file order: the GroundTruthCategory field of the
-#: same name, except the two (W1, W2) scramble pairs
-_CATEGORY_KEYS = ("basis_coeffs", "albedo_base", "albedo_proj", "alphas",
-                  "betas", "keypoints", "pix_w1", "pix_w2", "inst_w1",
-                  "inst_w2")
-#: labels.json row fields besides ``frame_id``, with their array dtypes
-_LABEL_DTYPES = {"basis": float, "visible": bool, "alpha": float,
-                 "rotation": float}
-
-
-def save_category(root, cat: GroundTruthCategory) -> None:
-    """Directory layout: category.json + arrays.npz + labels.json +
-    frames/*.npz + keypoints.csv."""
+def save_category(root, cat: GroundTruthCategory) -> list[str]:
+    """Write ``cat`` to ``root`` as category.json (the spec), arrays.npz
+    (every array) and keypoints.csv; returns those file names."""
     os.makedirs(root, exist_ok=True)
-    os.makedirs(os.path.join(root, "frames"), exist_ok=True)
     with open(os.path.join(root, "category.json"), "w") as f:
-        json.dump(
-            {"spec": _spec_to_json(cat.spec), "n_frames": len(cat.frames)},
-            f, indent=2, sort_keys=True,
-        )
-    # json round-trips python floats exactly, so the labels stay bit-identical
-    with open(os.path.join(root, "labels.json"), "w") as f:
-        json.dump({"frames": [
-            {"frame_id": fr.frame_id,
-             **{k: getattr(fr.labels, k).tolist() for k in _LABEL_DTYPES}}
-            for fr in cat.frames
-        ]}, f, sort_keys=True)
-    flat = {**vars(cat), "pix_w1": cat.pix_scramble[0],
-            "pix_w2": cat.pix_scramble[1], "inst_w1": cat.inst_scramble[0],
-            "inst_w2": cat.inst_scramble[1]}
-    np.savez(os.path.join(root, "arrays.npz"),
-             **{k: flat[k] for k in _CATEGORY_KEYS})
+        json.dump(asdict(cat.spec), f, indent=2, sort_keys=True)
+    arrays = {k: getattr(cat, k) for k in _CATEGORY_KEYS}
+    for k in _FRAME_KEYS:
+        arrays[k] = np.stack([getattr(fr, k) for fr in cat.frames])
+    for k in _PIXEL_KEYS:
+        arrays[k] = np.concatenate([getattr(fr, k) for fr in cat.frames])
+    arrays["pix_count"] = np.array([len(fr.pix_rc) for fr in cat.frames])
+    for k in _LABEL_KEYS:
+        arrays[k] = np.stack([getattr(fr.labels, k.removeprefix("label_"))
+                              for fr in cat.frames])
+    np.savez(os.path.join(root, "arrays.npz"), **arrays)
     with open(os.path.join(root, "keypoints.csv"), "w") as f:
         f.write("index,x,y,z\n")
         for i, k in enumerate(cat.keypoints):
             f.write(f"{i},{k[0]:.17g},{k[1]:.17g},{k[2]:.17g}\n")
-    for fr in cat.frames:
-        flat = {**vars(fr), "camera_kind": fr.camera.kind,
-                "camera_K": fr.camera.K,
-                "raster": np.array([fr.raster.ppu, fr.raster.cx, fr.raster.cy])}
-        np.savez(os.path.join(root, "frames", f"frame_{fr.frame_id:04d}.npz"),
-                 **{k: flat[k] for k in _FRAME_KEYS})
+    return ["arrays.npz", "category.json", "keypoints.csv"]
 
 
 def _read(path, keys):
     """The JSON object or the .npz members stored at ``path``, which must be
-    keyed by exactly ``keys``; 0-d .npz members become python scalars."""
+    keyed by exactly ``keys``."""
     try:
         if path.endswith(".json"):
             with open(path) as f:
                 out = json.load(f)
         else:
             with np.load(path) as z:
-                out = {k: v.item() if v.ndim == 0 else v
-                       for k, v in z.items()}
+                out = dict(z)
     except (OSError, ValueError, zipfile.BadZipFile) as e:
         raise IoError(f"cannot read {path!r}: {e}") from e
     check_keys(out, keys, path, IoError)
@@ -749,33 +720,32 @@ def _read(path, keys):
 
 
 def load_category(root) -> GroundTruthCategory:
-    meta = _read(os.path.join(root, "category.json"), ("spec", "n_frames"))
-    check_keys(meta["spec"], [f.name for f in fields(CategorySpec)],
-               "category.json spec", IoError)
-    spec = CategorySpec(**meta["spec"])
-    arr = _read(os.path.join(root, "arrays.npz"), _CATEGORY_KEYS)
-    lab_rows = _read(os.path.join(root, "labels.json"), ("frames",))["frames"]
-    if len(lab_rows) != meta["n_frames"]:
-        raise IoError("labels.json frame count mismatch")
-    frames = []
-    for fid, lab in enumerate(lab_rows):
-        check_keys(lab, ("frame_id", *_LABEL_DTYPES),
-                   f"labels.json frame {fid}", IoError)
-        if lab["frame_id"] != fid:
-            raise IoError(f"labels.json out of order at frame {fid}")
-        z = _read(os.path.join(root, "frames", f"frame_{fid:04d}.npz"),
-                  _FRAME_KEYS)
-        camera = geom.CameraIntrinsics(z.pop("camera_kind"), z.pop("camera_K"))
-        raster = geom.Raster(*z.pop("raster").tolist())
-        labels = losses.NrsfmLabels(**{k: np.array(lab[k], dtype=dtype)
-                                       for k, dtype in _LABEL_DTYPES.items()})
-        frames.append(Frame(frame_id=fid, camera=camera, raster=raster,
-                            labels=labels, **z))
-    pix_scramble = (arr.pop("pix_w1"), arr.pop("pix_w2"))
-    inst_scramble = (arr.pop("inst_w1"), arr.pop("inst_w2"))
-    return GroundTruthCategory(spec=spec, pix_scramble=pix_scramble,
-                               inst_scramble=inst_scramble, frames=frames,
-                               **arr)
+    stored = _read(os.path.join(root, "category.json"),
+                   [f.name for f in fields(CategorySpec)])
+    try:
+        spec = CategorySpec(**stored)
+    except InvalidSpec as e:
+        raise IoError(f"category.json: {e}") from e
+    n = spec.n_instances * spec.frames_per_instance
+    z = _read(os.path.join(root, "arrays.npz"), (
+        *_CATEGORY_KEYS, *_FRAME_KEYS, *_PIXEL_KEYS, "pix_count", *_LABEL_KEYS))
+    rows = dict.fromkeys((*_FRAME_KEYS, "pix_count", *_LABEL_KEYS), n)
+    rows.update(dict.fromkeys(_PIXEL_KEYS, z["pix_count"].sum()))
+    for k, r in rows.items():
+        if z[k].shape[:1] != (r,):
+            raise IoError(f"arrays.npz {k}: shape {z[k].shape}, not {r} rows")
+    # 1-d members hold one python scalar per frame
+    per_frame = {k: z[k].tolist() if z[k].ndim == 1 else z[k]
+                 for k in _FRAME_KEYS}
+    ends = np.cumsum(z["pix_count"])[:-1]
+    per_frame.update({k: np.split(z[k], ends) for k in _PIXEL_KEYS})
+    camera, raster = _camera(spec), _default_raster(spec)
+    frames = [Frame(frame_id=i, camera=camera, raster=raster,
+                    labels=losses.NrsfmLabels(*(z[k][i] for k in _LABEL_KEYS)),
+                    **{k: v[i] for k, v in per_frame.items()})
+              for i in range(n)]
+    return GroundTruthCategory(spec=spec, frames=frames,
+                               **{k: z[k] for k in _CATEGORY_KEYS})
 
 
 def dataset_hash(root) -> str:

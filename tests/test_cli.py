@@ -145,10 +145,8 @@ def oracle(work):
 
 class TestSynthGen:
     def test_layout(self, ds):
-        for name in ("category.json", "arrays.npz", "labels.json",
-                     "keypoints.csv", "manifest.json",
-                     "frames/frame_0000.npz"):
-            assert (ds / name).exists(), name
+        assert sorted(p.name for p in ds.iterdir()) == [
+            "arrays.npz", "category.json", "keypoints.csv", "manifest.json"]
 
     def test_same_seed_same_hash(self, ds, tmp_path):
         spec = write_json(tmp_path / "spec.json", SPEC)
@@ -167,7 +165,7 @@ class TestSynthGen:
         assert m["command"] == "synth-gen"
         assert m["seed"] == 4
         assert m["config"]["n_instances"] == 3
-        assert "frames/frame_0005.npz" in m["outputs"]
+        assert m["outputs"] == ["arrays.npz", "category.json", "keypoints.csv"]
         assert m["versions"]["defmap"]
 
     def test_bad_field_value_names_field(self, tmp_path, capsys):
@@ -181,6 +179,18 @@ class TestSynthGen:
         spec = write_json(tmp_path / "s.json", {"bogus": 1})
         assert cli.main(["synth-gen", "--out", str(tmp_path / "x"),
                          "--spec", spec]) == cli.EXIT_CODES[InvalidSpec]
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_instances", "3"), ("image_h", 20.5), ("constant_albedo", 1),
+        ("sigma_label", "0.1"),
+    ])
+    def test_wrong_typed_field_rejected(self, tmp_path, capsys, field, value):
+        spec = write_json(tmp_path / "s.json", {field: value})
+        out = tmp_path / "x"
+        code = cli.main(["synth-gen", "--out", str(out), "--spec", spec])
+        assert code == cli.EXIT_CODES[InvalidSpec] == 14
+        assert _one_error_line(capsys, "InvalidSpec")
+        assert not out.exists()
 
 
 class TestFit:
@@ -377,6 +387,37 @@ class TestFit:
                          "--batches-per-epoch", "1", *flags])
         assert code == cli.EXIT_CODES[InvalidSpec] == 14
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,config,key", [
+        ("--config", {"loss_cfg": {"blur_radii": 5}}, "blur_radii"),
+        ("--config", {"loss_cfg": {"blur_radii": [-3]}}, "blur_radii"),
+        ("--config", {"loss_cfg": {"blur_radii": [1.5]}}, "blur_radii"),
+        ("--config", {"loss_cfg": {"eps_geom": 0}}, "eps_geom"),
+        ("--config", {"loss_cfg": {"eps_color": -0.1}}, "eps_color"),
+        ("--config", {"loss_cfg": {"min_k": 0}}, "min_k"),
+        ("--config", {"loss_cfg": {"min_depth": 0.0}}, "min_depth"),
+        ("--config", {"loss_cfg": {"max_clamped_frac": 1.5}},
+         "max_clamped_frac"),
+        ("--config", {"loss_cfg": {"eps_geom": "0.01"}}, "eps_geom"),
+        ("--config", {"weights": {"w_mask": "x"}}, "w_mask"),
+        ("--model-config", {"embed_hidden": "8"}, "embed_hidden"),
+        ("--model-config", {"pin_first_coeff": 0}, "pin_first_coeff"),
+    ], ids=["blur_radii_not_a_list", "blur_radius_negative",
+            "blur_radius_not_an_int", "eps_geom_zero", "eps_color_negative",
+            "min_k_zero", "min_depth_zero", "max_clamped_frac_above_one",
+            "eps_geom_a_string", "weight_a_string", "model_width_a_string",
+            "model_flag_an_int"])
+    def test_bad_config_value_is_invalid_spec(self, ds, tmp_path, capsys,
+                                              option, config, key):
+        cfg = write_json(tmp_path / "c.json", config)
+        out = tmp_path / "o"
+        code = cli.main(["fit", "--dataset", str(ds), "--out", str(out),
+                         option, cfg, "--epochs", "1",
+                         "--batches-per-epoch", "1"])
+        assert code == cli.EXIT_CODES[InvalidSpec] == 14
+        err = capsys.readouterr().err
+        assert err.count("error[InvalidSpec]") == 1 and key in err
         assert not out.exists()
 
     def test_resume_continues_epochs(self, work, ds, tmp_path):
@@ -607,7 +648,8 @@ class TestTextureTransfer:
         img = read_ppm(out)
         fr = synth.load_category(ds_flat).frames[0]
         orig_q = np.rint(np.clip(fr.image, 0, 1) * 255.0) / 255.0
-        np.testing.assert_array_equal(img[~fr.mask], orig_q[~fr.mask])
+        off = ~np.isfinite(fr.depth)
+        np.testing.assert_array_equal(img[off], orig_q[off])
 
     def test_invariant_to_texture_frame_alpha(self, oracle, tmp_path):
         ds_flat, _ = oracle
@@ -654,7 +696,8 @@ class TestTextureTransfer:
                          "--texture-frame", "0", "--out", str(out)]) == 0
         img = read_ppm(out)
         fr = cat.frames[0]
-        assert np.abs(img[fr.mask] - fr.image[fr.mask]).max() <= 1.0 / 255.0
+        on = np.isfinite(fr.depth)
+        assert np.abs(img[on] - fr.image[on]).max() <= 1.0 / 255.0
 
 
 class TestPpmRoundtrip:
@@ -685,21 +728,52 @@ def _rewrite_json(path, edit):
     path.write_text(json.dumps(payload))
 
 
+def _old_layout(root):
+    """Rewrite a dataset to the superseded layout: the spec and frame count
+    in category.json, category arrays only in arrays.npz, one npz per frame
+    under frames/, labels in labels.json."""
+    with np.load(root / "arrays.npz") as z:
+        arrays = dict(z)
+    _rewrite_json(root / "category.json", lambda d: d.update(
+        spec=dict(d), n_frames=len(arrays["depth"])))
+    np.savez(root / "arrays.npz",
+             **{k: arrays[k] for k in synth._CATEGORY_KEYS})
+    (root / "frames").mkdir()
+    for i, depth in enumerate(arrays["depth"]):
+        np.savez(root / "frames" / f"frame_{i:04d}.npz",
+                 depth=depth, mask=np.isfinite(depth))
+    (root / "labels.json").write_text(json.dumps({"frames": [
+        {"frame_id": i, "alpha": a.tolist()}
+        for i, a in enumerate(arrays["label_alpha"])]}))
+
+
+def _add_pixel(a):
+    a["pix_count"][0] += 1
+
+
 # damage -> how it is done to a copy of a dataset directory
 DATASET_DAMAGE = {
-    "frame_file_missing":
-        lambda root: (root / "frames" / "frame_0001.npz").unlink(),
+    "arrays_file_missing": lambda root: (root / "arrays.npz").unlink(),
     "frame_array_missing": lambda root: _rewrite_npz(
-        root / "frames" / "frame_0001.npz", lambda a: a.pop("colors")),
+        root / "arrays.npz", lambda a: a.pop("image")),
     "frame_array_extra": lambda root: _rewrite_npz(
-        root / "frames" / "frame_0001.npz",
-        lambda a: a.update(bogus=np.zeros(1))),
+        root / "arrays.npz",
+        lambda a: a.update(mask=np.isfinite(a["depth"]))),
+    "frame_array_short": lambda root: _rewrite_npz(
+        root / "arrays.npz", lambda a: a.update(gt_R=a["gt_R"][:-1])),
+    "pixel_array_missing": lambda root: _rewrite_npz(
+        root / "arrays.npz", lambda a: a.pop("colors")),
+    "pix_count_not_the_pixel_rows": lambda root: _rewrite_npz(
+        root / "arrays.npz", _add_pixel),
     "arrays_key_missing": lambda root: _rewrite_npz(
         root / "arrays.npz", lambda a: a.pop("betas")),
-    "label_field_missing": lambda root: _rewrite_json(
-        root / "labels.json", lambda d: d["frames"][1].pop("alpha")),
+    "label_field_missing": lambda root: _rewrite_npz(
+        root / "arrays.npz", lambda a: a.pop("label_alpha")),
     "unknown_spec_field": lambda root: _rewrite_json(
-        root / "category.json", lambda d: d["spec"].update(bogus=1)),
+        root / "category.json", lambda d: d.update(bogus=1)),
+    "spec_field_wrong_type": lambda root: _rewrite_json(
+        root / "category.json", lambda d: d.update(n_instances="3")),
+    "old_layout": _old_layout,
 }
 
 
