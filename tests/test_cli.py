@@ -375,9 +375,18 @@ class TestFit:
         (["--validate-every", "-3"], {}, "validate_every"),
         (["--checkpoint-every", "-2"], {}, "checkpoint_every"),
         ([], {"n_eval_points": 1}, "n_eval_points"),
+        ([], {"loss_cfg": {"blur_radii": [-3]}}, "blur_radii"),
+        ([], {"loss_cfg": {"blur_radii": [1.5]}}, "blur_radii"),
+        ([], {"loss_cfg": {"eps_geom": 0}}, "eps_geom"),
+        ([], {"loss_cfg": {"eps_color": -0.1}}, "eps_color"),
+        ([], {"loss_cfg": {"min_k": 0}}, "min_k"),
+        ([], {"loss_cfg": {"min_depth": 0.0}}, "min_depth"),
+        ([], {"loss_cfg": {"max_clamped_frac": 1.5}}, "max_clamped_frac"),
     ], ids=["n_pixels_zero", "n_pixels_negative", "n_mask_samples_zero",
             "validate_every_negative", "checkpoint_every_negative",
-            "n_eval_points_one"])
+            "n_eval_points_one", "blur_radius_negative",
+            "blur_radius_not_an_int", "eps_geom_zero", "eps_color_negative",
+            "min_k_zero", "min_depth_zero", "max_clamped_frac_above_one"])
     def test_out_of_range_size_is_invalid_spec(self, ds, tmp_path, capsys,
                                                flags, config, key):
         cfg = write_json(tmp_path / "tc.json", config)
@@ -391,25 +400,14 @@ class TestFit:
 
     @pytest.mark.parametrize("option,config,key", [
         ("--config", {"loss_cfg": {"blur_radii": 5}}, "blur_radii"),
-        ("--config", {"loss_cfg": {"blur_radii": [-3]}}, "blur_radii"),
-        ("--config", {"loss_cfg": {"blur_radii": [1.5]}}, "blur_radii"),
-        ("--config", {"loss_cfg": {"eps_geom": 0}}, "eps_geom"),
-        ("--config", {"loss_cfg": {"eps_color": -0.1}}, "eps_color"),
-        ("--config", {"loss_cfg": {"min_k": 0}}, "min_k"),
-        ("--config", {"loss_cfg": {"min_depth": 0.0}}, "min_depth"),
-        ("--config", {"loss_cfg": {"max_clamped_frac": 1.5}},
-         "max_clamped_frac"),
         ("--config", {"loss_cfg": {"eps_geom": "0.01"}}, "eps_geom"),
         ("--config", {"weights": {"w_mask": "x"}}, "w_mask"),
         ("--model-config", {"embed_hidden": "8"}, "embed_hidden"),
         ("--model-config", {"pin_first_coeff": 0}, "pin_first_coeff"),
-    ], ids=["blur_radii_not_a_list", "blur_radius_negative",
-            "blur_radius_not_an_int", "eps_geom_zero", "eps_color_negative",
-            "min_k_zero", "min_depth_zero", "max_clamped_frac_above_one",
-            "eps_geom_a_string", "weight_a_string", "model_width_a_string",
-            "model_flag_an_int"])
-    def test_bad_config_value_is_invalid_spec(self, ds, tmp_path, capsys,
-                                              option, config, key):
+    ], ids=["blur_radii_not_a_list", "eps_geom_a_string", "weight_a_string",
+            "model_width_a_string", "model_flag_an_int"])
+    def test_wrong_typed_field_is_invalid_spec(self, ds, tmp_path, capsys,
+                                               option, config, key):
         cfg = write_json(tmp_path / "c.json", config)
         out = tmp_path / "o"
         code = cli.main(["fit", "--dataset", str(ds), "--out", str(out),
