@@ -194,7 +194,7 @@ def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
             base[key] = val
     if args.ablate:
         base["ablate"] = tuple(args.ablate)
-    elif "ablate" in base:
+    elif isinstance(base.get("ablate"), list):  # JSON has no tuples
         base["ablate"] = tuple(base["ablate"])
     try:
         w = replace(losses.LossWeights.defaults_for(camera_kind), **weights)
@@ -572,7 +572,7 @@ def transfer_texture(cat: synth.GroundTruthCategory,
                                 tex.kp_desc)["beta"]
     leaves = model_mod.make_leaves(mdl)
     colors = model_mod.texture_at(mdl, leaves, tape.Var(kappa),
-                                  tape.Var(beta)).data
+                                  np.tile(beta, (len(kappa), 1))).data
     out = target.image.copy()
     out[target.pix_rc[:, 0], target.pix_rc[:, 1]] = colors
     return out

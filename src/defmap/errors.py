@@ -93,14 +93,15 @@ def check_keys(found, expected, what: str, error: type) -> None:
 
 #: field annotation -> the types it admits (an int is a float too)
 _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-          "tuple": tuple}
+          "tuple": tuple, "int | None": (int, type(None))}
 
 
-def check_types(record, error: type) -> None:
+def check_types(record, error: type, records: dict | None = None) -> None:
     """Raise ``error`` unless each field of the dataclass ``record`` holds a
-    value of its annotated type; a bool is only a bool."""
+    value of its annotated type; a bool is only a bool. ``records`` maps
+    the annotation of a nested record field to the record's class."""
     for f in fields(record):
         v = getattr(record, f.name)
-        if not isinstance(v, _TYPES[f.type]) or (
+        if not isinstance(v, (records or {}).get(f.type) or _TYPES[f.type]) or (
                 isinstance(v, bool) and f.type != "bool"):
             raise error(f"{f.name} must be {f.type}, got {v!r}")

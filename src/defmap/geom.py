@@ -114,15 +114,19 @@ def rotation_from_6d(raw: np.ndarray) -> np.ndarray:
 
 
 def rotation_from_6d_var(raw: tape.Var) -> tape.Var:
-    """Graph twin of :func:`rotation_from_6d`; validates on the raw values."""
-    rotation_from_6d(raw.data)  # degeneracy check outside the graph
-    a = raw[slice(0, 3)]
-    b = raw[slice(3, 6)]
-    c1 = a / tape.sqrt(tape.dot(a, a))
-    b_perp = b - tape.dot(c1, b) * c1
-    c2 = b_perp / tape.sqrt(tape.dot(b_perp, b_perp))
-    c3 = tape.cross3(c1, c2)
-    return tape.transpose(tape.stack([c1, c2, c3], axis=0))
+    """Graph twin of :func:`rotation_from_6d` for a (...,6) stack of raw
+    vectors, giving (...,3,3); validates each on the raw values."""
+    for row in raw.data.reshape(-1, 6):
+        rotation_from_6d(row)  # degeneracy check outside the graph
+    a = raw[..., 0:3]
+    b = raw[..., 3:6]
+
+    def unit(v):
+        return v / tape.sqrt(tape.vsum(v * v, axis=-1, keepdims=True))
+
+    c1 = unit(a)
+    c2 = unit(b - tape.vsum(c1 * b, axis=-1, keepdims=True) * c1)
+    return tape.stack([c1, c2, tape.cross3(c1, c2)], axis=-1)
 
 
 def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -161,8 +165,9 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
 
 
 def rotation_distance_var(R: tape.Var, R_ref: np.ndarray) -> tape.Var:
+    """(3 - trace(R^T R_ref)) / 2 for (...,3,3) stacks, shape (...)."""
     prod = tape.mul(R, np.asarray(R_ref, dtype=np.float64))
-    return (3.0 - tape.vsum(prod)) * 0.5
+    return (3.0 - tape.vsum(prod, axis=(-2, -1))) * 0.5
 
 
 # -- projection ---------------------------------------------------------------
@@ -189,18 +194,18 @@ def project(cam: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
 
 
 def project_var(cam: CameraIntrinsics, X: tape.Var, min_depth: float) -> tape.Var:
-    """Graph twin of :func:`project` for (N,3) point batches.
+    """Graph twin of :func:`project` for (...,3) point stacks, giving (...,2).
 
     For perspective cameras z is clamped from below at ``min_depth`` instead
     of raising, which keeps training losses finite while the model still
     places points behind the camera. The clamp also bounds gradients.
     """
     if cam.kind == ORTHOGRAPHIC:
-        return X[:, :2]
-    z = tape.clip(X[:, 2], min_depth, np.inf)
+        return X[..., :2]
+    z = tape.clip(X[..., 2], min_depth, np.inf)
     (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
-    x_z, y_z = X[:, 0] / z, X[:, 1] / z
-    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy], axis=1)
+    x_z, y_z = X[..., 0] / z, X[..., 1] / z
+    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy], axis=-1)
 
 
 def ray_direction(cam: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:

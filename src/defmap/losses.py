@@ -149,10 +149,24 @@ def pseudo_huber(z, eps: float) -> tape.Var:
 
 
 def pseudo_huber_rows(z, eps: float) -> tape.Var:
-    """Row-wise pseudo-Huber for (N,d) residuals, returns (N,)."""
+    """Pseudo-Huber over the last axis of (...,d) residuals, shape (...)."""
     z = tape.as_var(z)
-    s = tape.vsum(z * z, axis=1)
+    s = tape.vsum(z * z, axis=-1)
     return (tape.sqrt(s * (1.0 / (eps * eps)) + 1.0) - 1.0) * eps
+
+
+# -- batch layout ---------------------------------------------------------------
+#
+# A batch holds F frames. Per-frame quantities are stacked on a leading frame
+# axis: alpha (F,D), R (F,3,3), t (F,3). Per-pixel quantities are the rows of
+# every frame's pixels, frame after frame, with ``seg`` (N,) naming each
+# row's frame. Every term returns the batch mean of its per-frame value.
+
+
+def _onehot(seg: np.ndarray, n_frames: int) -> np.ndarray:
+    """(F,N) constant whose row f is 1 at frame f's rows: a segment sum as
+    one matmul."""
+    return (np.arange(n_frames)[:, None] == seg[None, :]).astype(np.float64)
 
 
 # -- keypoint prior -----------------------------------------------------------
@@ -162,41 +176,55 @@ def prior_loss(
     pred_basis,
     pred_alpha,
     pred_R,
-    labels: NrsfmLabels,
+    labels: list,
     weights: LossWeights,
     cfg: LossConfig,
 ) -> tape.Var:
-    """Anchor predictions to the labels.
+    """Anchor a batch's predictions to its frames' labels.
 
-    ``pred_basis`` holds (V,3,D) basis matrices evaluated at the visible
-    keypoints only, ordered like ``labels.visible.nonzero()``. The keypoint
-    term is averaged over the visible set; the coefficient and rotation
-    terms are added once with their own weights.
+    ``labels`` holds each frame's :class:`NrsfmLabels`; ``pred_alpha`` is
+    (F,D) and ``pred_R`` (F,3,3). ``pred_basis`` holds (V,3,D) basis
+    matrices at the visible keypoints only, frame after frame, each frame's
+    ordered like its ``visible.nonzero()``. Per frame, the keypoint term is
+    averaged over its visible set and the coefficient and rotation terms are
+    added once with their own weights.
     """
-    vis = np.flatnonzero(np.asarray(labels.visible, dtype=bool))
-    if vis.size == 0:
+    vis = [np.flatnonzero(np.asarray(lab.visible, dtype=bool))
+           for lab in labels]
+    counts = np.array([v.size for v in vis])
+    if not counts.all():
         raise EmptyVisibleSet("prior loss needs at least one visible keypoint")
     pred_basis = tape.as_var(pred_basis)
-    if pred_basis.shape[0] != vis.size:
+    if pred_basis.shape[0] != counts.sum():
         raise DimMismatch(
-            f"pred_basis has {pred_basis.shape[0]} rows, expected {vis.size}"
+            f"pred_basis has {pred_basis.shape[0]} rows, expected {counts.sum()}"
         )
-    ref = labels.basis[vis]
-    diff = tape.reshape(pred_basis - ref, (vis.size, -1))
-    kp_term = tape.vmean(pseudo_huber_rows(diff, cfg.eps_geom))
-    a_term = pseudo_huber(tape.as_var(pred_alpha) - labels.alpha, cfg.eps_geom)
-    r_term = geom.rotation_distance_var(tape.as_var(pred_R), labels.rotation)
-    return kp_term + weights.w_alpha * a_term + weights.w_rot * r_term
+    ref = np.concatenate([lab.basis[v] for lab, v in zip(labels, vis)])
+    diff = tape.reshape(pred_basis - ref, (counts.sum(), -1))
+    # each frame's mean over its own visible keypoints
+    kp_term = tape.vsum(pseudo_huber_rows(diff, cfg.eps_geom)
+                        * np.repeat(1.0 / counts, counts))
+    a_term = tape.vsum(pseudo_huber_rows(
+        tape.as_var(pred_alpha) - np.stack([lab.alpha for lab in labels]),
+        cfg.eps_geom))
+    r_term = tape.vsum(geom.rotation_distance_var(
+        tape.as_var(pred_R), np.stack([lab.rotation for lab in labels])))
+    return ((kp_term + weights.w_alpha * a_term + weights.w_rot * r_term)
+            * (1.0 / len(labels)))
 
 
 # -- translation and reprojection ---------------------------------------------
 
 
-def closed_form_translation(points_cam, rays: np.ndarray) -> tape.Var:
-    """Minimizer of sum_k |(X_k + t) - r_k r_k^T (X_k + t)|^2 over t.
+def closed_form_translation(points_cam, rays: np.ndarray, seg: np.ndarray,
+                            n_frames: int) -> tape.Var:
+    """Per frame, the minimizer of sum_k |(X_k + t) - r_k r_k^T (X_k + t)|^2
+    over t, as (F,3).
 
     ``points_cam`` are rotated (t-free) camera-frame points (N,3); ``rays``
-    are constant unit directions. Solves [sum (I - r r^T)] t = sum (r r^T - I) X.
+    are constant unit directions; ``seg`` names each row's frame, the rows
+    running frame after frame. Solves
+    [sum (I - r r^T)] t = sum (r r^T - I) X over each frame's rows.
     Gradients flow through the solve into the points.
     """
     rays = np.asarray(rays, dtype=np.float64)
@@ -205,12 +233,13 @@ def closed_form_translation(points_cam, rays: np.ndarray) -> tape.Var:
     X = tape.as_var(points_cam)
     if X.shape != rays.shape:
         raise DimMismatch("points and rays must align")
-    n = rays.shape[0]
-    A = n * np.eye(3) - rays.T @ rays
-    if n < 2 or np.linalg.cond(A) > 1e12:
+    n = np.bincount(seg, minlength=n_frames)
+    A = np.stack([len(r) * np.eye(3) - r.T @ r
+                  for r in np.split(rays, np.cumsum(n)[:-1])])
+    if n.min() < 2 or np.linalg.cond(A).max() > 1e12:
         raise SingularSystem("translation system is (near-)singular")
     r_dot_x = tape.vsum(X * rays, axis=1, keepdims=True)
-    b = tape.vsum(r_dot_x * rays - X, axis=0)
+    b = tape.matmul(_onehot(seg, n_frames), r_dot_x * rays - X)
     return tape.solve(tape.Var(A), b)
 
 
@@ -230,45 +259,57 @@ def ray_projection_loss(points_posed, rays: np.ndarray, cfg: LossConfig) -> tape
 def reprojection_loss(
     points_world,
     R,
+    seg: np.ndarray,
     cam: geom.CameraIntrinsics,
     pixels: np.ndarray,
     cfg: LossConfig,
 ):
     """Self-consistency between reconstructed points and their source pixels.
 
-    Orthographic: translation is identically zero (2D data is centered in
-    preprocessing) and the residual is the projected offset. Perspective:
-    the translation minimizing the quadratic ray surrogate is solved in
-    closed form, exposed as the frame translation, and the robust loss is
-    the bounded-gradient distance of the translated points to their pixel
-    rays (:func:`ray_projection_loss`).
+    ``points_world`` and ``pixels`` are (N,3) and (N,2) rows, ``seg`` their
+    frames, and ``R`` the frames' (F,3,3) rotations. Orthographic:
+    translation is identically zero (2D data is centered in preprocessing)
+    and the residual is the projected offset. Perspective: each frame's
+    translation minimizing the quadratic ray surrogate is solved in closed
+    form, exposed as the frame translation, and the robust loss is the
+    bounded-gradient distance of the translated points to their pixel rays
+    (:func:`ray_projection_loss`).
 
-    Returns (loss, t) with t a (3,) Var.
+    Returns (loss, t): the batch mean of each frame's sum over its pixels,
+    and the (F,3) translations.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    X = tape.as_var(points_world)
-    X_R = X @ tape.transpose(tape.as_var(R))
+    R = tape.as_var(R)
+    n_frames = R.shape[0]
+    X_R = tape.batch_matvec(R[seg], points_world)
     if cam.kind == geom.ORTHOGRAPHIC:
-        t = tape.Var(np.zeros(3))
-        yhat = X_R[:, :2]
-        loss = tape.vsum(pseudo_huber_rows(yhat - pixels, cfg.eps_geom))
-        return loss, t
-    rays = geom.ray_direction(cam, pixels)
-    t = closed_form_translation(X_R, rays)
-    return ray_projection_loss(X_R + t, rays, cfg), t
+        t = tape.Var(np.zeros((n_frames, 3)))
+        loss = tape.vsum(pseudo_huber_rows(X_R[:, :2] - pixels, cfg.eps_geom))
+    else:
+        rays = geom.ray_direction(cam, pixels)
+        t = closed_form_translation(X_R, rays, seg, n_frames)
+        loss = ray_projection_loss(X_R + t[seg], rays, cfg)
+    return loss * (1.0 / n_frames), t
+
+
+def _posed(points, R, t) -> tape.Var:
+    """(F,M,3) points carried by each frame's (F,3,3) R and (F,3) t."""
+    n = tape.as_var(R).shape[0]
+    return (tape.batch_matvec(tape.reshape(R, (n, 1, 3, 3)), points)
+            + tape.reshape(t, (n, 1, 3)))
 
 
 def cross_project(
     points_world, R_ref, t_ref, cam: geom.CameraIntrinsics, cfg: LossConfig
 ) -> tape.Var:
-    """Map target-frame surface points into a reference frame's image.
+    """Map target-frame surface points into each reference frame's image.
 
-    ``points_world`` are basis(kappa_target) @ alpha_ref; the reference
-    frame's pose (R_ref, t_ref) carries them into its camera and the camera
-    projects.
+    ``points_world`` (R,N,3) holds, for reference r, basis(kappa_target) @
+    alpha_r; reference r's pose (``R_ref[r]``, ``t_ref[r]``) carries them
+    into its camera and the camera projects, giving (R,N,2).
     """
-    X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R_ref)) + t_ref
-    return geom.project_var(cam, X, min_depth=cfg.min_depth)
+    return geom.project_var(cam, _posed(points_world, R_ref, t_ref),
+                            min_depth=cfg.min_depth)
 
 
 # -- appearance ---------------------------------------------------------------
@@ -279,7 +320,7 @@ def image_pyramid(image: np.ndarray, radii) -> list[np.ndarray]:
     image = np.asarray(image, dtype=np.float64)
     rc = np.indices(image.shape[:2]).reshape(2, -1).T
     rows = image.reshape(len(rc), -1)
-    return [image] + [tape.window_mean(image.shape, rc, rows, int(r))
+    return [image] + [tape.window_mean((1, *image.shape), rc, rows, int(r), 0)
                       .data.reshape(image.shape) for r in radii]
 
 
@@ -290,21 +331,24 @@ def photometric_loss(
     target_level_colors: list[np.ndarray],
     cfg: LossConfig,
 ):
-    """Robust multi-level color mismatch along a correspondence field.
+    """Robust multi-level color mismatch along correspondence fields.
 
-    ``coords`` (N,2 Var, normalized units) index the reference frame;
-    ``target_level_colors`` holds the target frame's colors at its own
-    pixels for each pyramid level. Returns (per_pixel (N,) Var,
-    clamped_fraction float). Samples falling outside the reference image
-    are clamped to its border by the sampler.
+    ``coords`` (R,N,2 Var, normalized units) index R references, whose
+    (R,H,W,C) image stacks ``ref_levels`` holds per pyramid level;
+    ``target_level_colors`` holds the target frame's (N,C) colors at its
+    own pixels for each level. Returns (per_pixel (R,N) Var, clamped (R,)
+    fraction per reference). Samples falling outside a reference image are
+    clamped to its border by the sampler.
     """
     px = ref_raster.to_px_var(coords)
+    ref = np.arange(px.shape[0])[:, None]
     per_pixel = None
     for lvl, tgt in zip(ref_levels, target_level_colors):
-        sampled = tape.bilinear_sample(lvl, px)
+        sampled = tape.bilinear_sample(lvl, px, ref)
         cost = pseudo_huber_rows(sampled - tgt, cfg.eps_color)
         per_pixel = cost if per_pixel is None else per_pixel + cost
-    clamped = float(np.mean(tape.clamp_mask(ref_levels[0].shape, px.data)))
+    clamped = np.mean(tape.clamp_mask(ref_levels[0].shape[1:], px.data),
+                      axis=-1)
     return per_pixel, clamped
 
 
@@ -332,14 +376,19 @@ def min_k_loss(cost_matrix, k: int):
     return raw * (1.0 / n), raw
 
 
-def embedding_alignment_loss(kappa, R) -> tape.Var:
-    """Camera-z component of the rotated mean embedding direction, in [-1,1].
+def embedding_alignment_loss(kappa, R, seg: np.ndarray) -> tape.Var:
+    """Camera-z component of each frame's rotated mean embedding direction,
+    in [-1,1], averaged over the batch.
 
+    ``kappa`` (N,3) rows belong to the frames ``seg`` names; ``R`` is (F,3,3).
     Minimizing it turns the average visible embedding away from the camera
     axis, which globally disambiguates front from back.
     """
-    u = nets.l2norm_rows(tape.vmean(tape.as_var(kappa), axis=0))
-    return tape.dot(tape.as_var(R)[2], u)
+    R = tape.as_var(R)
+    onehot = _onehot(seg, R.shape[0])
+    mean = tape.matmul(onehot, kappa) * (1.0 / onehot.sum(axis=1))[:, None]
+    u = nets.l2norm_rows(mean)
+    return tape.vmean(tape.vsum(R[:, 2] * u, axis=-1))
 
 
 def mask_reprojection_loss(
@@ -353,54 +402,63 @@ def mask_reprojection_loss(
 ):
     """Keep uniformly sampled surface points projecting inside the silhouette.
 
-    ``mask_dist`` is the distance transform of the silhouette's outside.
-    Mean squared distance-transform value at each projection, zero inside
-    the mask, plus the squared out-of-image overshoot so samples beyond the
-    border keep a pull-back gradient.
+    ``points_world`` (F,S,3) holds S surface samples per frame, placed by
+    that frame's (F,3,3) ``R`` and (F,3) ``t``; ``mask_dist`` (F,H,W) is
+    each frame's distance transform of the silhouette's outside. Mean
+    squared distance-transform value at each projection, zero inside the
+    mask, plus the squared out-of-image overshoot so samples beyond the
+    border keep a pull-back gradient; averaged over the batch.
     """
-    X = tape.as_var(points_world) @ tape.transpose(tape.as_var(R)) + t
-    proj = geom.project_var(cam, X, min_depth=cfg.min_depth)
+    proj = geom.project_var(cam, _posed(points_world, R, t),
+                            min_depth=cfg.min_depth)
     px = raster.to_px_var(proj)
-    h, w = mask_dist.shape
+    n, h, w = mask_dist.shape
     lim = np.array([w - 1.0, h - 1.0])
     inside_px = tape.clip(px, np.zeros(2), lim)
     overshoot = px - inside_px
-    d = tape.bilinear_sample(mask_dist[:, :, None], inside_px)
+    d = tape.bilinear_sample(mask_dist[..., None], inside_px,
+                             np.arange(n)[:, None])
     return (tape.vmean(d * d)
-            + tape.vmean(tape.vsum(overshoot * overshoot, axis=1)))
+            + tape.vmean(tape.vsum(overshoot * overshoot, axis=-1)))
 
 
 def texture_loss(
     mdl: model_mod.DeformerModel,
     leaves,
-    frame,
-    pix_idx: np.ndarray,
+    frames: list,
+    pix_idx: list,
     kappa,
     beta,
     weights: LossWeights,
     cfg: LossConfig,
 ):
-    """Reconstruct the frame's own colors from (kappa, beta).
+    """Reconstruct each frame's own colors from (kappa, beta).
 
-    The embedding is detached: appearance gradients reach the texture
-    network and beta (and its head) only, never the embedding or basis
-    networks. The single-scale term compares colors at the frame's pixels;
-    the multi-scale stand-in blurs the sparse error image and penalizes it
-    at the same pixels.
+    ``pix_idx`` holds each frame's pixel subset; ``kappa`` their (N,3)
+    embeddings, frame after frame, and ``beta`` the (F,D') style rows. The
+    embedding is detached: appearance gradients reach the texture network
+    and beta (and its head) only, never the embedding or basis networks.
+    The single-scale term compares colors at the frames' pixels; the
+    multi-scale stand-in blurs each frame's sparse error image and
+    penalizes it at the same pixels.
 
-    Returns the weighted sum of the two terms.
+    Returns the batch mean of the weighted sum of the two terms.
     """
+    seg = np.repeat(np.arange(len(frames)), [len(i) for i in pix_idx])
     kappa_det = tape.detach(kappa)
-    pred = model_mod.texture_at(mdl, leaves, kappa_det, beta)
-    diff = pred - frame.colors[pix_idx]
+    pred = model_mod.texture_at(mdl, leaves, kappa_det, tape.as_var(beta)[seg])
+    diff = pred - np.concatenate([fr.colors[i]
+                                  for fr, i in zip(frames, pix_idx)])
     photo = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color))
 
-    rc = frame.pix_rc[pix_idx]
+    rc = np.concatenate([fr.pix_rc[i] for fr, i in zip(frames, pix_idx)])
+    shape = (len(frames), *frames[0].image.shape)
     percep = tape.as_var(0.0)
     for r in cfg.blur_radii:
-        blurred = tape.window_mean(frame.image.shape, rc, diff, int(r))
+        blurred = tape.window_mean(shape, rc, diff, int(r), seg)
         percep = percep + tape.vsum(pseudo_huber_rows(blurred, cfg.eps_color))
-    return weights.w_tex_photo * photo + weights.w_tex_percep * percep
+    return ((weights.w_tex_photo * photo + weights.w_tex_percep * percep)
+            * (1.0 / len(frames)))
 
 
 # -- batch assembly -----------------------------------------------------------
@@ -424,93 +482,88 @@ def total_loss(
 ):
     """Weighted sum of every term over one batch; frames[0] is the target.
 
+    The batch is built batch-major: the frames' pixel subsets are stacked
+    into one set of rows and each per-frame quantity (alpha, beta, R, t) is
+    stacked on a frame axis, so each net runs once per batch and the graph
+    does not grow with the batch. Every frame is seen through frame 0's
+    camera and raster: a category's spec fixes both.
+
     Per-frame terms (prior, reprojection, alignment, mask, texture) are
-    averaged over the batch in list order; the min-k appearance term is
-    evaluated for the target against the remaining frames. The silhouette
-    samples and their basis are shared across the batch: each frame's mask
-    term places the target's sphere samples with its own alpha and pose, so
-    the basis net runs on them once per batch. ``n_pixels=None`` keeps
-    every pixel.
+    averaged over the batch; the min-k appearance term is evaluated for the
+    target against the remaining frames, all references cross-projected at
+    once. The silhouette samples and their basis are shared across the
+    batch: each frame's mask term places the target's sphere samples with
+    its own alpha and pose. ``n_pixels=None`` keeps every pixel.
 
     Returns (total Var, breakdown dict). The breakdown holds unweighted
-    per-term values plus the raw (unnormalized) min-k value; the total
-    equals the weighted sum of the normalized terms exactly.
+    per-term values plus the raw (unnormalized) min-k value and the number
+    of references it kept; the total equals the weighted sum of the
+    normalized terms exactly.
     """
     n_frames = len(frames)
     if n_frames == 0:
         raise DimMismatch("empty batch")
-    preds = []
-    subsets = []
-    translations = []
-    acc = {}
+    cam, raster = frames[0].camera, frames[0].raster
+    subsets, spheres = [], []
+    for frame in frames:  # the draw order of a per-frame loop
+        subsets.append(_frame_pixel_subset(frame, n_pixels, rng))
+        spheres.append(sample_sphere(cfg.n_mask_samples, rng))
+    seg = np.repeat(np.arange(n_frames), [len(i) for i in subsets])
 
-    def add(key, value):
-        acc[key] = acc[key] + value if key in acc else value
+    def rows(field):
+        return np.concatenate([getattr(fr, field)[i]
+                               for fr, i in zip(frames, subsets)])
 
-    for i, frame in enumerate(frames):
-        idx = _frame_pixel_subset(frame, n_pixels, rng)
-        subsets.append(idx)
-        pred = model_mod.predict_frame(
-            mdl, leaves, frame.instance_desc, frame.frame_id,
-            frame.descriptors[idx],
-        )
-        preds.append(pred)
+    pred = model_mod.predict_frame(
+        mdl, leaves, [fr.instance_desc for fr in frames],
+        [fr.frame_id for fr in frames], rows("descriptors"))
+    terms = {}
 
-        lab = frame.labels
-        vis = np.asarray(lab.visible, dtype=bool)
-        kp_emb = model_mod.embed_pixels(mdl, leaves, frame.kp_desc[vis])
-        kp_basis = model_mod.basis_at(mdl, leaves, kp_emb)
-        add("prior", prior_loss(kp_basis, pred.alpha, pred.R, lab, weights, cfg))
+    labels = [fr.labels for fr in frames]
+    kp_emb = model_mod.embed_pixels(mdl, leaves, np.concatenate(
+        [fr.kp_desc[np.asarray(lab.visible, dtype=bool)]
+         for fr, lab in zip(frames, labels)]))
+    kp_basis = model_mod.basis_at(mdl, leaves, kp_emb)
+    terms["prior"] = prior_loss(kp_basis, pred.alpha, pred.R, labels,
+                                weights, cfg)
 
-        basis = model_mod.basis_at(mdl, leaves, pred.kappa)
-        if i == 0:
-            B_target = basis  # the min-k term reprojects the target's points
-        points = tape.batch_matvec(basis, pred.alpha)
-        repro, t = reprojection_loss(
-            points, pred.R, frame.camera, frame.pix_y[idx], cfg
-        )
-        translations.append(t)
-        add("repro", repro)
+    basis = model_mod.basis_at(mdl, leaves, pred.kappa)
+    points = tape.batch_matvec(basis, pred.alpha[seg])
+    terms["repro"], t = reprojection_loss(points, pred.R, seg, cam,
+                                          rows("pix_y"), cfg)
+    terms["emb_align"] = embedding_alignment_loss(pred.kappa, pred.R, seg)
 
-        add("emb_align", embedding_alignment_loss(pred.kappa, pred.R))
+    # every frame drew a sphere set above; only frame 0's is placed
+    B_sphere = model_mod.basis_at(mdl, leaves, tape.Var(spheres[0]))
+    mask_pts = tape.batch_matvec(B_sphere,
+                                 tape.reshape(pred.alpha, (n_frames, 1, -1)))
+    terms["mask"] = mask_reprojection_loss(
+        mask_pts, pred.R, t, cam, raster,
+        np.stack([fr.mask_dist for fr in frames]), cfg)
+    terms["texture"] = texture_loss(mdl, leaves, frames, subsets, pred.kappa,
+                                    pred.beta, weights, cfg)
 
-        # every frame draws (later draws stay put); only frame 0's set is used
-        sphere = sample_sphere(cfg.n_mask_samples, rng)
-        if i == 0:
-            B_sphere = model_mod.basis_at(mdl, leaves, tape.Var(sphere))
-        mask_pts = tape.batch_matvec(B_sphere, pred.alpha)
-        add("mask", mask_reprojection_loss(
-            mask_pts, pred.R, t, frame.camera, frame.raster, frame.mask_dist,
-            cfg,
-        ))
-        add("texture", texture_loss(mdl, leaves, frame, idx, pred.kappa,
-                                    pred.beta, weights, cfg))
-
-    terms = {key: acc[key] * (1.0 / n_frames) for key in acc}  # batch means
-    # min-k cross-frame appearance for the target frame
+    # min-k cross-frame appearance: the target's points, shaped and posed
+    # by each reference in turn
     min_k_raw = 0.0
     n_refs_used = 0
     if n_frames > 1:
-        target = frames[0]
-        idx0 = subsets[0]
-        tgt_levels = target.levels(cfg.blur_radii)
-        tgt_rc = target.pix_rc[idx0]
-        tgt_colors = [lvl[tgt_rc[:, 0], tgt_rc[:, 1]] for lvl in tgt_levels]
-        columns = []
-        for j in range(1, n_frames):
-            ref = frames[j]
-            pts = tape.batch_matvec(B_target, preds[j].alpha)
-            coords = cross_project(pts, preds[j].R, translations[j],
-                                   ref.camera, cfg)
-            per_pixel, clamped = photometric_loss(
-                ref.levels(cfg.blur_radii), ref.raster, coords, tgt_colors, cfg
-            )
-            if clamped > cfg.max_clamped_frac:
-                continue  # reference mostly out of view of this target
-            columns.append(per_pixel)
-        if columns:
-            n_refs_used = len(columns)
-            cost = tape.stack(columns, axis=1)
+        n_tgt = len(subsets[0])
+        tgt_rc = frames[0].pix_rc[subsets[0]]
+        tgt_colors = [lvl[tgt_rc[:, 0], tgt_rc[:, 1]]
+                      for lvl in frames[0].levels(cfg.blur_radii)]
+        ref_levels = [np.stack(lvls) for lvls in
+                      zip(*(fr.levels(cfg.blur_radii) for fr in frames[1:]))]
+        pts = tape.batch_matvec(
+            basis[:n_tgt], tape.reshape(pred.alpha[1:], (n_frames - 1, 1, -1)))
+        coords = cross_project(pts, pred.R[1:], t[1:], cam, cfg)
+        per_pixel, clamped = photometric_loss(ref_levels, raster, coords,
+                                              tgt_colors, cfg)
+        # a reference mostly out of view of this target is left out
+        kept = np.flatnonzero(clamped <= cfg.max_clamped_frac)
+        if kept.size:
+            n_refs_used = int(kept.size)
+            cost = tape.transpose(per_pixel[kept])
             k_eff = min(cfg.min_k, n_refs_used)
             terms["min_k"], raw = min_k_loss(cost, k_eff)
             min_k_raw = float(raw.data)

@@ -52,6 +52,11 @@ class ModelDims:
 
     def __post_init__(self):
         check_types(self, InvalidSpec)
+        for f in fields(self):  # widths are positive, block counts not < 0
+            low = 0 if f.name.endswith("_blocks") else 1
+            if f.type == "int" and getattr(self, f.name) < low:
+                raise InvalidSpec(f"{f.name} must be >= {low}, got "
+                                  f"{getattr(self, f.name)}")
 
     def net_configs(self) -> dict[str, nets.MlpConfig]:
         D, Dp = self.n_shape_coeffs, self.n_texture_coeffs
@@ -133,13 +138,13 @@ def make_leaves(model: DeformerModel) -> dict[str, tape.Var]:
 
 @dataclass
 class FramePrediction:
-    """Differentiable per-frame quantities registered in one graph."""
+    """Differentiable quantities of a batch of F frames in one graph."""
 
     kappa: tape.Var        # (N,3) unit embeddings of the supplied pixels
-    alpha: tape.Var        # (D,)
-    beta: tape.Var         # (D',)
-    view6d: tape.Var       # (6,)
-    R: tape.Var            # (3,3)
+    alpha: tape.Var        # (F,D)
+    beta: tape.Var         # (F,D')
+    view6d: tape.Var       # (F,6)
+    R: tape.Var            # (F,3,3)
 
 
 def embed_pixels(model: DeformerModel, leaves, descriptors) -> tape.Var:
@@ -163,53 +168,49 @@ def reconstruct_points(model, leaves, kappa, alpha) -> tape.Var:
 
 
 def texture_at(model: DeformerModel, leaves, kappa, beta) -> tape.Var:
-    """RGB in [0,1] at (N,3) canonical points for one (D',) style vector.
+    """RGB in [0,1] at (N,3) canonical points, row n styled by the (N,D')
+    ``beta`` row n.
 
     ``kappa`` is consumed as given; callers enforcing the appearance
     stop-gradient must pass a detached embedding.
     """
-    kappa = tape.as_var(kappa)
-    n = kappa.shape[0]
-    ones = np.ones((n, 1))
-    beta_rows = tape.as_var(ones) @ tape.reshape(beta, (1, -1))
-    x = tape.concat([kappa, beta_rows], axis=1)
+    x = tape.concat([tape.as_var(kappa), tape.as_var(beta)], axis=1)
     return tape.sigmoid(nets.mlp_forward(
         leaves["net:texture"], model.nets["texture"].config, x))
-
-
-def _pin_first(alpha: tape.Var) -> tape.Var:
-    head = tape.detach(tape.as_var(np.ones(1)))
-    return tape.concat([head, alpha[slice(1, None)]])
 
 
 def predict_frame(
     model: DeformerModel,
     leaves,
-    instance_descriptor: np.ndarray,
-    frame_index: int,
+    instance_descriptors,
+    frame_ids,
     pixel_descriptors: np.ndarray,
 ) -> FramePrediction:
-    """Embed the given pixels and produce (alpha, beta, viewpoint) for a frame.
+    """Embed the given pixels and produce (alpha, beta, viewpoint) for a
+    batch of frames.
 
-    Amortized mode runs the three heads on the instance descriptor;
-    direct-latent mode reads the frame's free latent row.
+    Amortized mode runs each head once on the (F,G) instance descriptors;
+    direct-latent mode gathers the (F,) ``frame_ids``' free latent rows.
+    ``pixel_descriptors`` (N,F') may hold the pixels of every frame.
     """
     kappa = embed_pixels(model, leaves, pixel_descriptors)
     if model.mode == AMORTIZED:
-        g = np.asarray(instance_descriptor, dtype=np.float64)
-        if g.shape != (model.dims.instance_dim,):
+        g = np.asarray(instance_descriptors, dtype=np.float64)
+        if g.ndim != 2 or g.shape[1] != model.dims.instance_dim:
             raise DimMismatch("instance descriptor width mismatch")
         alpha, beta, v6 = (
             nets.mlp_forward(leaves[f"net:{key}"], model.nets[key].config, g)
             for key in _HEADS)
     else:
-        if frame_index < 0 or frame_index >= model.n_frames():
-            raise DimMismatch(f"frame index {frame_index} out of range")
-        alpha = leaves["lat:alpha"][frame_index]
-        beta = leaves["lat:beta"][frame_index]
-        v6 = leaves["lat:view6d"][frame_index]
+        ids = np.asarray(frame_ids, dtype=int)
+        if ids.min() < 0 or ids.max() >= model.n_frames():
+            raise DimMismatch(f"frame index out of range in {ids.tolist()}")
+        alpha = leaves["lat:alpha"][ids]
+        beta = leaves["lat:beta"][ids]
+        v6 = leaves["lat:view6d"][ids]
     if model.dims.pin_first_coeff:
-        alpha = _pin_first(alpha)
+        head = tape.detach(tape.as_var(np.ones((alpha.shape[0], 1))))
+        alpha = tape.concat([head, alpha[:, 1:]], axis=1)
     R = geom.rotation_from_6d_var(v6)
     return FramePrediction(kappa=kappa, alpha=alpha, beta=beta, view6d=v6, R=R)
 
@@ -237,17 +238,17 @@ def surface_sample(
 
 
 def predict_np(model, instance_descriptor, frame_index, pixel_descriptors):
-    """Numpy view of predict_frame (no gradients kept)."""
+    """Numpy view of predict_frame for one frame (no gradients kept)."""
     pred = predict_frame(
-        model, make_leaves(model), instance_descriptor, frame_index,
+        model, make_leaves(model), [instance_descriptor], [frame_index],
         pixel_descriptors,
     )
     return {
         "kappa": pred.kappa.data,
-        "alpha": pred.alpha.data,
-        "beta": pred.beta.data,
-        "view6d": pred.view6d.data,
-        "R": pred.R.data,
+        "alpha": pred.alpha.data[0],
+        "beta": pred.beta.data[0],
+        "view6d": pred.view6d.data[0],
+        "R": pred.R.data[0],
     }
 
 

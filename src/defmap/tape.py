@@ -182,7 +182,8 @@ def vsum(a, axis=None, keepdims=False) -> Var:
         g = np.asarray(g, dtype=np.float64)
         if axis is None:
             return (np.broadcast_to(g, a.data.shape).copy(),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
+        ax = [d % a.data.ndim for d in (axis if isinstance(axis, tuple)
+                                        else (axis,))]
         if not keepdims:
             for d in sorted(ax):
                 g = np.expand_dims(g, d)
@@ -221,15 +222,28 @@ def transpose(a) -> Var:
     return _node(a.data.T, (a,), vjp)
 
 
+def _scatter_add(index: np.ndarray, values, shape) -> np.ndarray:
+    """Zeros of ``shape`` with each of ``values`` added at the flat
+    ``index`` of the same shape, in order (np.add.at, but one bincount)."""
+    return np.bincount(index.ravel(), weights=np.ravel(values),
+                       minlength=int(np.prod(shape))).reshape(shape)
+
+
 def take(a, key) -> Var:
     """Indexing/slicing; backward scatter-adds into the source shape."""
     a = as_var(a)
     out = a.data[key]
+    # a key of ints, slices and ellipses selects each entry at most once
+    basic = all(isinstance(k, (int, np.integer, slice, type(Ellipsis)))
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def vjp(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, key, g)
-        return (z,)
+        if basic:
+            z = np.zeros_like(a.data)
+            z[key] = g
+            return (z,)
+        src = np.arange(a.data.size).reshape(a.data.shape)[key]
+        return (_scatter_add(src, g, a.data.shape),)
 
     return _node(out, (a,), vjp)
 
@@ -331,27 +345,30 @@ def cross3(a, b) -> Var:
 
 
 def solve(A, b) -> Var:
-    """x = A^-1 b for square A; gradients flow into both A and b."""
+    """x = A^-1 b for a square (n,n) A and (n,) b, or stacks (...,n,n) and
+    (...,n) of them; gradients flow into both A and b."""
     A, b = as_var(A), as_var(b)
-    x = np.linalg.solve(A.data, b.data)
+    x = np.linalg.solve(A.data, b.data[..., None])[..., 0]
 
     def vjp(g):
-        gb = np.linalg.solve(A.data.T, np.asarray(g, dtype=np.float64))
-        gA = -np.outer(gb, x) if x.ndim == 1 else -gb @ x.T
-        return gA, gb
+        gb = np.linalg.solve(np.swapaxes(A.data, -1, -2),
+                             np.asarray(g, dtype=np.float64)[..., None])[..., 0]
+        return -gb[..., :, None] * x[..., None, :], gb
 
     return _node(x, (A, b), vjp)
 
 
 def batch_matvec(M, v) -> Var:
-    """einsum('nij,j->ni') for a (N,r,c) stack of matrices and one (c,) vector."""
+    """einsum('...ij,...j->...i'): a stack of (r,c) matrices times (c,)
+    vectors, the leading axes of ``M`` and ``v`` broadcasting against each
+    other (one vector for every matrix, one per row, one per frame, ...)."""
     M, v = as_var(M), as_var(v)
-    out = M.data @ v.data
+    out = (M.data @ v.data[..., None])[..., 0]
 
     def vjp(g):
         g = np.asarray(g)
-        gM = g[:, :, None] * v.data[None, None, :]
-        gv = np.einsum("nij,ni->j", M.data, g)
+        gM = _unbroadcast(g[..., :, None] * v.data[..., None, :], M.data.shape)
+        gv = _unbroadcast((g[..., None, :] @ M.data)[..., 0, :], v.data.shape)
         return gM, gv
 
     return _node(out, (M, v), vjp)
@@ -360,72 +377,78 @@ def batch_matvec(M, v) -> Var:
 # -- image ops -------------------------------------------------------------
 
 
-def bilinear_sample(image: np.ndarray, coords) -> Var:
-    """Sample a constant (H,W,C) image at float pixel coords (N,2) = (x, y).
+def bilinear_sample(images: np.ndarray, coords, frame) -> Var:
+    """Sample a constant (F,H,W,C) image stack at float pixel coords (...,2)
+    = (x, y), each in the image ``frame`` (int, broadcasting against the
+    coords' leading axes) names; a single image is a stack of one.
 
     Coordinates are clamped to the image rectangle; clamped axes get zero
     gradient (use :func:`clamp_mask` to count them). Gradients flow to the
-    coordinates only, the image is constant data.
+    coordinates only, the images are constant data.
     """
-    image = np.asarray(image, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
     coords = as_var(coords)
-    H, W = image.shape[0], image.shape[1]
-    x = np.clip(coords.data[:, 0], 0.0, W - 1.0)
-    y = np.clip(coords.data[:, 1], 0.0, H - 1.0)
-    x0 = np.clip(np.floor(x).astype(int), 0, W - 2) if W > 1 else np.zeros(len(x), int)
-    y0 = np.clip(np.floor(y).astype(int), 0, H - 2) if H > 1 else np.zeros(len(y), int)
-    tx = (x - x0)[:, None]
-    ty = (y - y0)[:, None]
-    i00 = image[y0, x0]
-    i01 = image[y0, np.minimum(x0 + 1, W - 1)]
-    i10 = image[np.minimum(y0 + 1, H - 1), x0]
-    i11 = image[np.minimum(y0 + 1, H - 1), np.minimum(x0 + 1, W - 1)]
+    H, W = images.shape[1], images.shape[2]
+    cx, cy = coords.data[..., 0], coords.data[..., 1]
+    x = np.clip(cx, 0.0, W - 1.0)
+    y = np.clip(cy, 0.0, H - 1.0)
+    x0 = np.clip(np.floor(x).astype(int), 0, max(W - 2, 0))
+    y0 = np.clip(np.floor(y).astype(int), 0, max(H - 2, 0))
+    x1, y1 = np.minimum(x0 + 1, W - 1), np.minimum(y0 + 1, H - 1)
+    tx = (x - x0)[..., None]
+    ty = (y - y0)[..., None]
+    i00, i01 = images[frame, y0, x0], images[frame, y0, x1]
+    i10, i11 = images[frame, y1, x0], images[frame, y1, x1]
     out = (1 - ty) * ((1 - tx) * i00 + tx * i01) + ty * ((1 - tx) * i10 + tx * i11)
 
-    inside_x = (coords.data[:, 0] > 0.0) & (coords.data[:, 0] < W - 1.0)
-    inside_y = (coords.data[:, 1] > 0.0) & (coords.data[:, 1] < H - 1.0)
+    inside_x = (cx > 0.0) & (cx < W - 1.0)
+    inside_y = (cy > 0.0) & (cy < H - 1.0)
 
     def vjp(g):
         g = np.asarray(g)
         dx = (1 - ty) * (i01 - i00) + ty * (i11 - i10)
         dy = (1 - tx) * (i10 - i00) + tx * (i11 - i01)
         gc = np.zeros_like(coords.data)
-        gc[:, 0] = (g * dx).sum(axis=1) * inside_x
-        gc[:, 1] = (g * dy).sum(axis=1) * inside_y
+        gc[..., 0] = (g * dx).sum(axis=-1) * inside_x
+        gc[..., 1] = (g * dy).sum(axis=-1) * inside_y
         return (gc,)
 
     return _node(out, (coords,), vjp)
 
 
-def clamp_mask(image_shape, coords: np.ndarray) -> np.ndarray:
-    """Boolean mask of samples that fall outside the image rectangle."""
-    H, W = image_shape[0], image_shape[1]
-    x, y = coords[:, 0], coords[:, 1]
+def clamp_mask(image_hw, coords: np.ndarray) -> np.ndarray:
+    """Boolean mask of (...,2) samples that fall outside an image of
+    height and width ``image_hw[:2]``."""
+    H, W = image_hw[0], image_hw[1]
+    x, y = coords[..., 0], coords[..., 1]
     return (x < 0) | (x > W - 1) | (y < 0) | (y > H - 1)
 
 
-def window_mean(shape, rc, values, radius: int) -> Var:
-    """Box blur, at the integer (row, col) pixels ``rc``, of the (H,W,C)
-    image that holds the (N,C) ``values`` there and zero elsewhere.
+def window_mean(shape, rc, values, radius: int, frame) -> Var:
+    """Box blur, at the integer (row, col) pixels ``rc`` of the images
+    ``frame`` names, of the (F,H,W,C) image stack that holds the (N,C)
+    ``values`` there and zero elsewhere.
 
     Windows are ``2 * radius + 1`` wide, centered and edge-truncated, and
     duplicate pixels accumulate. The window is symmetric, so the VJP is the
     same operator applied to the count-normalized gradient.
     """
     values, rc = as_var(values), np.asarray(rc)
-    r, c = rc[:, 0], rc[:, 1]
-    y0, y1 = np.maximum(r - radius, 0), np.minimum(r + radius + 1, shape[0])
-    x0, x1 = np.maximum(c - radius, 0), np.minimum(c + radius + 1, shape[1])
+    f, r, c = frame, rc[:, 0], rc[:, 1]
+    y0, y1 = np.maximum(r - radius, 0), np.minimum(r + radius + 1, shape[1])
+    x0, x1 = np.maximum(c - radius, 0), np.minimum(c + radius + 1, shape[2])
     cnt = ((y1 - y0) * (x1 - x0)).astype(np.float64)[:, None]
 
+    pixel = np.ravel_multi_index(np.broadcast_arrays(f, r, c), shape[:3])
+    cells = pixel[:, None] * shape[3] + np.arange(shape[3])
+
     def window_sums(v, norm=1.0):
-        """Window sums at rc of the image holding v / norm, via one cumsum."""
-        img = np.zeros(shape)
-        np.add.at(img, (r, c), v)
-        img[r, c] /= norm  # after the scatter, so duplicates sum first
-        pad = np.zeros((shape[0] + 1, shape[1] + 1) + tuple(shape[2:]))
-        pad[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
-        return pad[y1, x1] - pad[y0, x1] - pad[y1, x0] + pad[y0, x0]
+        """Window sums at rc of the images holding v / norm, via one cumsum."""
+        img = _scatter_add(cells, v, shape)
+        img[f, r, c] /= norm  # after the scatter, so duplicates sum first
+        pad = np.zeros((shape[0], shape[1] + 1, shape[2] + 1) + tuple(shape[3:]))
+        pad[:, 1:, 1:] = np.cumsum(np.cumsum(img, axis=1), axis=2)
+        return pad[f, y1, x1] - pad[f, y0, x1] - pad[f, y1, x0] + pad[f, y0, x0]
 
     return _node(window_sums(values.data) / cnt, (values,),
                  lambda g: (window_sums(g, cnt),))

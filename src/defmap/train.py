@@ -23,6 +23,7 @@ from .errors import (
     InvalidSpec,
     NonFiniteGradient,
     check_keys,
+    check_types,
 )
 
 _STATE_MAGIC = b"DEFMAP-TRAIN1\n"
@@ -63,12 +64,15 @@ class TrainConfig:
     loss_cfg: losses.LossConfig = field(default_factory=losses.LossConfig)
 
     def __post_init__(self):
+        check_types(self, InvalidSpec,
+                    {"losses.LossWeights": losses.LossWeights,
+                     "losses.LossConfig": losses.LossConfig})
         if not self.lr > 0:
             raise InvalidSpec("lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidSpec("momentum must lie in [0, 1)")
         for name in self.ablate:
-            if name not in losses.TERMS:
+            if not isinstance(name, str) or name not in losses.TERMS:
                 raise InvalidSpec(f"unknown ablation target {name!r}")
         if self.epochs < 0 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise InvalidSpec("schedule sizes must be positive")

@@ -63,7 +63,8 @@ class TestCriterion02TranslationOptimality:
                 if np.linalg.cond(A) < 50.0:   # non-parallel ray instances
                     break
             X = 1.5 * rng.standard_normal((n, 3))
-            closed.append(losses.closed_form_translation(tape.Var(X), rays).data)
+            closed.append(losses.closed_form_translation(
+                tape.Var(X), rays, np.zeros(n, int), 1).data[0])
             A_all.append(A)
             c_all.append(X.sum(axis=0)
                          - (rays * np.sum(rays * X, axis=1, keepdims=True)).sum(axis=0))
@@ -190,30 +191,31 @@ class TestCriterion05GroundTruthFixedPoint:
             lab = fr.labels
             vis = np.asarray(lab.visible, dtype=bool)
             worst["prior"] = max(worst["prior"], float(losses.prior_loss(
-                tape.Var(lab.basis[vis]), tape.Var(lab.alpha),
-                tape.Var(lab.rotation), lab, W, C).data))
+                tape.Var(lab.basis[vis]), tape.Var(lab.alpha[None]),
+                tape.Var(lab.rotation[None]), [lab], W, C).data))
 
             pts = cat.surface_points(fr.gt_kappa, fr.gt_alpha)
+            seg = np.zeros(len(pts), int)
             repro, _ = losses.reprojection_loss(
-                tape.Var(pts), fr.gt_R, fr.camera, fr.pix_y, C)
+                tape.Var(pts), fr.gt_R[None], seg, fr.camera, fr.pix_y, C)
             worst["repro"] = max(worst["repro"], float(repro.data))
 
             # sign convention: the visible side faces the camera, so the
             # alignment score is strictly negative at ground truth
             ea = float(losses.embedding_alignment_loss(
-                tape.Var(fr.gt_kappa), tape.Var(fr.gt_R)).data)
+                tape.Var(fr.gt_kappa), tape.Var(fr.gt_R[None]), seg).data)
             assert ea < 0.0
             worst["emb_align"] = max(worst["emb_align"], ea)
 
             soft = losses.mask_reprojection_loss(
-                tape.Var(pts), tape.Var(fr.gt_R), fr.gt_t, fr.camera,
-                fr.raster, fr.mask_dist, C)
+                tape.Var(pts[None]), tape.Var(fr.gt_R[None]), fr.gt_t[None],
+                fr.camera, fr.raster, fr.mask_dist[None], C)
             worst["mask"] = max(worst["mask"], float(soft.data))
 
             idx = np.arange(len(fr.gt_kappa))
             tex_total = losses.texture_loss(
-                mdl, leaves, fr, idx, tape.Var(fr.gt_kappa),
-                tape.Var(np.zeros(2)), W, C)
+                mdl, leaves, [fr], [idx], tape.Var(fr.gt_kappa),
+                tape.Var(np.zeros((1, 2))), W, C)
             worst["texture"] = max(worst["texture"], float(tex_total.data))
 
         # min-k appearance: target pixels cross-projected into 6 references
@@ -221,15 +223,16 @@ class TestCriterion05GroundTruthFixedPoint:
         tgt_levels = target.levels(C.blur_radii)
         rc = target.pix_rc
         tgt_colors = [lvl[rc[:, 0], rc[:, 1]] for lvl in tgt_levels]
-        cols = []
-        for ref in refs:
-            pts = cat.surface_points(target.gt_kappa, ref.gt_alpha)
-            coords = losses.cross_project(
-                tape.Var(pts), tape.Var(ref.gt_R), ref.gt_t, ref.camera, C)
-            per_pixel, _ = losses.photometric_loss(
-                ref.levels(C.blur_radii), ref.raster, coords, tgt_colors, C)
-            cols.append(per_pixel)
-        min_k, _ = losses.min_k_loss(tape.stack(cols, axis=1), C.min_k)
+        pts = np.stack([cat.surface_points(target.gt_kappa, ref.gt_alpha)
+                        for ref in refs])
+        coords = losses.cross_project(
+            tape.Var(pts), tape.Var(np.stack([ref.gt_R for ref in refs])),
+            np.stack([ref.gt_t for ref in refs]), target.camera, C)
+        ref_levels = [np.stack(lvls) for lvls in
+                      zip(*(ref.levels(C.blur_radii) for ref in refs))]
+        per_pixel, _ = losses.photometric_loss(
+            ref_levels, target.raster, coords, tgt_colors, C)
+        min_k, _ = losses.min_k_loss(tape.transpose(per_pixel), C.min_k)
         worst["min_k"] = float(min_k.data)
 
         over = {k: v for k, v in worst.items() if not v < self.TOL}
@@ -279,9 +282,9 @@ class TestCriterion09StopGradient:
             arr += 0.3 * rng.standard_normal(arr.shape)
         leaves = model_mod.make_leaves(mdl)
         idx = np.arange(0, len(fr.descriptors), 7)
-        pred = model_mod.predict_frame(mdl, leaves, fr.instance_desc,
-                                       fr.frame_id, fr.descriptors[idx])
-        total = losses.texture_loss(mdl, leaves, fr, idx, pred.kappa,
+        pred = model_mod.predict_frame(mdl, leaves, [fr.instance_desc],
+                                       [fr.frame_id], fr.descriptors[idx])
+        total = losses.texture_loss(mdl, leaves, [fr], [idx], pred.kappa,
                                     pred.beta, W, C)
         tape.backward(total)
         for name in ("net:embed", "net:basis"):

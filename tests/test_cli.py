@@ -404,14 +404,38 @@ class TestFit:
         ("--config", {"weights": {"w_mask": "x"}}, "w_mask"),
         ("--model-config", {"embed_hidden": "8"}, "embed_hidden"),
         ("--model-config", {"pin_first_coeff": 0}, "pin_first_coeff"),
+        ("--config", {"n_pixels": 2.5}, "n_pixels"),
+        ("--config", {"n_pixels": True}, "n_pixels"),
+        ("--config", {"seed": 1.5}, "seed"),
+        ("--config", {"ablate": 5}, "ablate"),
+        ("--config", {"ablate": [5]}, "5"),
     ], ids=["blur_radii_not_a_list", "eps_geom_a_string", "weight_a_string",
-            "model_width_a_string", "model_flag_an_int"])
+            "model_width_a_string", "model_flag_an_int", "n_pixels_a_float",
+            "n_pixels_a_bool", "seed_a_float", "ablate_not_a_list",
+            "ablate_target_not_a_name"])
     def test_wrong_typed_field_is_invalid_spec(self, ds, tmp_path, capsys,
                                                option, config, key):
         cfg = write_json(tmp_path / "c.json", config)
         out = tmp_path / "o"
         code = cli.main(["fit", "--dataset", str(ds), "--out", str(out),
                          option, cfg, "--epochs", "1",
+                         "--batches-per-epoch", "1"])
+        assert code == cli.EXIT_CODES[InvalidSpec] == 14
+        err = capsys.readouterr().err
+        assert err.count("error[InvalidSpec]") == 1 and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,key", [
+        ({"embed_hidden": 0}, "embed_hidden"),
+        ({"n_texture_coeffs": -2}, "n_texture_coeffs"),
+        ({"basis_blocks": -1}, "basis_blocks"),
+    ], ids=["width_zero", "width_negative", "block_count_negative"])
+    def test_out_of_range_model_dims_are_invalid_spec(self, ds, tmp_path,
+                                                      capsys, config, key):
+        md = write_json(tmp_path / "md.json", config)
+        out = tmp_path / "o"
+        code = cli.main(["fit", "--dataset", str(ds), "--out", str(out),
+                         "--model-config", md, "--epochs", "1",
                          "--batches-per-epoch", "1"])
         assert code == cli.EXIT_CODES[InvalidSpec] == 14
         err = capsys.readouterr().err

@@ -54,6 +54,19 @@ class TestRotationFrom6D:
         assert tape.grad_check(f, raw, h=1e-6) < 1e-6
 
 
+    def test_var_version_on_a_stack_matches_each_row(self):
+        rng = np.random.default_rng(23)
+        raw = rng.standard_normal((4, 6))
+        R_var = geom.rotation_from_6d_var(tape.Var(raw))
+        assert R_var.shape == (4, 3, 3)
+        for row, R in zip(raw, R_var.data):
+            np.testing.assert_allclose(R, geom.rotation_from_6d(row),
+                                       atol=1e-12)
+        raw[2, 3:] = 2.0 * raw[2, :3]  # one degenerate row fails the stack
+        with pytest.raises(DegenerateInput):
+            geom.rotation_from_6d_var(tape.Var(raw))
+
+
 class TestRotationHelpers:
     def test_rotation_about_fixes_axis_and_turns_by_angle(self):
         rng = np.random.default_rng(3)
@@ -112,6 +125,18 @@ class TestRotationDistance:
         assert float(d.data) == pytest.approx(
             (3.0 - np.trace(A.T @ B)) / 2.0, abs=1e-12)
 
+    def test_var_version_on_a_stack_gives_one_distance_per_pair(self):
+        rng = np.random.default_rng(25)
+        A = np.stack([geom.rotation_from_6d(rng.standard_normal(6))
+                      for _ in range(4)])
+        B = np.stack([geom.rotation_from_6d(rng.standard_normal(6))
+                      for _ in range(4)])
+        d = geom.rotation_distance_var(tape.Var(A), B).data
+        assert d.shape == (4,)
+        for f in range(4):
+            assert d[f] == pytest.approx(rotation_distance(A[f], B[f]),
+                                         abs=1e-12)
+
 
 class TestProjection:
     def test_orthographic_drops_z(self):
@@ -158,6 +183,19 @@ class TestProjection:
                 geom.project(cam, X),
                 atol=1e-12,
             )
+
+    def test_project_var_on_a_stack_matches_each_slice(self):
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((3, 5, 3))
+        X[..., 2] += 5.0
+        cam = geom.CameraIntrinsics(geom.PERSPECTIVE,
+                                    np.array([[1.5, 0.2, 0.1],
+                                              [0.0, 1.4, -0.1],
+                                              [0.0, 0.0, 1.0]]))
+        out = geom.project_var(cam, tape.Var(X), min_depth=1e-3).data
+        for f in range(3):
+            np.testing.assert_allclose(out[f], geom.project(cam, X[f]),
+                                       atol=1e-12)
 
     def test_project_var_depth_clamp(self):
         cam = geom.CameraIntrinsics(geom.PERSPECTIVE, np.eye(3))

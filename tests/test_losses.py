@@ -77,8 +77,8 @@ class TestPriorLoss:
         lab = self._labels(rng)
         vis = np.flatnonzero(lab.visible)
         out = losses.prior_loss(
-            tape.Var(lab.basis[vis]), tape.Var(lab.alpha),
-            tape.Var(lab.rotation), lab, losses.LossWeights(), CFG,
+            tape.Var(lab.basis[vis]), tape.Var(lab.alpha[None]),
+            tape.Var(lab.rotation[None]), [lab], losses.LossWeights(), CFG,
         )
         assert float(out.data) < 1e-15
 
@@ -89,8 +89,8 @@ class TestPriorLoss:
         vis = np.flatnonzero(lab.visible)
         R_pred = geom.rotation_about(np.array([0.0, 0, 1]), np.pi)
         out = losses.prior_loss(
-            tape.Var(lab.basis[vis]), tape.Var(lab.alpha), tape.Var(R_pred),
-            lab, losses.LossWeights(w_rot=1.0), CFG,
+            tape.Var(lab.basis[vis]), tape.Var(lab.alpha[None]),
+            tape.Var(R_pred[None]), [lab], losses.LossWeights(w_rot=1.0), CFG,
         )
         assert float(out.data) == pytest.approx(2.0, abs=1e-12)
 
@@ -104,8 +104,8 @@ class TestPriorLoss:
         w = losses.LossWeights(w_alpha=0.7, w_rot=1.3)
         out = float(
             losses.prior_loss(
-                tape.Var(pred_basis), tape.Var(pred_alpha), tape.Var(pred_R),
-                lab, w, CFG,
+                tape.Var(pred_basis), tape.Var(pred_alpha[None]),
+                tape.Var(pred_R[None]), [lab], w, CFG,
             ).data
         )
 
@@ -124,8 +124,8 @@ class TestPriorLoss:
         lab = self._labels(rng, visible=[False] * 5)
         with pytest.raises(EmptyVisibleSet):
             losses.prior_loss(
-                tape.Var(np.zeros((0, 3, 4))), tape.Var(lab.alpha),
-                tape.Var(np.eye(3)), lab, losses.LossWeights(), CFG,
+                tape.Var(np.zeros((0, 3, 4))), tape.Var(lab.alpha[None]),
+                tape.Var(np.eye(3)[None]), [lab], losses.LossWeights(), CFG,
             )
 
     def test_grad_check(self):
@@ -135,9 +135,9 @@ class TestPriorLoss:
 
         def f(v):
             basis = tape.reshape(v[slice(0, 27)], (3, 3, 3))
-            alpha = v[slice(27, 30)]
-            R = geom.rotation_from_6d_var(v[slice(30, 36)])
-            return losses.prior_loss(basis, alpha, R, lab, w, CFG)
+            alpha = tape.reshape(v[slice(27, 30)], (1, 3))
+            R = geom.rotation_from_6d_var(tape.reshape(v[slice(30, 36)], (1, 6)))
+            return losses.prior_loss(basis, alpha, R, [lab], w, CFG)
 
         assert tape.grad_check(f, rng.standard_normal(36), h=1e-6) < 1e-5
 
@@ -172,14 +172,15 @@ class TestClosedFormTranslation:
                     break
                 t = t - (g @ g) / gAg * g
             t_closed = losses.closed_form_translation(
-                tape.Var(points), rays
-            ).data
+                tape.Var(points), rays, np.zeros(n, int), 1
+            ).data[0]
             assert np.linalg.norm(t_closed - t) < 1e-6
 
     def test_minimality_against_random_probes(self):
         rng = np.random.default_rng(10)
         points, rays = self._instance(rng)
-        t_star = losses.closed_form_translation(tape.Var(points), rays).data
+        t_star = losses.closed_form_translation(
+            tape.Var(points), rays, np.zeros(len(rays), int), 1).data[0]
         f_star = self.quadratic_objective(points, rays, t_star)
         for _ in range(200):
             probe = t_star + rng.standard_normal(3) * rng.uniform(1e-4, 10)
@@ -188,7 +189,8 @@ class TestClosedFormTranslation:
     def test_parallel_rays_singular(self):
         rays = np.tile(unit([0.1, 0.2, 1.0]), (8, 1))
         with pytest.raises(SingularSystem):
-            losses.closed_form_translation(tape.Var(np.zeros((8, 3))), rays)
+            losses.closed_form_translation(tape.Var(np.zeros((8, 3))), rays,
+                                           np.zeros(8, int), 1)
 
     def test_gradient_flows_through_solve(self):
         rng = np.random.default_rng(11)
@@ -196,7 +198,7 @@ class TestClosedFormTranslation:
 
         def f(v):
             pts = tape.reshape(v, (6, 3))
-            t = losses.closed_form_translation(pts, rays)
+            t = losses.closed_form_translation(pts, rays, np.zeros(6, int), 1)
             return tape.dot(t, t)
 
         assert tape.grad_check(f, rng.standard_normal(18), h=1e-6) < 1e-6
@@ -210,11 +212,12 @@ class TestReprojection:
         pix = np.array([[0.5, -0.2]])
         cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
         loss, t = losses.reprojection_loss(
-            tape.Var(pt), tape.Var(np.eye(3)), cam, pix, CFG
+            tape.Var(pt), tape.Var(np.eye(3)[None]), np.zeros(1, int), cam,
+            pix, CFG,
         )
         want = float(losses.pseudo_huber(delta, CFG.eps_geom).data)
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
-        np.testing.assert_array_equal(t.data, np.zeros(3))
+        np.testing.assert_array_equal(t.data, np.zeros((1, 3)))
 
     def test_perspective_exact_geometry_is_zero(self):
         rng = np.random.default_rng(12)
@@ -223,9 +226,10 @@ class TestReprojection:
         t_true = np.array([0.05, -0.08, 4.0])
         X = rng.standard_normal((30, 3)) * 0.5
         pix = geom.project(cam, X @ R.T + t_true)
-        loss, t = losses.reprojection_loss(tape.Var(X), tape.Var(R), cam, pix, CFG)
+        loss, t = losses.reprojection_loss(tape.Var(X), tape.Var(R[None]),
+                                           np.zeros(30, int), cam, pix, CFG)
         assert float(loss.data) < 1e-18
-        np.testing.assert_allclose(t.data, t_true, atol=1e-9)
+        np.testing.assert_allclose(t.data[0], t_true, atol=1e-9)
 
     def test_perspective_t_is_the_ray_quadratic_minimizer(self):
         rng = np.random.default_rng(13)
@@ -234,17 +238,20 @@ class TestReprojection:
         X = rng.standard_normal((25, 3)) * 0.4
         pix = geom.project(cam, X @ R.T + np.array([0.1, 0.2, 5.0])) \
             + rng.standard_normal((25, 2)) * 0.01
+        seg = np.zeros(25, int)
         _, t_solved = losses.reprojection_loss(
-            tape.Var(X), tape.Var(R), cam, pix, CFG
+            tape.Var(X), tape.Var(R[None]), seg, cam, pix, CFG
         )
+        t_solved = t_solved.data[0]
         rays = geom.ray_direction(cam, pix)
-        t_direct = losses.closed_form_translation(tape.Var(X @ R.T), rays).data
-        np.testing.assert_allclose(t_solved.data, t_direct, atol=1e-12)
+        t_direct = losses.closed_form_translation(tape.Var(X @ R.T), rays,
+                                                  seg, 1).data[0]
+        np.testing.assert_allclose(t_solved, t_direct, atol=1e-12)
         f_star = TestClosedFormTranslation.quadratic_objective(
-            X @ R.T, rays, t_solved.data
+            X @ R.T, rays, t_solved
         )
         for _ in range(100):
-            probe = t_solved.data + rng.standard_normal(3) * rng.uniform(0.05, 2.0)
+            probe = t_solved + rng.standard_normal(3) * rng.uniform(0.05, 2.0)
             assert f_star <= TestClosedFormTranslation.quadratic_objective(
                 X @ R.T, rays, probe
             ) + 1e-12
@@ -256,8 +263,9 @@ class TestReprojection:
 
         def f(v):
             X = tape.reshape(v[slice(0, 18)], (6, 3))
-            R = geom.rotation_from_6d_var(v[slice(18, 24)])
-            loss, _ = losses.reprojection_loss(X, R, cam, pix, CFG)
+            R = geom.rotation_from_6d_var(tape.reshape(v[slice(18, 24)], (1, 6)))
+            loss, _ = losses.reprojection_loss(X, R, np.zeros(6, int), cam, pix,
+                                               CFG)
             return loss
 
         x0 = np.concatenate([
@@ -309,7 +317,8 @@ class TestMinK:
 class TestEmbeddingAlignment:
     def test_identity_rotation_mean_z(self):
         kappa = np.tile(unit([0.0, 0.0, 1.0]), (9, 1))
-        out = losses.embedding_alignment_loss(tape.Var(kappa), tape.Var(np.eye(3)))
+        out = losses.embedding_alignment_loss(
+            tape.Var(kappa), tape.Var(np.eye(3)[None]), np.zeros(9, int))
         assert float(out.data) == pytest.approx(1.0)
 
     def test_range_and_rotation_covariance(self):
@@ -318,9 +327,8 @@ class TestEmbeddingAlignment:
             kappa = losses.sample_sphere(40, rng) + rng.standard_normal(3) * 0.3
             kappa = kappa / np.linalg.norm(kappa, axis=1, keepdims=True)
             R = geom.rotation_from_6d(rng.standard_normal(6))
-            v = float(
-                losses.embedding_alignment_loss(tape.Var(kappa), tape.Var(R)).data
-            )
+            v = float(losses.embedding_alignment_loss(
+                tape.Var(kappa), tape.Var(R[None]), np.zeros(40, int)).data)
             assert -1.0 - 1e-9 <= v <= 1.0 + 1e-9
             kbar = unit(kappa.mean(axis=0))
             assert v == pytest.approx(float((R @ kbar)[2]), rel=1e-9, abs=1e-12)
@@ -330,8 +338,8 @@ class TestEmbeddingAlignment:
 
         def f(v):
             kappa = tape.reshape(v[slice(0, 12)], (4, 3))
-            R = geom.rotation_from_6d_var(v[slice(12, 18)])
-            return losses.embedding_alignment_loss(kappa, R)
+            R = geom.rotation_from_6d_var(tape.reshape(v[slice(12, 18)], (1, 6)))
+            return losses.embedding_alignment_loss(kappa, R, np.zeros(4, int))
 
         assert tape.grad_check(f, rng.standard_normal(18), h=1e-6) < 1e-5
 
@@ -352,14 +360,15 @@ class TestMaskLoss:
         _, self.dist = disk_mask_frame_geometry()
         self.raster = geom.Raster(ppu=10.0, cx=15.5, cy=15.5)
         self.cam = geom.CameraIntrinsics(geom.ORTHOGRAPHIC)
-        self.t = tape.Var(np.zeros(3))
+        self.t = tape.Var(np.zeros((1, 3)))
+        self.R = tape.Var(np.eye(3)[None])
 
     def test_inside_is_zero(self):
         rng = np.random.default_rng(20)
         pts = losses.sample_sphere(500, rng) * 0.5  # projects within the disk
         soft = losses.mask_reprojection_loss(
-            tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-            self.dist, CFG,
+            tape.Var(pts[None]), self.R, self.t, self.cam, self.raster,
+            self.dist[None], CFG,
         )
         assert float(soft.data) == 0.0
 
@@ -367,16 +376,16 @@ class TestMaskLoss:
         rng = np.random.default_rng(21)
         pts = losses.sample_sphere(500, rng) * 100.0  # everything outside
         soft = losses.mask_reprojection_loss(
-            tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-            self.dist, CFG,
+            tape.Var(pts[None]), self.R, self.t, self.cam, self.raster,
+            self.dist[None], CFG,
         )
         assert float(soft.data) > 100.0
 
     def test_soft_zero_inside_positive_outside(self):
         pts = np.array([[0.0, 0.0, 0.0], [2.4, 0.0, 0.0]])  # in, out (in-image)
         soft = losses.mask_reprojection_loss(
-            tape.Var(pts), tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-            self.dist, CFG,
+            tape.Var(pts[None]), self.R, self.t, self.cam, self.raster,
+            self.dist[None], CFG,
         )
         assert 0.0 < float(soft.data)
 
@@ -384,10 +393,10 @@ class TestMaskLoss:
         rng = np.random.default_rng(22)
 
         def f(v):
-            pts = tape.reshape(v, (8, 3)) * 1.4
+            pts = tape.reshape(v, (1, 8, 3)) * 1.4
             return losses.mask_reprojection_loss(
-                pts, tape.Var(np.eye(3)), self.t, self.cam, self.raster,
-                self.dist, CFG,
+                pts, self.R, self.t, self.cam, self.raster, self.dist[None],
+                CFG,
             )
 
         x0 = losses.sample_sphere(8, rng).ravel()
@@ -451,22 +460,23 @@ class TestPhotometric:
         rc = f.pix_rc[idx]
         levels = f.levels(CFG.blur_radii)
         tgt = [lvl[rc[:, 0], rc[:, 1]] for lvl in levels]
-        coords = tape.Var(f.pix_y[idx])
+        coords = tape.Var(f.pix_y[idx][None])
         per_pixel, clamped = losses.photometric_loss(
-            levels, f.raster, coords, tgt, CFG
+            [lvl[None] for lvl in levels], f.raster, coords, tgt, CFG
         )
         assert float(per_pixel.data.sum()) < 1e-20
-        assert clamped == 0.0
+        assert clamped.tolist() == [0.0]
 
     def test_constant_color_images(self):
         rng = np.random.default_rng(24)
         fa = FakeFrame(rng)
         c1, c2 = np.array([0.2, 0.4, 0.6]), np.array([0.9, 0.1, 0.3])
         fa.image[:] = c1
-        ref_levels = losses.image_pyramid(np.broadcast_to(c2, fa.image.shape), ())
+        ref_levels = [lvl[None] for lvl in losses.image_pyramid(
+            np.broadcast_to(c2, fa.image.shape), ())]
         idx = np.arange(12)
         tgt = [np.tile(c1, (12, 1))]
-        coords = tape.Var(fa.pix_y[idx])
+        coords = tape.Var(fa.pix_y[idx][None])
         per_pixel, _ = losses.photometric_loss(
             ref_levels, fa.raster, coords, tgt, CFG
         )
@@ -476,11 +486,11 @@ class TestPhotometric:
     def test_out_of_bounds_fraction_reported(self):
         rng = np.random.default_rng(25)
         f = FakeFrame(rng)
-        coords = tape.Var(np.array([[50.0, 50.0], [0.0, 0.0]]))  # one far out
-        levels = f.levels(())
+        coords = tape.Var(np.array([[[50.0, 50.0], [0.0, 0.0]]]))  # one far out
+        levels = [lvl[None] for lvl in f.levels(())]
         tgt = [np.zeros((2, 3))]
         _, clamped = losses.photometric_loss(levels, f.raster, coords, tgt, CFG)
-        assert clamped == pytest.approx(0.5)
+        assert clamped.tolist() == pytest.approx([0.5])
 
 
 class TestTextureLoss:
@@ -491,9 +501,9 @@ class TestTextureLoss:
         leaves = model.make_leaves(m)
         idx = np.arange(f.descriptors.shape[0])
         kappa = model.embed_pixels(m, leaves, f.descriptors[idx])
-        beta = tape.Var(rng.standard_normal(3))
+        beta = tape.Var(rng.standard_normal((1, 3)))
         total = losses.texture_loss(
-            m, leaves, f, idx, kappa, beta, losses.LossWeights(), CFG
+            m, leaves, [f], [idx], kappa, beta, losses.LossWeights(), CFG
         )
         _, grads = tape.collect(total, {**leaves, "beta": beta})
         assert not np.any(grads["net:embed"])
@@ -508,14 +518,15 @@ class TestTextureLoss:
         idx = np.arange(f.descriptors.shape[0])
         leaves = model.make_leaves(m)
         kappa = model.embed_pixels(m, leaves, f.descriptors[idx])
-        beta = tape.Var(np.zeros(3))
+        beta = tape.Var(np.zeros((1, 3)))
         # force the texture net to reproduce each pixel's color is impossible
         # in general; instead make the frame's colors equal the net's output
-        pred = model.texture_at(m, leaves, tape.detach(kappa), beta)
+        pred = model.texture_at(m, leaves, tape.detach(kappa),
+                                np.zeros((len(idx), 3)))
         f.colors = pred.data.copy()
         f.image[f.pix_rc[:, 0], f.pix_rc[:, 1]] = pred.data
         total = losses.texture_loss(
-            m, leaves, f, idx, kappa, beta, losses.LossWeights(), CFG
+            m, leaves, [f], [idx], kappa, beta, losses.LossWeights(), CFG
         )
         assert float(total.data) < 1e-18
 
@@ -614,11 +625,12 @@ class TestTotalLoss:
         B = model.basis_at(m, leaves, tape.Var(sphere))
         want = 0.0
         for fr in frames:
-            pred = model.predict_frame(m, leaves, fr.instance_desc,
-                                       fr.frame_id, fr.descriptors)
+            pred = model.predict_frame(m, leaves, [fr.instance_desc],
+                                       [fr.frame_id], fr.descriptors)
             want += float(losses.mask_reprojection_loss(
-                tape.batch_matvec(B, pred.alpha), pred.R, np.zeros(3),
-                fr.camera, fr.raster, fr.mask_dist, cfg).data)
+                tape.batch_matvec(B, tape.reshape(pred.alpha, (1, 1, -1))),
+                pred.R, np.zeros((1, 3)), fr.camera, fr.raster,
+                fr.mask_dist[None], cfg).data)
         assert br["mask"] > 0.0
         assert br["mask"] == pytest.approx(want / len(frames), rel=1e-12)
 

@@ -84,7 +84,7 @@ class TestTexture:
         p.view("b_out")[:] = 0.0
         leaves = model.make_leaves(m)
         kappa = tape.Var(np.tile([0, 0, 1.0], (5, 1)))
-        beta = tape.Var(np.zeros(3))
+        beta = tape.Var(np.zeros((5, 3)))
         out = model.texture_at(m, leaves, kappa, beta)
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
@@ -94,16 +94,16 @@ class TestTexture:
         rng = np.random.default_rng(6)
         kappa = rng.standard_normal((40, 3))
         kappa /= np.linalg.norm(kappa, axis=1, keepdims=True)
-        out = model.texture_at(m, leaves, tape.Var(kappa),
-                               tape.Var(rng.standard_normal(3) * 3))
+        beta = np.tile(rng.standard_normal(3) * 3, (40, 1))
+        out = model.texture_at(m, leaves, tape.Var(kappa), tape.Var(beta))
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_beta_changes_colors(self):
         m = small_model(seed=7)
         leaves = model.make_leaves(m)
         kappa = tape.Var(np.tile([1.0, 0, 0], (3, 1)))
-        c1 = model.texture_at(m, leaves, kappa, tape.Var(np.array([2.0, 0, 0])))
-        c2 = model.texture_at(m, leaves, kappa, tape.Var(np.array([-2.0, 0, 0])))
+        c1 = model.texture_at(m, leaves, kappa, np.tile([2.0, 0, 0], (3, 1)))
+        c2 = model.texture_at(m, leaves, kappa, np.tile([-2.0, 0, 0], (3, 1)))
         assert np.max(np.abs(c1.data - c2.data)) > 1e-6
 
 
@@ -115,10 +115,10 @@ class TestPredictFrame:
         p.view("b_out")[:] = geom.IDENTITY_6D
         leaves = model.make_leaves(m)
         pred = model.predict_frame(
-            m, leaves, np.random.default_rng(9).standard_normal(5), 0,
+            m, leaves, np.random.default_rng(9).standard_normal((1, 5)), [0],
             np.random.default_rng(10).standard_normal((4, 6)),
         )
-        np.testing.assert_allclose(pred.R.data, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(pred.R.data[0], np.eye(3), atol=1e-12)
 
     def test_direct_latents_pass_through(self):
         m = small_model(mode=model.DIRECT_LATENT, n_frames=3)
@@ -126,17 +126,17 @@ class TestPredictFrame:
         m.latents["alpha"][1] = rng.standard_normal(4)
         m.latents["beta"][1] = rng.standard_normal(3)
         leaves = model.make_leaves(m)
-        pred = model.predict_frame(m, leaves, None, 1,
+        pred = model.predict_frame(m, leaves, None, [1],
                                    rng.standard_normal((2, 6)))
-        np.testing.assert_array_equal(pred.alpha.data, m.latents["alpha"][1])
-        np.testing.assert_array_equal(pred.beta.data, m.latents["beta"][1])
-        np.testing.assert_allclose(pred.R.data, np.eye(3), atol=1e-12)
+        np.testing.assert_array_equal(pred.alpha.data[0], m.latents["alpha"][1])
+        np.testing.assert_array_equal(pred.beta.data[0], m.latents["beta"][1])
+        np.testing.assert_allclose(pred.R.data[0], np.eye(3), atol=1e-12)
 
     def test_direct_frame_index_checked(self):
         m = small_model(mode=model.DIRECT_LATENT, n_frames=2)
         leaves = model.make_leaves(m)
         with pytest.raises(DimMismatch):
-            model.predict_frame(m, leaves, None, 5, np.zeros((1, 6)))
+            model.predict_frame(m, leaves, None, [5], np.zeros((1, 6)))
 
     def test_pinned_first_coeff(self):
         dims = model.ModelDims(
@@ -145,14 +145,30 @@ class TestPredictFrame:
         m = small_model(dims=dims, seed=12)
         leaves = model.make_leaves(m)
         pred = model.predict_frame(
-            m, leaves, np.random.default_rng(13).standard_normal(5), 0,
+            m, leaves, np.random.default_rng(13).standard_normal((1, 5)), [0],
             np.zeros((1, 6)),
         )
-        assert pred.alpha.data[0] == 1.0
+        assert pred.alpha.data[0, 0] == 1.0
         loss = tape.vsum(pred.alpha * pred.alpha)
         tape.backward(loss)
         # gradient w.r.t. the head flows only through the free coefficients
         assert np.isfinite(leaves["net:shape_head"].grad).all()
+
+    def test_batch_rows_match_single_frames(self):
+        for mode, n_frames in ((model.AMORTIZED, 0), (model.DIRECT_LATENT, 4)):
+            m = small_model(mode=mode, n_frames=n_frames, seed=23)
+            for arr in m.param_arrays().values():
+                arr += 0.1 * np.random.default_rng(24).standard_normal(arr.shape)
+            g = np.random.default_rng(25).standard_normal((3, 5))
+            d = np.random.default_rng(26).standard_normal((3, 6))
+            ids = [3, 0, 2]
+            batch = model.predict_frame(m, model.make_leaves(m), g, ids, d)
+            assert batch.R.shape == (3, 3, 3)
+            for f in range(3):
+                one = model.predict_np(m, g[f], ids[f], d[f:f + 1])
+                for key in ("alpha", "beta", "view6d", "R"):
+                    np.testing.assert_allclose(getattr(batch, key).data[f],
+                                               one[key], rtol=1e-13, atol=1e-15)
 
     def test_prediction_deterministic(self):
         m = small_model(seed=14)

@@ -195,6 +195,50 @@ class TestStructured:
         x = tape.solve(tape.Var(A), tape.Var(b))
         np.testing.assert_allclose(x.data, np.linalg.solve(A, b), atol=1e-12)
 
+    def test_solve_stacked_grads_and_values(self):
+        rng = np.random.default_rng(17)
+        A0 = rng.standard_normal((2, 3, 3)) + np.eye(3) * 4.0
+        b0 = rng.standard_normal((2, 3))
+        x = tape.solve(tape.Var(A0), tape.Var(b0)).data
+        for f in range(2):
+            np.testing.assert_allclose(x[f], np.linalg.solve(A0[f], b0[f]),
+                                       atol=1e-12)
+
+        def build(v):
+            A = tape.reshape(v[slice(0, 18)], (2, 3, 3)) + np.eye(3) * 4.0
+            x = tape.solve(A, tape.reshape(v[slice(18, 24)], (2, 3)))
+            return tape.vsum(x * x * np.array([1.0, 2.0, 3.0]))
+
+        check_op(build, 24, rng, tol=1e-5)
+
+    def test_batch_matvec_broadcasts_leading_axes(self):
+        rng = np.random.default_rng(18)
+        M, v = rng.standard_normal((5, 3, 2)), rng.standard_normal((4, 1, 2))
+        out = tape.batch_matvec(M, v).data  # every matrix times every vector
+        assert out.shape == (4, 5, 3)
+        np.testing.assert_allclose(out, np.einsum("sij,fj->fsi", M, v[:, 0]),
+                                   atol=1e-12)
+        rows = tape.batch_matvec(M, v[:, 0][[0, 1, 1, 3, 2]]).data  # per row
+        np.testing.assert_allclose(rows[2], M[2] @ v[1, 0], atol=1e-12)
+
+        def build(x):
+            Mv = tape.reshape(x[slice(0, 30)], (5, 3, 2))
+            vv = tape.reshape(x[slice(30, 38)], (4, 1, 2))
+            y = tape.batch_matvec(Mv, vv)
+            return tape.vsum(y * y)
+
+        check_op(build, 38, rng)
+
+    def test_sum_over_negative_axes(self):
+        rng = np.random.default_rng(19)
+
+        def build(v):
+            a = tape.reshape(v, (2, 3, 4))
+            s = tape.vsum(a * a, axis=(-2, -1))
+            return tape.vsum(s * np.array([1.0, 3.0]))
+
+        check_op(build, 24, rng)
+
     def test_batch_matvec(self):
         rng = np.random.default_rng(10)
 
@@ -223,7 +267,7 @@ class TestImageOps:
         rng = np.random.default_rng(12)
         img = rng.random((5, 7, 3))
         coords = np.array([[1.25, 2.5], [0.0, 0.0], [5.9, 3.1]])
-        out = tape.bilinear_sample(img, tape.Var(coords)).data
+        out = tape.bilinear_sample(img[None], tape.Var(coords), 0).data
         x, y = 1.25, 2.5
         manual = (
             (1 - 0.5) * ((1 - 0.25) * img[2, 1] + 0.25 * img[2, 2])
@@ -238,7 +282,7 @@ class TestImageOps:
 
         def build(v):
             coords = tape.reshape(v * 0.8 + 2.5, (5, 2))
-            vals = tape.bilinear_sample(img, coords)
+            vals = tape.bilinear_sample(img[None], coords, 0)
             return tape.vsum(vals * vals)
 
         check_op(build, 10, rng, tol=1e-5)
@@ -248,8 +292,42 @@ class TestImageOps:
         coords = np.array([[-3.0, 1.0], [1.0, 1.0], [9.0, 9.0]])
         mask = tape.clamp_mask(img.shape, coords)
         np.testing.assert_array_equal(mask, [True, False, True])
-        out = tape.bilinear_sample(img, tape.Var(coords))
+        out = tape.bilinear_sample(img[None], tape.Var(coords), 0)
         np.testing.assert_allclose(out.data, 1.0)
+
+    def test_bilinear_sample_reads_each_rows_own_image(self):
+        rng = np.random.default_rng(20)
+        imgs = rng.random((3, 6, 5, 2))
+        coords = rng.uniform(-1.0, 6.0, size=(4, 7, 2))
+        frame = np.array([2, 0, 1, 2])[:, None]
+        g = rng.standard_normal((4, 7, 2))
+        c = tape.Var(coords)
+        out = tape.bilinear_sample(imgs, c, frame)
+        tape.backward(tape.vsum(out * g))
+        for i, f in enumerate(frame[:, 0]):
+            ci = tape.Var(coords[i])
+            one = tape.bilinear_sample(imgs[f][None], ci, 0)
+            tape.backward(tape.vsum(one * g[i]))
+            assert one.data.tobytes() == out.data[i].tobytes()
+            assert ci.grad.tobytes() == c.grad[i].tobytes()
+
+    def test_window_mean_keeps_frames_apart(self):
+        rng = np.random.default_rng(21)
+        shape = (3, 6, 7, 2)
+        frame = np.array([0, 1, 1, 2, 0, 2, 1])
+        rc = np.array([[2, 3]] * 4 + [[0, 0], [5, 6], [2, 3]])
+        vals = rng.standard_normal((7, 2))
+        w = rng.standard_normal((7, 2))
+        got = tape.Var(vals)
+        out = tape.window_mean(shape, rc, got, 2, frame)
+        tape.backward(tape.vsum(out * w))
+        for f in range(3):
+            sel = frame == f
+            one_v = tape.Var(vals[sel])
+            one = tape.window_mean((1, *shape[1:]), rc[sel], one_v, 2, 0)
+            tape.backward(tape.vsum(one * w[sel]))
+            assert one.data.tobytes() == out.data[sel].tobytes()
+            assert one_v.grad.tobytes() == got.grad[sel].tobytes()
 
     def test_window_mean_matches_whole_image_reference(self):
         rng = np.random.default_rng(14)
@@ -263,7 +341,7 @@ class TestImageOps:
         w = rng.standard_normal((len(rc), 3))
         for radius in (0, 1, 2, 4, 9):  # 9 spans the whole image
             got, want = tape.Var(vals), tape.Var(vals)
-            out = tape.window_mean(shape, rc, got, radius)
+            out = tape.window_mean((1, *shape), rc, got, radius, 0)
             ref = reference_window_mean(shape, rc, want, radius)
             assert out.data.tobytes() == ref.data.tobytes(), radius
             tape.backward(tape.vsum(out * w))
@@ -280,7 +358,7 @@ class TestImageOps:
 
     def test_window_mean_keeps_a_constant_image(self):
         rc = np.indices((5, 6)).reshape(2, -1).T
-        out = tape.window_mean((5, 6, 3), rc, np.full((30, 3), 2.5), 2)
+        out = tape.window_mean((1, 5, 6, 3), rc, np.full((30, 3), 2.5), 2, 0)
         np.testing.assert_allclose(out.data, 2.5, atol=1e-12)
 
     def test_window_mean_grad(self):
@@ -290,7 +368,7 @@ class TestImageOps:
 
         def build(v):
             vals = tape.reshape(v, (5, 2))
-            out = tape.window_mean((4, 4, 2), rc, vals, 1)
+            out = tape.window_mean((1, 4, 4, 2), rc, vals, 1, 0)
             return tape.vsum(out * out * w)
 
         check_op(build, 10, rng)
