@@ -162,6 +162,11 @@ def cmd_synth_gen(args) -> int:
     )
     print(f"dataset: {args.out}")
     print(f"frames: {len(cat.frames)}")
+    # seeded: the z-buffer's silhouette; kept: the pixels whose refinement
+    # converged (the rest are dropped)
+    kept = sum(len(fr.pix_rc) for fr in cat.frames)
+    seeded = sum(int(np.count_nonzero(fr.mask_dist == 0)) for fr in cat.frames)
+    print(f"pixels: {kept} of {seeded} refined")
     print(f"dataset_hash: {ds_hash}")
     return 0
 

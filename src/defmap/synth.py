@@ -206,11 +206,8 @@ class Frame:
     labels: losses.NrsfmLabels
     gt_kappa: np.ndarray        # (N,3) refined canonical points
     gt_alpha: np.ndarray
-    gt_beta: np.ndarray
     gt_R: np.ndarray
     gt_t: np.ndarray
-    gt_azimuth: float
-    gt_elevation: float
     _levels: dict = field(default_factory=dict, repr=False)
 
     def levels(self, radii) -> list[np.ndarray]:
@@ -375,7 +372,11 @@ def _camera(spec: CategorySpec) -> geom.CameraIntrinsics:
 
 
 def _zbuffer(spec, px, z):
-    """3x3 splatted z-buffer. Returns (mask, depth grid, winner sample idx)."""
+    """3x3 splatted z-buffer. Returns (mask, depth grid, winner sample idx).
+
+    Each pixel keeps its nearest splat entry; among equally near entries,
+    the last one (entries run offset by offset, samples in order within).
+    """
     H, W = spec.image_h, spec.image_w
     cols = np.rint(px[:, 0]).astype(int)
     rows = np.rint(px[:, 1]).astype(int)
@@ -385,14 +386,19 @@ def _zbuffer(spec, px, z):
     all_z = np.tile(z, len(offsets))
     all_i = np.tile(np.arange(len(z)), len(offsets))
     ok = (all_r >= 0) & (all_r < H) & (all_c >= 0) & (all_c < W)
-    all_r, all_c, all_z, all_i = all_r[ok], all_c[ok], all_z[ok], all_i[ok]
-    order = np.argsort(-all_z, kind="stable")  # write nearest last
-    depth = np.full((H, W), np.nan)
-    winner = np.full((H, W), -1, dtype=int)
-    depth[all_r[order], all_c[order]] = all_z[order]
-    winner[all_r[order], all_c[order]] = all_i[order]
-    mask = winner >= 0
-    return mask, depth, winner
+    pix = all_r[ok] * W + all_c[ok]
+    all_z, all_i = all_z[ok], all_i[ok]
+    near = np.full(H * W, np.inf)
+    np.minimum.at(near, pix, all_z)
+    front = np.flatnonzero(all_z == near[pix])
+    last = np.full(H * W, -1)
+    np.maximum.at(last, pix[front], front)
+    mask = last >= 0
+    depth = np.full(H * W, np.nan)
+    winner = np.full(H * W, -1)
+    depth[mask] = all_z[last[mask]]
+    winner[mask] = all_i[last[mask]]
+    return mask.reshape(H, W), depth.reshape(H, W), winner.reshape(H, W)
 
 
 def _tangent_frame(kappa: np.ndarray):
@@ -414,31 +420,42 @@ def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
 
     Works in a fixed 2D tangent chart at each seed; the Jacobian comes from
     central differences (the surface is an analytic SH field, but the chart
-    normalization makes closed forms noisier than they are worth). Returns
-    (kappa, residual_norm, converged_mask).
+    normalization makes closed forms noisier than they are worth: an
+    analytic Jacobian changes which pixels converge). A pixel stops at the
+    first iterate whose residual is within ``tol``; the rest take up to
+    ``max_iter`` trust-region steps. Each iteration evaluates the residual
+    and its four difference probes of the pixels still active in one
+    stacked ``surface_points`` call. Returns (kappa, residual_norm,
+    converged_mask).
     """
     kappa0 = np.asarray(kappa0, dtype=np.float64)
     e1, e2 = _tangent_frame(kappa0)
-    delta = np.zeros((kappa0.shape[0], 2))
+    n = kappa0.shape[0]
+    delta = np.zeros((n, 2))
+    rnorm = np.empty(n)
 
-    def kappa_of(d):
-        k = kappa0 + d[:, 0:1] * e1 + d[:, 1:2] * e2
-        return k / np.linalg.norm(k, axis=1, keepdims=True)
+    def kappa_of(idx, d):
+        """Chart points of rows ``idx`` at offsets ``d`` (..., len(idx), 2)."""
+        k = kappa0[idx] + d[..., 0:1] * e1[idx] + d[..., 1:2] * e2[idx]
+        return k / np.linalg.norm(k, axis=-1, keepdims=True)
 
-    def residual(d):
-        pts = cat.surface_points(kappa_of(d), alpha) @ R.T + t
-        return geom.project(cam, pts) - target_y
+    def residual(idx, d):
+        pts = cat.surface_points(kappa_of(idx, d).reshape(-1, 3), alpha)
+        y = geom.project(cam, pts @ R.T + t).reshape(d.shape)
+        return y - target_y[idx]
 
     h = 1e-7
+    # the value, then the +-h probes of chart axis 0 and of axis 1
+    probes = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    active = np.arange(n)
     for _ in range(max_iter):
-        r = residual(delta)
-        if np.nanmax(np.linalg.norm(r, axis=1), initial=0.0) <= tol:
+        if not len(active):
             break
-        J = np.empty((kappa0.shape[0], 2, 2))
-        for a in range(2):
-            step = np.zeros_like(delta)
-            step[:, a] = h
-            J[:, :, a] = (residual(delta + step) - residual(delta - step)) / (2 * h)
+        r, rp0, rm0, rp1, rm1 = residual(active, delta[active] + probes[:, None])
+        rn = np.linalg.norm(r, axis=1)
+        done = rn <= tol
+        rnorm[active[done]] = rn[done]
+        J = np.stack([(rp0 - rm0) / (2 * h), (rp1 - rm1) / (2 * h)], axis=2)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         det = np.where(np.abs(det) < 1e-18, np.nan, det)
         du = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
@@ -447,11 +464,11 @@ def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
         norm = np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-30)
         step = step * np.minimum(1.0, 0.2 / norm)  # trust region
         step = np.where(np.isfinite(step), step, 0.0)
-        delta = delta - step
-    r = residual(delta)
-    rnorm = np.linalg.norm(r, axis=1)
+        active, step = active[~done], step[~done]
+        delta[active] -= step
+    rnorm[active] = np.linalg.norm(residual(active, delta[active]), axis=1)
     ok = np.isfinite(rnorm) & (rnorm <= tol)
-    return kappa_of(delta), rnorm, ok
+    return kappa_of(np.arange(n), delta), rnorm, ok
 
 
 def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
@@ -587,6 +604,7 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         else np.array([0.0, 0.0, spec.standoff])
     )
 
+    kp_basis = cat.basis_at(cat.keypoints)
     for i in range(spec.n_instances):
         for _ in range(spec.frames_per_instance):
             if rng_pose.random() < spec.azimuth_major_weight:
@@ -605,7 +623,6 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
                     (cat.surface_points(cat.keypoints, cat.alphas[i]) @ R.T)[:, 2]
                 ))] = True
 
-            kp_basis = cat.basis_at(cat.keypoints)
             s = spec.sigma_label
             noisy_basis = kp_basis + s * rng_noise.standard_normal(kp_basis.shape)
             noisy_alpha = cat.alphas[i] + s * rng_noise.standard_normal(D)
@@ -625,9 +642,8 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
                 kp_desc=cat.pixel_descriptor(cat.keypoints, rng_noise),
                 instance_desc=cat.instance_descriptor(
                     cat.alphas[i], cat.betas[i], view6d, rng_noise),
-                labels=labels, gt_alpha=cat.alphas[i].copy(),
-                gt_beta=cat.betas[i].copy(), gt_R=R, gt_t=t.copy(),
-                gt_azimuth=az, gt_elevation=el,
+                labels=labels, gt_alpha=cat.alphas[i].copy(), gt_R=R,
+                gt_t=t.copy(),
             ))
     return cat
 
@@ -671,8 +687,7 @@ _CATEGORY_KEYS = tuple(f.name for f in fields(GroundTruthCategory)
                        if f.name not in ("spec", "frames"))
 #: Frame fields of one shape in every frame, stacked on a frame axis
 _FRAME_KEYS = ("instance_id", "image", "mask_dist", "depth", "kp_desc",
-               "instance_desc", "gt_alpha", "gt_beta", "gt_R", "gt_t",
-               "gt_azimuth", "gt_elevation")
+               "instance_desc", "gt_alpha", "gt_R", "gt_t")
 #: Frame fields with one row per refined pixel, concatenated in frame order
 #: and split at the ``pix_count`` member (rows per frame)
 _PIXEL_KEYS = ("pix_rc", "pix_y", "descriptors", "colors", "gt_kappa")

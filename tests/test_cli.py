@@ -160,6 +160,19 @@ class TestSynthGen:
                          "--spec", spec, "--seed", "5"]) == 0
         assert synth.dataset_hash(tmp_path / "c") != h_a
 
+    def test_prints_refined_pixel_count(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SPEC)
+        out = tmp_path / "ds"
+        assert cli.main(["synth-gen", "--out", str(out), "--spec", spec,
+                         "--seed", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cat = synth.load_category(out)
+        kept = sum(len(fr.pix_rc) for fr in cat.frames)
+        seeded = sum(int((fr.mask_dist == 0).sum()) for fr in cat.frames)
+        assert 0 < kept < seeded      # some seeds stall and are dropped
+        assert lines[2] == f"pixels: {kept} of {seeded} refined"
+        assert lines[3] == f"dataset_hash: {synth.dataset_hash(out)}"
+
     def test_manifest_contents(self, ds):
         m = json.loads((ds / "manifest.json").read_text())
         assert m["command"] == "synth-gen"
@@ -781,6 +794,11 @@ DATASET_DAMAGE = {
     "frame_array_extra": lambda root: _rewrite_npz(
         root / "arrays.npz",
         lambda a: a.update(mask=np.isfinite(a["depth"]))),
+    "dropped_frame_arrays_kept": lambda root: _rewrite_npz(
+        root / "arrays.npz", lambda a: a.update(
+            gt_beta=a["betas"][a["instance_id"]],
+            gt_azimuth=np.zeros(len(a["depth"])),
+            gt_elevation=np.zeros(len(a["depth"])))),
     "frame_array_short": lambda root: _rewrite_npz(
         root / "arrays.npz", lambda a: a.update(gt_R=a["gt_R"][:-1])),
     "pixel_array_missing": lambda root: _rewrite_npz(

@@ -197,9 +197,102 @@ class TestMakeBatches:
                                np.random.default_rng(8))
 
 
+def zbuffer_argsort(spec, px, z):
+    """Reference z-buffer: every splat entry written far to near after a
+    stable sort, so each pixel keeps the last-written nearest entry."""
+    H, W = spec.image_h, spec.image_w
+    cols = np.rint(px[:, 0]).astype(int)
+    rows = np.rint(px[:, 1]).astype(int)
+    offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+    all_r = np.concatenate([rows + dr for dr, _ in offsets])
+    all_c = np.concatenate([cols + dc for _, dc in offsets])
+    all_z = np.tile(z, len(offsets))
+    all_i = np.tile(np.arange(len(z)), len(offsets))
+    ok = (all_r >= 0) & (all_r < H) & (all_c >= 0) & (all_c < W)
+    all_r, all_c, all_z, all_i = all_r[ok], all_c[ok], all_z[ok], all_i[ok]
+    order = np.argsort(-all_z, kind="stable")
+    depth = np.full((H, W), np.nan)
+    winner = np.full((H, W), -1, dtype=int)
+    depth[all_r[order], all_c[order]] = all_z[order]
+    winner[all_r[order], all_c[order]] = all_i[order]
+    return winner >= 0, depth, winner
+
+
+def refine_every_pixel(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
+                       max_iter=60):
+    """Reference refinement: every pixel steps until all have converged or
+    ``max_iter`` is reached, with five residual calls per iteration."""
+    e1, e2 = synth._tangent_frame(kappa0)
+    delta = np.zeros((kappa0.shape[0], 2))
+
+    def kappa_of(d):
+        k = kappa0 + d[:, 0:1] * e1 + d[:, 1:2] * e2
+        return k / np.linalg.norm(k, axis=1, keepdims=True)
+
+    def residual(d):
+        pts = cat.surface_points(kappa_of(d), alpha) @ R.T + t
+        return geom.project(cam, pts) - target_y
+
+    h = 1e-7
+    for _ in range(max_iter):
+        r = residual(delta)
+        if np.nanmax(np.linalg.norm(r, axis=1), initial=0.0) <= tol:
+            break
+        J = np.empty((kappa0.shape[0], 2, 2))
+        for a in range(2):
+            step = np.zeros_like(delta)
+            step[:, a] = h
+            J[:, :, a] = (residual(delta + step) - residual(delta - step)) / (2 * h)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        det = np.where(np.abs(det) < 1e-18, np.nan, det)
+        du = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
+        dv = (J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
+        step = np.stack([du, dv], axis=1)
+        norm = np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-30)
+        step = step * np.minimum(1.0, 0.2 / norm)
+        step = np.where(np.isfinite(step), step, 0.0)
+        delta = delta - step
+    rnorm = np.linalg.norm(residual(delta), axis=1)
+    return kappa_of(delta), rnorm, np.isfinite(rnorm) & (rnorm <= tol)
+
+
+def dense_splat(cat, fr):
+    """Pixel positions and depths of the dense sphere sampling of frame
+    ``fr``, as rendering splats them."""
+    dense = synth.fibonacci_sphere(cat.spec.n_surface_samples)
+    Xc = cat.surface_points(dense, fr.gt_alpha) @ fr.gt_R.T + fr.gt_t
+    return dense, fr.raster.to_px(geom.project(fr.camera, Xc)), Xc[:, 2]
+
+
 class RenderedGeometryContract:
     """Per-frame geometry every camera kind renders exactly; subclasses
     supply the category as the ``small_cat`` fixture."""
+
+    def test_zbuffer_matches_sorted_writes(self, small_cat):
+        for fr in small_cat.frames:
+            _, px, z = dense_splat(small_cat, fr)
+            got = synth._zbuffer(small_cat.spec, px, z)
+            want = zbuffer_argsort(small_cat.spec, px, z)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+    def test_refinement_matches_every_pixel_reference(self, small_cat):
+        for fr in small_cat.frames:
+            dense, px, z = dense_splat(small_cat, fr)
+            mask, _, winner = synth._zbuffer(small_cat.spec, px, z)
+            rows, cols = np.nonzero(mask)
+            args = (small_cat, fr.gt_alpha, fr.gt_R, fr.gt_t, fr.camera,
+                    dense[winner[rows, cols]],
+                    fr.raster.from_px(np.stack([cols, rows], 1).astype(float)))
+            kappa, _, ok = synth._refine_pixels(*args)
+            want_kappa, _, want_ok = refine_every_pixel(*args)
+            np.testing.assert_array_equal(ok, want_ok)
+            np.testing.assert_array_equal(
+                fr.pix_rc, np.stack([rows, cols], 1)[want_ok])
+            np.testing.assert_allclose(kappa[ok], want_kappa[ok], rtol=0,
+                                       atol=1e-9)
+            np.testing.assert_array_equal(fr.gt_kappa, kappa[ok])
 
     def test_refined_pixels_reproject_exactly(self, small_cat):
         worst = 0.0
@@ -252,6 +345,26 @@ class RenderedGeometryContract:
             got = synth._keypoint_visibility(small_cat, fr.instance_id,
                                              fr.gt_R, fr.gt_t, render)
             np.testing.assert_array_equal(got, want)
+
+
+def test_zbuffer_ties_go_to_the_last_entry():
+    # (col, row) positions and depths; samples 0 and 1 splat onto column 6
+    # at equal depth, 0 through offset (0, +1) and 1 through the earlier
+    # offset (0, -1); sample 3 is nearer than the later sample 4 at one
+    # spot; sample 2 sits on the corner and loses its off-image entries
+    px = np.array([[5.0, 5.0], [7.0, 5.0], [0.0, 0.0], [20.0, 20.0],
+                   [20.0, 20.0]])
+    z = np.array([0.5, 0.5, 1.0, 0.25, 1.0])
+    mask, depth, winner = synth._zbuffer(SMALL, px, z)
+    for got, want in zip((mask, depth, winner),
+                         zbuffer_argsort(SMALL, px, z)):
+        np.testing.assert_array_equal(got, want)
+    assert (winner[4:7, 6] == 0).all() and (depth[4:7, 6] == 0.5).all()
+    assert (winner[4:7, 4] == 0).all() and (winner[4:7, 8] == 1).all()
+    assert (winner[19:22, 19:22] == 3).all()
+    assert (depth[19:22, 19:22] == 0.25).all()
+    assert (winner[:2, :2] == 2).all()
+    assert mask.sum() == 15 + 9 + 4 and np.isnan(depth[~mask]).all()
 
 
 class TestPerspectiveRenderedGeometry(RenderedGeometryContract):
