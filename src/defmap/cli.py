@@ -353,10 +353,13 @@ def cmd_eval(args) -> int:
         for r in rows:
             pred_name = f"pred_frame{r['frame_id']:04d}.ply"
             gt_name = f"gt_frame{r['frame_id']:04d}.ply"
-            metrics.save_ply(os.path.join(args.out, pred_name),
-                             r["pred_cloud"])
+            # a non-finite prediction is a failed frame, with no cloud to write
+            if np.isfinite(r["pred_cloud"]).all():
+                metrics.save_ply(os.path.join(args.out, pred_name),
+                                 r["pred_cloud"])
+                outputs.append(pred_name)
             metrics.save_ply(os.path.join(args.out, gt_name), r["gt_cloud"])
-            outputs += [pred_name, gt_name]
+            outputs.append(gt_name)
 
     write_manifest(
         os.path.join(args.out, "manifest.json"),
@@ -576,8 +579,8 @@ def transfer_texture(cat: synth.GroundTruthCategory,
     beta = model_mod.predict_np(mdl, tex.instance_desc, tex.frame_id,
                                 tex.kp_desc)["beta"]
     leaves = model_mod.make_leaves(mdl)
-    colors = model_mod.texture_at(mdl, leaves, tape.Var(kappa),
-                                  np.tile(beta, (len(kappa), 1))).data
+    colors = model_mod.texture_at(mdl, leaves, kappa, beta[None],
+                                  np.zeros(len(kappa), dtype=int)).data
     out = target.image.copy()
     out[target.pix_rc[:, 0], target.pix_rc[:, 1]] = colors
     return out

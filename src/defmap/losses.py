@@ -163,12 +163,6 @@ def pseudo_huber_rows(z, eps: float) -> tape.Var:
 # row's frame. Every term returns the batch mean of its per-frame value.
 
 
-def _onehot(seg: np.ndarray, n_frames: int) -> np.ndarray:
-    """(F,N) constant whose row f is 1 at frame f's rows: a segment sum as
-    one matmul."""
-    return (np.arange(n_frames)[:, None] == seg[None, :]).astype(np.float64)
-
-
 # -- keypoint prior -----------------------------------------------------------
 
 
@@ -239,7 +233,7 @@ def closed_form_translation(points_cam, rays: np.ndarray, seg: np.ndarray,
     if n.min() < 2 or np.linalg.cond(A).max() > 1e12:
         raise SingularSystem("translation system is (near-)singular")
     r_dot_x = tape.vsum(X * rays, axis=1, keepdims=True)
-    b = tape.matmul(_onehot(seg, n_frames), r_dot_x * rays - X)
+    b = tape.matmul(nets.onehot(seg, n_frames), r_dot_x * rays - X)
     return tape.solve(tape.Var(A), b)
 
 
@@ -316,12 +310,31 @@ def cross_project(
 
 
 def image_pyramid(image: np.ndarray, radii) -> list[np.ndarray]:
-    """[identity] + box-blurred copies of the (H,W,C) image at each radius."""
+    """[identity] + box-blurred copies of the (H,W,C) image at each radius.
+
+    A level averages the ``2 * r + 1`` wide window centred on each pixel,
+    edge-truncated, as :func:`tape.window_mean` does at every pixel. The
+    window sums come from one integral image: padded with its edge values
+    by ``r``, each window corner of every pixel is one slice of it.
+    """
     image = np.asarray(image, dtype=np.float64)
-    rc = np.indices(image.shape[:2]).reshape(2, -1).T
-    rows = image.reshape(len(rc), -1)
-    return [image] + [tape.window_mean((1, *image.shape), rc, rows, int(r), 0)
-                      .data.reshape(image.shape) for r in radii]
+    h, w = image.shape[:2]
+    integral = np.zeros((h + 1, w + 1) + image.shape[2:])
+    integral[1:, 1:] = np.cumsum(np.cumsum(image, axis=0), axis=1)
+    levels = [image]
+    for r in radii:
+        r = int(r)
+        # padded[i, j] = integral[clip(i - r, 0, h), clip(j - r, 0, w)]
+        padded = np.pad(integral, ((r, r), (r, r), (0, 0)), mode="edge")
+        lo_y, hi_y = slice(0, h), slice(2 * r + 1, 2 * r + 1 + h)
+        lo_x, hi_x = slice(0, w), slice(2 * r + 1, 2 * r + 1 + w)
+        sums = (padded[hi_y, hi_x] - padded[lo_y, hi_x] - padded[hi_y, lo_x]
+                + padded[lo_y, lo_x])
+        ys, xs = np.arange(h), np.arange(w)
+        cnt = ((np.minimum(ys + r + 1, h) - np.maximum(ys - r, 0))[:, None]
+               * (np.minimum(xs + r + 1, w) - np.maximum(xs - r, 0)))
+        levels.append(sums / cnt.astype(np.float64)[..., None])
+    return levels
 
 
 def photometric_loss(
@@ -385,7 +398,7 @@ def embedding_alignment_loss(kappa, R, seg: np.ndarray) -> tape.Var:
     axis, which globally disambiguates front from back.
     """
     R = tape.as_var(R)
-    onehot = _onehot(seg, R.shape[0])
+    onehot = nets.onehot(seg, R.shape[0])
     mean = tape.matmul(onehot, kappa) * (1.0 / onehot.sum(axis=1))[:, None]
     u = nets.l2norm_rows(mean)
     return tape.vmean(tape.vsum(R[:, 2] * u, axis=-1))
@@ -408,6 +421,10 @@ def mask_reprojection_loss(
     squared distance-transform value at each projection, zero inside the
     mask, plus the squared out-of-image overshoot so samples beyond the
     border keep a pull-back gradient; averaged over the batch.
+
+    When every sample's distance value and overshoot are exactly zero, so
+    is the gradient, and the result is a constant 0.0 with no graph behind
+    it: the samples, their placement and projection leave backward.
     """
     proj = geom.project_var(cam, _posed(points_world, R, t),
                             min_depth=cfg.min_depth)
@@ -418,6 +435,8 @@ def mask_reprojection_loss(
     overshoot = px - inside_px
     d = tape.bilinear_sample(mask_dist[..., None], inside_px,
                              np.arange(n)[:, None])
+    if not (d.data.any() or overshoot.data.any()):  # NaN counts as nonzero
+        return tape.Var(0.0)
     return (tape.vmean(d * d)
             + tape.vmean(tape.vsum(overshoot * overshoot, axis=-1)))
 
@@ -445,8 +464,8 @@ def texture_loss(
     Returns the batch mean of the weighted sum of the two terms.
     """
     seg = np.repeat(np.arange(len(frames)), [len(i) for i in pix_idx])
-    kappa_det = tape.detach(kappa)
-    pred = model_mod.texture_at(mdl, leaves, kappa_det, tape.as_var(beta)[seg])
+    pred = model_mod.texture_at(mdl, leaves, tape.as_var(kappa).data, beta,
+                                seg)
     diff = pred - np.concatenate([fr.colors[i]
                                   for fr, i in zip(frames, pix_idx)])
     photo = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color))
@@ -534,7 +553,7 @@ def total_loss(
     terms["emb_align"] = embedding_alignment_loss(pred.kappa, pred.R, seg)
 
     # every frame drew a sphere set above; only frame 0's is placed
-    B_sphere = model_mod.basis_at(mdl, leaves, tape.Var(spheres[0]))
+    B_sphere = model_mod.basis_at(mdl, leaves, spheres[0])
     mask_pts = tape.batch_matvec(B_sphere,
                                  tape.reshape(pred.alpha, (n_frames, 1, -1)))
     terms["mask"] = mask_reprojection_loss(

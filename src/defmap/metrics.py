@@ -48,6 +48,8 @@ def _as_cloud(points) -> np.ndarray:
         raise DimMismatch(f"point cloud must be (N,3), got {pts.shape}")
     if pts.shape[0] == 0:
         raise DegenerateCloud("empty point cloud")
+    if not np.isfinite(pts).all():
+        raise DegenerateCloud("point cloud has non-finite coordinates")
     return pts
 
 
@@ -265,6 +267,8 @@ def depth_error(pred_depth, gt_depth, mask) -> float:
     g = gt[mask]
     if p.size == 0:
         raise DegenerateDepth("empty evaluation mask")
+    if not (np.isfinite(p).all() and np.isfinite(g).all()):
+        raise DegenerateDepth("non-finite depth inside the mask")
     p_std = float(p.std())
     g_std = float(g.std())
     if p_std < 1e-24 or g_std < 1e-24:

@@ -167,16 +167,17 @@ def reconstruct_points(model, leaves, kappa, alpha) -> tape.Var:
     return tape.batch_matvec(B, alpha)
 
 
-def texture_at(model: DeformerModel, leaves, kappa, beta) -> tape.Var:
-    """RGB in [0,1] at (N,3) canonical points, row n styled by the (N,D')
-    ``beta`` row n.
+def texture_at(model: DeformerModel, leaves, kappa: np.ndarray, beta,
+               seg: np.ndarray) -> tape.Var:
+    """RGB in [0,1] at (N,3) canonical points, row n styled by the (F,D')
+    ``beta`` row ``seg[n]``.
 
-    ``kappa`` is consumed as given; callers enforcing the appearance
-    stop-gradient must pass a detached embedding.
+    ``kappa`` is constant data: appearance gradients stop at the embedding.
+    The net reads [kappa, beta[seg]] and applies the style once per frame.
     """
-    x = tape.concat([tape.as_var(kappa), tape.as_var(beta)], axis=1)
     return tape.sigmoid(nets.mlp_forward(
-        leaves["net:texture"], model.nets["texture"].config, x))
+        leaves["net:texture"], model.nets["texture"].config, kappa, beta,
+        seg))
 
 
 def predict_frame(
@@ -223,7 +224,7 @@ def embed_np(model: DeformerModel, descriptors: np.ndarray) -> np.ndarray:
 
 
 def basis_np(model: DeformerModel, kappa: np.ndarray) -> np.ndarray:
-    return basis_at(model, make_leaves(model), tape.Var(kappa)).data
+    return basis_at(model, make_leaves(model), kappa).data
 
 
 def surface_sample(

@@ -137,30 +137,56 @@ def l2norm_rows(x: tape.Var) -> tape.Var:
     return x / tape.sqrt(tape.clip(sq, 1e-16, np.inf))
 
 
-def mlp_forward(theta, cfg: MlpConfig, x) -> tape.Var:
+def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
     """Forward pass producing (N,out_dim) (or (out_dim,) for a single row).
 
     ``theta`` is the flat parameter vector (Var or ndarray); gradients flow
-    into it when it is a Var. ``x`` may likewise be a Var or ndarray. The
-    result is one tape node with parents ``theta`` and ``x``; every block
+    into it when it is a Var. ``x`` may likewise be a Var or ndarray; a
+    plain array is constant data and gets no gradient. The result is one
+    tape node whose parents are ``theta`` and each Var input; every block
     normalizes as :func:`l2norm_rows` does, clamp and gradient gate included.
+
+    With ``frame_x`` (F,k) and ``seg`` (N,), the input is the column blocks
+    ``[x, frame_x[seg]]`` without that (N,k) block being built: row n's last
+    k columns are frame ``seg[n]``'s row of ``frame_x``, so the first layer
+    applies them once per frame and sums their gradient per frame.
     """
-    theta, x = tape.as_var(theta), tape.as_var(x)
-    rows = x.data.reshape(1, -1) if x.ndim == 1 else x.data
-    if rows.shape[1] != cfg.in_dim:
-        raise DimMismatch(f"input width {rows.shape[1]} != in_dim {cfg.in_dim}")
+    theta = tape.as_var(theta)
+    x_var = isinstance(x, tape.Var)
+    x_data = x.data if x_var else np.asarray(x, dtype=np.float64)
+    rows = x_data.reshape(1, -1) if x_data.ndim == 1 else x_data
+    width = rows.shape[1]
+    if frame_x is not None:
+        frame_x, seg = tape.as_var(frame_x), np.asarray(seg)
+        width += frame_x.shape[1]
+    if width != cfg.in_dim:
+        raise DimMismatch(f"input width {width} != in_dim {cfg.in_dim}")
     p = _layers(cfg, theta.data)
 
-    h = rows @ p["w_in"].T + p["b_in"]
+    d = rows.shape[1]
+    w_x, w_f = p["w_in"][:, :d], p["w_in"][:, d:]  # w_f: the frame columns
+    h = rows @ w_x.T
+    if frame_x is None:
+        h += p["b_in"]
+    else:
+        per_frame = frame_x.data @ w_f.T
+        per_frame += p["b_in"]
+        h += per_frame[seg]
     blocks = []  # each residual block's forward values, for the VJP
     for k in range(cfg.n_res_blocks):
         sq = (h * h).sum(axis=-1, keepdims=True)
-        s = np.sqrt(np.clip(sq, 1e-16, np.inf))
+        s = np.maximum(sq, 1e-16)
+        np.sqrt(s, out=s)
         n = h / s
-        r = np.maximum(n @ p[f"blk{k}_w1"].T + p[f"blk{k}_b1"], 0.0)
+        r = n @ p[f"blk{k}_w1"].T
+        r += p[f"blk{k}_b1"]
+        np.maximum(r, 0.0, out=r)
         blocks.append((sq > 1e-16, s, n, r))
-        h = h + (r @ p[f"blk{k}_w2"].T + p[f"blk{k}_b2"])
-    out = h @ p["w_out"].T + p["b_out"]
+        res = r @ p[f"blk{k}_w2"].T
+        res += p[f"blk{k}_b2"]
+        h += res
+    out = h @ p["w_out"].T
+    out += p["b_out"]
 
     def vjp(g):
         grad = np.zeros_like(theta.data)
@@ -168,20 +194,47 @@ def mlp_forward(theta, cfg: MlpConfig, x) -> tape.Var:
 
         def linear(w, b, inp, g):
             """Write the gradients of inp @ w.T + b; return inp's."""
-            gp[w][:] = (inp.T @ g).T
-            gp[b][:] = g.sum(axis=0)
+            np.matmul(g.T, inp, out=gp[w])
+            g.sum(axis=0, out=gp[b])
             return g @ p[w]
 
         gh = linear("w_out", "b_out", h, np.reshape(g, out.shape))
         for k in reversed(range(cfg.n_res_blocks)):
             gate, s, n, r = blocks[k]
-            gr = linear(f"blk{k}_w2", f"blk{k}_b2", r, gh) * (r > 0.0)
+            gr = linear(f"blk{k}_w2", f"blk{k}_b2", r, gh)
+            gr *= r > 0.0
             gn = linear(f"blk{k}_w1", f"blk{k}_b1", n, gr)
             # n = h / s with s = sqrt(clip(sq)); the clamp passes no gradient
-            gh += (gn - gate * n * (n * gn).sum(axis=-1, keepdims=True)) / s
-        return grad, linear("w_in", "b_in", rows, gh).reshape(x.shape)
+            tmp = n * gn
+            dot = tmp.sum(axis=-1, keepdims=True)
+            dot *= gate
+            gn -= np.multiply(n, dot, out=tmp)
+            gn /= s
+            gh += gn
+        grads = [grad]
+        np.matmul(gh.T, rows, out=gp["w_in"][:, :d])
+        gh.sum(axis=0, out=gp["b_in"])
+        if x_var:
+            grads.append((gh @ w_x).reshape(x.shape))
+        if frame_x is not None:
+            g_frame = onehot(seg, frame_x.shape[0]) @ gh  # per-frame sums
+            np.matmul(g_frame.T, frame_x.data, out=gp["w_in"][:, d:])
+            grads.append(g_frame @ w_f)
+        return grads
 
-    return tape._node(out.reshape(-1) if x.ndim == 1 else out, (theta, x), vjp)
+    parents = [theta]
+    if x_var:
+        parents.append(x)
+    if frame_x is not None:
+        parents.append(frame_x)
+    return tape._node(out.reshape(-1) if x_data.ndim == 1 else out, parents,
+                      vjp)
+
+
+def onehot(seg: np.ndarray, n: int) -> np.ndarray:
+    """(n,N) constant whose row f is 1 where ``seg`` (N,) is f: a sum of
+    rows per segment (per frame) as one matmul."""
+    return (np.arange(n)[:, None] == seg[None, :]).astype(np.float64)
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -118,10 +118,12 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         add("mask", tape.vmean(d * d)
             + tape.vmean(tape.vsum(over * over, axis=1)))
 
+        # the texture net on the concatenated input [kappa, beta per row]
         beta_rows = tape.Var(np.ones((len(idx), 1))) @ tape.reshape(beta,
                                                                       (1, -1))
-        pred = model_mod.texture_at(mdl, leaves, tape.detach(kappa),
-                                    beta_rows)
+        pred = tape.sigmoid(nets.mlp_forward(
+            leaves["net:texture"], mdl.nets["texture"].config,
+            tape.concat([tape.detach(kappa), beta_rows], axis=1)))
         diff = pred - fr.colors[idx]
         percep = tape.as_var(0.0)
         for r in cfg.blur_radii:
@@ -279,3 +281,37 @@ def test_graph_size_does_not_grow_with_the_batch():
         assert br["min_k_refs"] == n_frames - 1
         counts.append(_graph_nodes(total))
     assert counts[0] == counts[1]
+
+
+def test_a_batch_inside_its_silhouettes_has_no_mask_graph(monkeypatch):
+    cat = category(geom.ORTHOGRAPHIC)
+    # the fresh model's shapes sit near the origin, inside every silhouette
+    mdl = model_mod.init_model(generic_model(model_mod.AMORTIZED, 0).dims,
+                               model_mod.AMORTIZED, np.random.default_rng(2))
+    cfg = losses.LossConfig(n_mask_samples=61)
+    frames = cat.frames[:4]
+    sphere_basis = []
+    real = nets.mlp_forward
+
+    def spy(theta, mlp_cfg, x, *frame_cols):
+        out = real(theta, mlp_cfg, x, *frame_cols)
+        if mlp_cfg == mdl.nets["basis"].config and out.shape[0] == 61:
+            sphere_basis.append(out)
+        return out
+
+    monkeypatch.setattr(nets, "mlp_forward", spy)
+    total, br = losses.total_loss(mdl, model_mod.make_leaves(mdl), frames,
+                                  losses.LossWeights(), cfg,
+                                  np.random.default_rng(9), 25)
+    assert br["mask"] == 0.0 and len(sphere_basis) == 1
+    seen, stack = {id(total)}, [total]
+    while stack:
+        for p in stack.pop()._parents:
+            assert p is not sphere_basis[0]
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    monkeypatch.undo()
+    # value and gradients still equal the reference's, which builds the term
+    got, want = both_losses(mdl, frames, cfg, losses.LossWeights())
+    assert_agree(got, want)

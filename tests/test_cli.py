@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from defmap import cli, metrics, synth
+from defmap import cli, metrics, nets, synth, tape
 from defmap import model as model_mod
 from defmap.errors import (CheckpointError, DegenerateCloud, InvalidSpec,
                            IoError)
@@ -580,6 +580,27 @@ class TestEval:
             assert cells[3][col] == repr(float(np.mean(
                 [float(c[col]) for c in cells[:3]])))
 
+    @pytest.mark.parametrize("dump", [[], ["--dump-ply"]],
+                             ids=["csv", "dump-ply"])
+    def test_non_finite_prediction_is_nan_and_counted(self, ds, run, tmp_path,
+                                                      capsys, dump):
+        # one NaN basis weight makes every predicted point and depth NaN
+        mdl = model_mod.load_model(run / "model_final.bin")
+        mdl.nets["basis"].view("w_out")[0, 0] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        model_mod.save_model(ckpt, mdl)
+        out = tmp_path / "ev"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                         str(ds), "--out", str(out), "--n-points", "100",
+                         "--frames", "0", "1", *dump]) == 0
+        assert ("failed frames: 2 (DegenerateCloud x2, DegenerateDepth x2)"
+                in capsys.readouterr().err)
+        lines = (out / "eval.csv").read_text().splitlines()
+        assert [line.split(",")[2:] for line in lines[1:]] == [["nan"] * 3] * 3
+        written = sorted(p.name for p in out.glob("*.ply"))
+        assert written == (["gt_frame0000.ply", "gt_frame0001.ply"]
+                           if dump else [])
+
     def test_healthy_eval_reports_no_failures(self, ds, run, tmp_path,
                                               capsys):
         out = tmp_path / "ev"
@@ -708,6 +729,23 @@ class TestTextureTransfer:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]    # style frame's alpha is never read
         assert outs[0] != outs[2]    # but its beta is
+
+    def test_matches_the_concatenated_texture_input(self, flat_model):
+        ds_flat, ckpt = flat_model
+        cat = synth.load_category(ds_flat)
+        mdl = model_mod.load_model(ckpt)
+        got = cli.transfer_texture(cat, mdl, 0, 3)
+        # reference: the texture net on [kappa, beta] rows built in full
+        target, tex = cat.frames[0], cat.frames[3]
+        kappa = model_mod.embed_np(mdl, target.descriptors)
+        beta = model_mod.predict_np(mdl, tex.instance_desc, tex.frame_id,
+                                    tex.kp_desc)["beta"]
+        want = tape.sigmoid(nets.mlp_forward(
+            mdl.nets["texture"].values, mdl.nets["texture"].config,
+            np.hstack([kappa, np.tile(beta, (len(kappa), 1))]))).data
+        rows, cols = target.pix_rc[:, 0], target.pix_rc[:, 1]
+        np.testing.assert_allclose(got[rows, cols], want, rtol=1e-14,
+                                   atol=1e-15)
 
     def test_self_transfer_reproduces_constant_albedo(self, work, tmp_path):
         spec = write_json(tmp_path / "s.json", {

@@ -355,6 +355,21 @@ def disk_mask_frame_geometry(h=32, w=32, radius_px=10.0):
     return mask, dist
 
 
+def graph_mask_loss(points_world, R, t, cam, raster, mask_dist, cfg):
+    """Reference: the silhouette term always built as a graph, also where
+    every sample's value and overshoot are zero."""
+    proj = geom.project_var(cam, losses._posed(points_world, R, t),
+                            min_depth=cfg.min_depth)
+    px = raster.to_px_var(proj)
+    n, h, w = mask_dist.shape
+    inside_px = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
+    overshoot = px - inside_px
+    d = tape.bilinear_sample(mask_dist[..., None], inside_px,
+                             np.arange(n)[:, None])
+    return (tape.vmean(d * d)
+            + tape.vmean(tape.vsum(overshoot * overshoot, axis=-1)))
+
+
 class TestMaskLoss:
     def setup_method(self):
         _, self.dist = disk_mask_frame_geometry()
@@ -371,6 +386,28 @@ class TestMaskLoss:
             self.dist[None], CFG,
         )
         assert float(soft.data) == 0.0
+        assert soft._parents == ()  # no graph: its gradient is exactly zero
+
+    @pytest.mark.parametrize("scale", [0.5, 1.4, np.nan],
+                             ids=["inside", "straddling", "nan"])
+    def test_matches_the_graph_path(self, scale):
+        # two frames: the second one's samples always sit inside
+        pts0 = losses.sample_sphere(40, np.random.default_rng(23))
+        pts0 = np.stack([pts0 * scale, pts0 * 0.5])
+        runs = []
+        for build in (losses.mask_reprojection_loss, graph_mask_loss):
+            pts, R = tape.Var(pts0), tape.Var(np.stack([np.eye(3)] * 2))
+            t = tape.Var(np.full((2, 3), 0.01))
+            with np.errstate(invalid="ignore"):  # NaN pixel coordinates
+                out = build(pts, R, t, self.cam, self.raster,
+                            np.stack([self.dist] * 2), CFG)
+                _, grads = tape.collect(out, {"pts": pts, "R": R, "t": t})
+            runs.append((out.data, grads))
+        (got, g_got), (want, g_want) = runs
+        np.testing.assert_array_equal(got, want)
+        for key in g_want:
+            np.testing.assert_array_equal(g_got[key], g_want[key], key)
+        assert (got == 0.0) == (scale == 0.5)
 
     def test_scaled_up_shape_escapes(self):
         rng = np.random.default_rng(21)
@@ -521,8 +558,8 @@ class TestTextureLoss:
         beta = tape.Var(np.zeros((1, 3)))
         # force the texture net to reproduce each pixel's color is impossible
         # in general; instead make the frame's colors equal the net's output
-        pred = model.texture_at(m, leaves, tape.detach(kappa),
-                                np.zeros((len(idx), 3)))
+        pred = model.texture_at(m, leaves, kappa.data, beta,
+                                np.zeros(len(idx), int))
         f.colors = pred.data.copy()
         f.image[f.pix_rc[:, 0], f.pix_rc[:, 1]] = pred.data
         total = losses.texture_loss(
@@ -597,10 +634,10 @@ class TestTotalLoss:
         basis_rows = []
         real = nets.mlp_forward
 
-        def spy(theta, mlp_cfg, x):
+        def spy(theta, mlp_cfg, x, *frame_cols):
             if mlp_cfg == m.nets["basis"].config:
                 basis_rows.append(tape.as_var(x).shape[0])
-            return real(theta, mlp_cfg, x)
+            return real(theta, mlp_cfg, x, *frame_cols)
 
         monkeypatch.setattr(nets, "mlp_forward", spy)
         losses.total_loss(m, model.make_leaves(m), frames,

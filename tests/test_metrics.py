@@ -59,6 +59,13 @@ class TestVarianceNormalize:
             metrics.variance_normalize(np.ones((5, 3)))
         with pytest.raises(DegenerateCloud):
             metrics.variance_normalize(np.zeros((0, 3)))
+        for bad in (np.nan, np.inf):
+            cloud = np.random.default_rng(3).standard_normal((5, 3))
+            cloud[2, 1] = bad
+            with pytest.raises(DegenerateCloud):
+                metrics.variance_normalize(cloud)
+            with pytest.raises(DegenerateCloud):
+                metrics.point_cloud_distance(cloud, np.abs(cloud) + 1.0)
 
 
 class TestOctahedralRotations:
@@ -374,6 +381,16 @@ class TestDepthError:
             metrics.depth_error(varying, varying, np.zeros((4, 4), bool))
         with pytest.raises(DegenerateDepth):
             metrics.depth_error(flat, varying, np.ones((4, 4), bool))
+        for bad in (np.nan, -np.inf):
+            broken = varying.copy()
+            broken[1, 2] = bad
+            for pred, gt in ((broken, varying), (varying, broken)):
+                with pytest.raises(DegenerateDepth):
+                    metrics.depth_error(pred, gt, np.ones((4, 4), bool))
+            # outside the mask it is never read
+            mask = np.ones((4, 4), bool)
+            mask[1, 2] = False
+            assert np.isfinite(metrics.depth_error(broken, varying, mask))
 
 
 class TestPlyIO:

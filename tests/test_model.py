@@ -83,9 +83,9 @@ class TestTexture:
         p.view("w_out")[:] = 0.0
         p.view("b_out")[:] = 0.0
         leaves = model.make_leaves(m)
-        kappa = tape.Var(np.tile([0, 0, 1.0], (5, 1)))
-        beta = tape.Var(np.zeros((5, 3)))
-        out = model.texture_at(m, leaves, kappa, beta)
+        kappa = np.tile([0, 0, 1.0], (5, 1))
+        beta = tape.Var(np.zeros((1, 3)))
+        out = model.texture_at(m, leaves, kappa, beta, np.zeros(5, int))
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
     def test_colors_in_unit_interval(self):
@@ -94,16 +94,18 @@ class TestTexture:
         rng = np.random.default_rng(6)
         kappa = rng.standard_normal((40, 3))
         kappa /= np.linalg.norm(kappa, axis=1, keepdims=True)
-        beta = np.tile(rng.standard_normal(3) * 3, (40, 1))
-        out = model.texture_at(m, leaves, tape.Var(kappa), tape.Var(beta))
+        beta = rng.standard_normal((2, 3)) * 3
+        out = model.texture_at(m, leaves, kappa, tape.Var(beta),
+                               np.repeat([0, 1], 20))
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_beta_changes_colors(self):
         m = small_model(seed=7)
         leaves = model.make_leaves(m)
-        kappa = tape.Var(np.tile([1.0, 0, 0], (3, 1)))
-        c1 = model.texture_at(m, leaves, kappa, np.tile([2.0, 0, 0], (3, 1)))
-        c2 = model.texture_at(m, leaves, kappa, np.tile([-2.0, 0, 0], (3, 1)))
+        kappa = np.tile([1.0, 0, 0], (3, 1))
+        seg = np.zeros(3, int)
+        c1 = model.texture_at(m, leaves, kappa, np.array([[2.0, 0, 0]]), seg)
+        c2 = model.texture_at(m, leaves, kappa, np.array([[-2.0, 0, 0]]), seg)
         assert np.max(np.abs(c1.data - c2.data)) > 1e-6
 
 

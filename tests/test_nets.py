@@ -42,6 +42,14 @@ NET_CONFIGS = [
 ]
 
 
+TEXTURE_CONFIGS = [
+    pytest.param(model_mod.ModelDims().net_configs()["texture"],
+                 id="paper-texture"),
+    pytest.param(cli._gradcheck_model(0).dims.net_configs()["texture"],
+                 id="gradcheck-texture"),
+]
+
+
 def _grads(forward, theta0, cfg, x0, w):
     theta, x = tape.Var(theta0), tape.Var(x0)
     out = forward(theta, cfg, x)
@@ -180,6 +188,46 @@ class TestOneNode:
         np.testing.assert_array_equal(out, ref_out)
         _assert_rel_close(g_theta, ref_theta)
         _assert_rel_close(g_x, ref_x)
+
+    @pytest.mark.parametrize("cfg", NET_CONFIGS)
+    def test_array_input_gets_no_gradient(self, cfg):
+        rng = np.random.default_rng(4)
+        theta0 = nets.init_params(cfg, rng).values
+        x = rng.standard_normal((7, cfg.in_dim))
+        w = rng.standard_normal((7, cfg.out_dim))
+        out, g_theta, _ = _grads(nets.mlp_forward, theta0, cfg, x, w)
+        theta = tape.Var(theta0)
+        plain = nets.mlp_forward(theta, cfg, x)
+        assert plain._parents == (theta,)
+        tape.backward(tape.vsum(plain * tape.Var(w)))
+        assert plain.data.tobytes() == out.tobytes()
+        assert theta.grad.tobytes() == g_theta.tobytes()
+
+    @pytest.mark.parametrize("x_var", [False, True], ids=["array-x", "var-x"])
+    @pytest.mark.parametrize("seg", [[0] * 6, [1, 1, 0, 2, 0, 2]],
+                             ids=["one-frame", "three-frames"])
+    @pytest.mark.parametrize("cfg", TEXTURE_CONFIGS)
+    def test_frame_columns_match_the_concatenated_input(self, cfg, seg,
+                                                        x_var):
+        rng = np.random.default_rng(5)
+        theta0 = nets.init_params(cfg, rng).values
+        theta0 += 0.25 * rng.standard_normal(theta0.shape)
+        seg = np.array(seg)
+        x0 = rng.standard_normal((len(seg), 3))
+        fx0 = rng.standard_normal((seg.max() + 1, cfg.in_dim - 3))
+        w = rng.standard_normal((len(seg), cfg.out_dim))
+        runs = []
+        for split in (True, False):
+            theta, fx = tape.Var(theta0), tape.Var(fx0)
+            x = tape.Var(x0) if x_var else x0
+            out = (nets.mlp_forward(theta, cfg, x, fx, seg) if split else
+                   nets.mlp_forward(theta, cfg,
+                                    tape.concat([x, fx[seg]], axis=1)))
+            tape.backward(tape.vsum(out * tape.Var(w)))
+            runs.append([out.data, theta.grad, fx.grad]
+                        + ([x.grad] if x_var else []))
+        for got, want in zip(*runs):
+            _assert_rel_close(got, want)
 
     def test_one_call_is_one_node(self):
         cfg = nets.MlpConfig(in_dim=3, hidden_dim=6, out_dim=2, n_res_blocks=2)

@@ -350,11 +350,17 @@ class TestImageOps:
 
     def test_image_pyramid_matches_whole_image_blur(self):
         img = np.random.default_rng(15).random((9, 11, 3))
-        levels = losses.image_pyramid(img, (1, 2, 4, 20))
+        radii = (0, 1, 2, 4, 5, 20)
+        levels = losses.image_pyramid(img, radii)
         assert np.array_equal(levels[0], img)
-        for lvl, r in zip(levels[1:], (1, 2, 4, 20)):
+        # the window_mean route: every pixel of the image as a sample
+        rc = np.indices(img.shape[:2]).reshape(2, -1).T
+        for lvl, r in zip(levels[1:], radii):
             ref = reference_box_blur(tape.Var(img), r).data
             assert lvl.tobytes() == ref.tobytes(), r
+            dense = tape.window_mean((1, *img.shape), rc, img.reshape(-1, 3),
+                                     r, 0).data.reshape(img.shape)
+            assert lvl.tobytes() == dense.tobytes(), r
 
     def test_window_mean_keeps_a_constant_image(self):
         rc = np.indices((5, 6)).reshape(2, -1).T
