@@ -596,6 +596,7 @@ def cmd_texture_transfer(args) -> int:
                 f"{label} frame {fid} outside the dataset")
     out_img = transfer_texture(cat, mdl, args.target_frame,
                                args.texture_frame)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_ppm(args.out, out_img)
     write_manifest(
         str(args.out) + ".manifest.json",

@@ -115,9 +115,16 @@ def rotation_from_6d(raw: np.ndarray) -> np.ndarray:
 
 def rotation_from_6d_var(raw: tape.Var) -> tape.Var:
     """Graph twin of :func:`rotation_from_6d` for a (...,6) stack of raw
-    vectors, giving (...,3,3); validates each on the raw values."""
-    for row in raw.data.reshape(-1, 6):
-        rotation_from_6d(row)  # degeneracy check outside the graph
+    vectors, giving (...,3,3); validates them all on the raw values, with
+    the thresholds of :func:`rotation_from_6d`."""
+    v = raw.data.reshape(-1, 6)
+    na = np.linalg.norm(v[:, :3], axis=1, keepdims=True)
+    if np.any(na < 1e-8):
+        raise DegenerateInput("6D rotation: first vector has near-zero norm")
+    c1 = v[:, :3] / na
+    b_perp = v[:, 3:] - np.sum(c1 * v[:, 3:], axis=1, keepdims=True) * c1
+    if np.any(np.linalg.norm(b_perp, axis=1) < 1e-8):
+        raise DegenerateInput("6D rotation: vectors are near-collinear")
     a = raw[..., 0:3]
     b = raw[..., 3:6]
 

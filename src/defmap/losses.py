@@ -143,9 +143,7 @@ def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def pseudo_huber(z, eps: float) -> tape.Var:
     """Smooth robust norm of one residual vector (any shape, flattened)."""
-    z = tape.as_var(z)
-    s = tape.vsum(z * z)
-    return (tape.sqrt(s * (1.0 / (eps * eps)) + 1.0) - 1.0) * eps
+    return pseudo_huber_rows(tape.reshape(z, (-1,)), eps)
 
 
 def pseudo_huber_rows(z, eps: float) -> tape.Var:
@@ -309,59 +307,43 @@ def cross_project(
 # -- appearance ---------------------------------------------------------------
 
 
-def image_pyramid(image: np.ndarray, radii) -> list[np.ndarray]:
-    """[identity] + box-blurred copies of the (H,W,C) image at each radius.
-
-    A level averages the ``2 * r + 1`` wide window centred on each pixel,
-    edge-truncated, as :func:`tape.window_mean` does at every pixel. The
-    window sums come from one integral image: padded with its edge values
-    by ``r``, each window corner of every pixel is one slice of it.
-    """
+def image_pyramid(image: np.ndarray, radii) -> np.ndarray:
+    """The (H,W,C) image and its box blur at each radius as (H,W,L,C)
+    levels, level 0 the image: :func:`tape.window_mean` at every pixel."""
     image = np.asarray(image, dtype=np.float64)
-    h, w = image.shape[:2]
-    integral = np.zeros((h + 1, w + 1) + image.shape[2:])
-    integral[1:, 1:] = np.cumsum(np.cumsum(image, axis=0), axis=1)
-    levels = [image]
-    for r in radii:
-        r = int(r)
-        # padded[i, j] = integral[clip(i - r, 0, h), clip(j - r, 0, w)]
-        padded = np.pad(integral, ((r, r), (r, r), (0, 0)), mode="edge")
-        lo_y, hi_y = slice(0, h), slice(2 * r + 1, 2 * r + 1 + h)
-        lo_x, hi_x = slice(0, w), slice(2 * r + 1, 2 * r + 1 + w)
-        sums = (padded[hi_y, hi_x] - padded[lo_y, hi_x] - padded[hi_y, lo_x]
-                + padded[lo_y, lo_x])
-        ys, xs = np.arange(h), np.arange(w)
-        cnt = ((np.minimum(ys + r + 1, h) - np.maximum(ys - r, 0))[:, None]
-               * (np.minimum(xs + r + 1, w) - np.maximum(xs - r, 0)))
-        levels.append(sums / cnt.astype(np.float64)[..., None])
-    return levels
+    h, w, c = image.shape
+    rc = np.indices((h, w)).reshape(2, -1).T
+    blurred = tape.window_mean((1, h, w, c), rc, image.reshape(-1, c), radii,
+                               0).data
+    # C order, so that the photometric term's (R,H,W,L*C) view is free
+    return np.stack([image, *blurred.reshape(-1, h, w, c)], axis=2)
 
 
 def photometric_loss(
-    ref_levels: list[np.ndarray],
+    ref_levels: np.ndarray,
     ref_raster: geom.Raster,
     coords,
-    target_level_colors: list[np.ndarray],
+    target_colors: np.ndarray,
     cfg: LossConfig,
 ):
     """Robust multi-level color mismatch along correspondence fields.
 
     ``coords`` (R,N,2 Var, normalized units) index R references, whose
-    (R,H,W,C) image stacks ``ref_levels`` holds per pyramid level;
-    ``target_level_colors`` holds the target frame's (N,C) colors at its
-    own pixels for each level. Returns (per_pixel (R,N) Var, clamped (R,)
-    fraction per reference). Samples falling outside a reference image are
-    clamped to its border by the sampler.
+    (R,H,W,L,C) pyramid levels ``ref_levels`` holds; ``target_colors`` holds
+    the target frame's (N,L,C) colors at its own pixels. All levels are
+    sampled at once, as the channels of one image per reference. Returns
+    (per_pixel (R,N) Var, the sum over levels; clamped (R,) fraction per
+    reference). Samples falling outside a reference image are clamped to
+    its border by the sampler.
     """
+    n_ref, h, w = ref_levels.shape[:3]
     px = ref_raster.to_px_var(coords)
-    ref = np.arange(px.shape[0])[:, None]
-    per_pixel = None
-    for lvl, tgt in zip(ref_levels, target_level_colors):
-        sampled = tape.bilinear_sample(lvl, px, ref)
-        cost = pseudo_huber_rows(sampled - tgt, cfg.eps_color)
-        per_pixel = cost if per_pixel is None else per_pixel + cost
-    clamped = np.mean(tape.clamp_mask(ref_levels[0].shape[1:], px.data),
-                      axis=-1)
+    sampled = tape.bilinear_sample(ref_levels.reshape(n_ref, h, w, -1), px,
+                                   np.arange(n_ref)[:, None])
+    diff = tape.reshape(sampled, px.shape[:2] + target_colors.shape[1:]) \
+        - target_colors
+    per_pixel = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color), axis=-1)
+    clamped = np.mean(tape.clamp_mask((h, w), px.data), axis=-1)
     return per_pixel, clamped
 
 
@@ -471,11 +453,11 @@ def texture_loss(
     photo = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color))
 
     rc = np.concatenate([fr.pix_rc[i] for fr, i in zip(frames, pix_idx)])
-    shape = (len(frames), *frames[0].image.shape)
-    percep = tape.as_var(0.0)
-    for r in cfg.blur_radii:
-        blurred = tape.window_mean(shape, rc, diff, int(r), seg)
-        percep = percep + tape.vsum(pseudo_huber_rows(blurred, cfg.eps_color))
+    blurred = tape.window_mean((len(frames), *frames[0].image.shape), rc,
+                               diff, cfg.blur_radii, seg)
+    # per radius, then over the radii: each radius rounds as on its own
+    percep = tape.vsum(tape.vsum(pseudo_huber_rows(blurred, cfg.eps_color),
+                                 axis=1))
     return ((weights.w_tex_photo * photo + weights.w_tex_percep * percep)
             * (1.0 / len(frames)))
 
@@ -569,10 +551,10 @@ def total_loss(
     if n_frames > 1:
         n_tgt = len(subsets[0])
         tgt_rc = frames[0].pix_rc[subsets[0]]
-        tgt_colors = [lvl[tgt_rc[:, 0], tgt_rc[:, 1]]
-                      for lvl in frames[0].levels(cfg.blur_radii)]
-        ref_levels = [np.stack(lvls) for lvls in
-                      zip(*(fr.levels(cfg.blur_radii) for fr in frames[1:]))]
+        tgt_colors = frames[0].levels(cfg.blur_radii)[tgt_rc[:, 0],
+                                                      tgt_rc[:, 1]]
+        ref_levels = np.stack([fr.levels(cfg.blur_radii)
+                               for fr in frames[1:]])
         pts = tape.batch_matvec(
             basis[:n_tgt], tape.reshape(pred.alpha[1:], (n_frames - 1, 1, -1)))
         coords = cross_project(pts, pred.R[1:], t[1:], cam, cfg)

@@ -14,11 +14,11 @@ the chart but never gets it for free.
 
 Frame attribute contract consumed by :mod:`defmap.losses`: ``frame_id``,
 ``instance_id``, ``camera``, ``raster``, ``image`` (H,W,3), ``levels(radii)``
-memoized blur pyramid, ``mask_dist`` (zero inside, distance to the
-silhouette outside), ``pix_rc`` (N,2) int pixel indices,
-``pix_y`` (N,2) normalized coordinates of those pixel centers,
-``descriptors`` (N,F), ``colors`` (N,3), ``kp_desc`` (K,F),
-``instance_desc`` (G,).
+memoized (H,W,L,3) blur pyramid (level 0 the image, level 1 + i its blur at
+``radii[i]``), ``mask_dist`` (zero inside, distance to the silhouette
+outside), ``pix_rc`` (N,2) int pixel indices, ``pix_y`` (N,2) normalized
+coordinates of those pixel centers, ``descriptors`` (N,F), ``colors``
+(N,3), ``kp_desc`` (K,F), ``instance_desc`` (G,).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class Frame:
     gt_t: np.ndarray
     _levels: dict = field(default_factory=dict, repr=False)
 
-    def levels(self, radii) -> list[np.ndarray]:
+    def levels(self, radii) -> np.ndarray:
         key = tuple(radii)
         if key not in self._levels:
             self._levels[key] = losses.image_pyramid(self.image, radii)

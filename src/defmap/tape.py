@@ -225,8 +225,9 @@ def transpose(a) -> Var:
 def _scatter_add(index: np.ndarray, values, shape) -> np.ndarray:
     """Zeros of ``shape`` with each of ``values`` added at the flat
     ``index`` of the same shape, in order (np.add.at, but one bincount)."""
-    return np.bincount(index.ravel(), weights=np.ravel(values),
-                       minlength=int(np.prod(shape))).reshape(shape)
+    out = np.bincount(index.ravel(), weights=np.ravel(values),
+                      minlength=int(np.prod(shape)))
+    return out.astype(np.float64, copy=False).reshape(shape)  # int if empty
 
 
 def take(a, key) -> Var:
@@ -424,34 +425,50 @@ def clamp_mask(image_hw, coords: np.ndarray) -> np.ndarray:
     return (x < 0) | (x > W - 1) | (y < 0) | (y > H - 1)
 
 
-def window_mean(shape, rc, values, radius: int, frame) -> Var:
-    """Box blur, at the integer (row, col) pixels ``rc`` of the images
-    ``frame`` names, of the (F,H,W,C) image stack that holds the (N,C)
-    ``values`` there and zero elsewhere.
+def window_mean(shape, rc, values, radii, frame) -> Var:
+    """Box blurs, one per radius in ``radii``, at the integer (row, col)
+    pixels ``rc`` of the images ``frame`` names, of the (F,H,W,C) image
+    stack that holds the (N,C) ``values`` there and zero elsewhere; (R,N,C).
 
     Windows are ``2 * radius + 1`` wide, centered and edge-truncated, and
-    duplicate pixels accumulate. The window is symmetric, so the VJP is the
-    same operator applied to the count-normalized gradient.
+    duplicate pixels accumulate. The forward reads every radius off one
+    integral image. The window is symmetric, so the VJP is the same operator
+    on each radius's count-normalized gradient, one integral image a radius.
     """
     values, rc = as_var(values), np.asarray(rc)
+    n_img, h, w, n_ch = shape
+    rad = np.asarray(radii, dtype=int).reshape(-1, 1)
     f, r, c = frame, rc[:, 0], rc[:, 1]
-    y0, y1 = np.maximum(r - radius, 0), np.minimum(r + radius + 1, shape[1])
-    x0, x1 = np.maximum(c - radius, 0), np.minimum(c + radius + 1, shape[2])
-    cnt = ((y1 - y0) * (x1 - x0)).astype(np.float64)[:, None]
+    y0, y1 = np.maximum(r - rad, 0), np.minimum(r + rad + 1, h)  # (R,N)
+    x0, x1 = np.maximum(c - rad, 0), np.minimum(c + rad + 1, w)
+    cnt = ((y1 - y0) * (x1 - x0)).astype(np.float64)[..., None]
+    img_of = np.arange(len(rad))[:, None] * n_img + f  # radius k's stack image
 
-    pixel = np.ravel_multi_index(np.broadcast_arrays(f, r, c), shape[:3])
-    cells = pixel[:, None] * shape[3] + np.arange(shape[3])
+    def scatter(v, at, n):
+        """The (n,H,W,C) stack holding rows ``v`` at rc of images ``at``."""
+        pixel = np.ravel_multi_index((at, r, c), (n, h, w))
+        return _scatter_add(pixel[..., None] * n_ch + np.arange(n_ch), v,
+                            (n, h, w, n_ch))
 
-    def window_sums(v, norm=1.0):
-        """Window sums at rc of the images holding v / norm, via one cumsum."""
-        img = _scatter_add(cells, v, shape)
-        img[f, r, c] /= norm  # after the scatter, so duplicates sum first
-        pad = np.zeros((shape[0], shape[1] + 1, shape[2] + 1) + tuple(shape[3:]))
-        pad[:, 1:, 1:] = np.cumsum(np.cumsum(img, axis=1), axis=2)
-        return pad[f, y1, x1] - pad[f, y0, x1] - pad[f, y1, x0] + pad[f, y0, x0]
+    def window_sums(img, at):
+        """Window sums at rc of the images ``at`` of ``img`` (overwritten)."""
+        pad = np.zeros((img.shape[0], h + 1, w + 1, n_ch))
+        np.cumsum(np.cumsum(img, axis=1, out=img), axis=2, out=pad[:, 1:, 1:])
+        corners = pad.reshape(-1, n_ch)
 
-    return _node(window_sums(values.data) / cnt, (values,),
-                 lambda g: (window_sums(g, cnt),))
+        def corner(y, x):  # one flat row index gathers fastest
+            return np.take(corners, (at * (h + 1) + y) * (w + 1) + x, axis=0)
+
+        return (corner(y1, x1) - corner(y0, x1) - corner(y1, x0)
+                + corner(y0, x0))
+
+    def vjp(g):
+        img = scatter(g, img_of, len(rad) * n_img)
+        img[img_of, r, c] /= cnt  # after the scatter, so duplicates sum first
+        return (window_sums(img, img_of).sum(axis=0),)
+
+    return _node(window_sums(scatter(values.data, f, n_img), f) / cnt,
+                 (values,), vjp)
 
 
 # -- driver ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateCloud,
     DegenerateDepth,
     DimMismatch,
+    InfeasibleConstraint,
     InvalidSpec,
     NonFiniteGradient,
     check_keys,
@@ -355,6 +356,11 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     if not train_frames:
         raise DimMismatch("no training frames")
     instance_ids = [fr.instance_id for fr in train_frames]
+    n_instances = len(set(instance_ids))
+    if n_instances < cfg.batch_size:  # before run_dir exists
+        raise InfeasibleConstraint(
+            f"batch of {cfg.batch_size} distinct instances from "
+            f"{n_instances} in the training frames")
     azimuths = [synth.azimuth_of(fr.labels.rotation) for fr in train_frames]
     rebal = synth.rebalance_weights(azimuths)
     w_eff = effective_weights(cfg.weights, cfg.ablate)

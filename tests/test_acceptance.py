@@ -220,16 +220,14 @@ class TestCriterion05GroundTruthFixedPoint:
 
         # min-k appearance: target pixels cross-projected into 6 references
         target, refs = cat.frames[0], cat.frames[1:7]
-        tgt_levels = target.levels(C.blur_radii)
         rc = target.pix_rc
-        tgt_colors = [lvl[rc[:, 0], rc[:, 1]] for lvl in tgt_levels]
+        tgt_colors = target.levels(C.blur_radii)[rc[:, 0], rc[:, 1]]
         pts = np.stack([cat.surface_points(target.gt_kappa, ref.gt_alpha)
                         for ref in refs])
         coords = losses.cross_project(
             tape.Var(pts), tape.Var(np.stack([ref.gt_R for ref in refs])),
             np.stack([ref.gt_t for ref in refs]), target.camera, C)
-        ref_levels = [np.stack(lvls) for lvls in
-                      zip(*(ref.levels(C.blur_radii) for ref in refs))]
+        ref_levels = np.stack([ref.levels(C.blur_radii) for ref in refs])
         per_pixel, _ = losses.photometric_loss(
             ref_levels, target.raster, coords, tgt_colors, C)
         min_k, _ = losses.min_k_loss(tape.transpose(per_pixel), C.min_k)

@@ -9,8 +9,8 @@ import pytest
 
 from defmap import cli, metrics, nets, synth, tape
 from defmap import model as model_mod
-from defmap.errors import (CheckpointError, DegenerateCloud, InvalidSpec,
-                           IoError)
+from defmap.errors import (CheckpointError, DegenerateCloud,
+                           InfeasibleConstraint, InvalidSpec, IoError)
 from test_blob import CORRUPTIONS, STATE_HEADER, _split
 from test_metrics import load_ply
 
@@ -455,6 +455,15 @@ class TestFit:
         assert err.count("error[InvalidSpec]") == 1 and key in err
         assert not out.exists()
 
+    def test_batch_wider_than_the_instances_fails_before_out(self, ds,
+                                                              tmp_path):
+        out = tmp_path / "o"
+        code = cli.main(["fit", "--dataset", str(ds), "--out", str(out),
+                         "--batch-size", "5", "--epochs", "1",
+                         "--batches-per-epoch", "1"])
+        assert code == cli.EXIT_CODES[InfeasibleConstraint] == 15
+        assert not out.exists()
+
     def test_resume_continues_epochs(self, work, ds, tmp_path):
         cfg = write_json(tmp_path / "tc.json", TRAIN_CFG)
         md = write_json(tmp_path / "md.json", MODEL_CFG)
@@ -694,6 +703,15 @@ class TestTextureTransfer:
         img = read_ppm(out)
         assert img.shape == (SPEC["image_h"], SPEC["image_w"], 3)
         assert (tmp_path / "t.ppm.manifest.json").exists()
+
+    def test_creates_the_output_directory(self, flat_model, tmp_path):
+        ds_flat, ckpt = flat_model
+        out = tmp_path / "nodir" / "t.ppm"
+        assert cli.main(["texture-transfer", "--checkpoint", str(ckpt),
+                         "--dataset", str(ds_flat), "--target-frame", "0",
+                         "--texture-frame", "3", "--out", str(out)]) == 0
+        assert read_ppm(out).shape == (SPEC["image_h"], SPEC["image_w"], 3)
+        assert (tmp_path / "nodir" / "t.ppm.manifest.json").exists()
 
     def test_background_copied_untouched(self, flat_model, tmp_path):
         ds_flat, ckpt = flat_model

@@ -65,6 +65,10 @@ class TestRotationFrom6D:
         raw[2, 3:] = 2.0 * raw[2, :3]  # one degenerate row fails the stack
         with pytest.raises(DegenerateInput):
             geom.rotation_from_6d_var(tape.Var(raw))
+        raw[2] = rng.standard_normal(6)
+        raw[1, :3] = 0.0
+        with pytest.raises(DegenerateInput, match="near-zero"):
+            geom.rotation_from_6d_var(tape.Var(raw))
 
 
 class TestRotationHelpers:

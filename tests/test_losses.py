@@ -496,10 +496,10 @@ class TestPhotometric:
         idx = np.arange(10)
         rc = f.pix_rc[idx]
         levels = f.levels(CFG.blur_radii)
-        tgt = [lvl[rc[:, 0], rc[:, 1]] for lvl in levels]
+        tgt = levels[rc[:, 0], rc[:, 1]]
         coords = tape.Var(f.pix_y[idx][None])
         per_pixel, clamped = losses.photometric_loss(
-            [lvl[None] for lvl in levels], f.raster, coords, tgt, CFG
+            levels[None], f.raster, coords, tgt, CFG
         )
         assert float(per_pixel.data.sum()) < 1e-20
         assert clamped.tolist() == [0.0]
@@ -509,10 +509,10 @@ class TestPhotometric:
         fa = FakeFrame(rng)
         c1, c2 = np.array([0.2, 0.4, 0.6]), np.array([0.9, 0.1, 0.3])
         fa.image[:] = c1
-        ref_levels = [lvl[None] for lvl in losses.image_pyramid(
-            np.broadcast_to(c2, fa.image.shape), ())]
+        ref_levels = losses.image_pyramid(
+            np.broadcast_to(c2, fa.image.shape), ())[None]
         idx = np.arange(12)
-        tgt = [np.tile(c1, (12, 1))]
+        tgt = np.tile(c1, (12, 1, 1))
         coords = tape.Var(fa.pix_y[idx][None])
         per_pixel, _ = losses.photometric_loss(
             ref_levels, fa.raster, coords, tgt, CFG
@@ -524,8 +524,8 @@ class TestPhotometric:
         rng = np.random.default_rng(25)
         f = FakeFrame(rng)
         coords = tape.Var(np.array([[[50.0, 50.0], [0.0, 0.0]]]))  # one far out
-        levels = [lvl[None] for lvl in f.levels(())]
-        tgt = [np.zeros((2, 3))]
+        levels = f.levels(())[None]
+        tgt = np.zeros((2, 1, 3))
         _, clamped = losses.photometric_loss(levels, f.raster, coords, tgt, CFG)
         assert clamped.tolist() == pytest.approx([0.5])
 
@@ -566,6 +566,23 @@ class TestTextureLoss:
             m, leaves, [f], [idx], kappa, beta, losses.LossWeights(), CFG
         )
         assert float(total.data) < 1e-18
+
+    def test_no_blur_radii_leave_no_perceptual_term(self):
+        rng = np.random.default_rng(31)
+        m = small_model(seed=4)
+        frames = [FakeFrame(rng, frame_id=i) for i in range(2)]
+        idx = [np.arange(f.descriptors.shape[0]) for f in frames]
+        leaves = model.make_leaves(m)
+        kappa = model.embed_pixels(m, leaves, np.concatenate(
+            [f.descriptors for f in frames]))
+        beta = tape.Var(rng.standard_normal((2, 3)))
+        no_radii = losses.texture_loss(
+            m, leaves, frames, idx, kappa, beta, losses.LossWeights(),
+            dataclasses.replace(CFG, blur_radii=()))
+        photo_only = losses.texture_loss(
+            m, leaves, frames, idx, kappa, beta,
+            losses.LossWeights(w_tex_percep=0.0), CFG)
+        assert float(no_radii.data) == float(photo_only.data) > 0.0
 
 
 class TestTotalLoss:

@@ -319,14 +319,14 @@ class TestImageOps:
         vals = rng.standard_normal((7, 2))
         w = rng.standard_normal((7, 2))
         got = tape.Var(vals)
-        out = tape.window_mean(shape, rc, got, 2, frame)
+        out = tape.window_mean(shape, rc, got, (2,), frame)
         tape.backward(tape.vsum(out * w))
         for f in range(3):
             sel = frame == f
             one_v = tape.Var(vals[sel])
-            one = tape.window_mean((1, *shape[1:]), rc[sel], one_v, 2, 0)
+            one = tape.window_mean((1, *shape[1:]), rc[sel], one_v, (2,), 0)
             tape.backward(tape.vsum(one * w[sel]))
-            assert one.data.tobytes() == out.data[sel].tobytes()
+            assert one.data.tobytes() == out.data[:, sel].tobytes()
             assert one_v.grad.tobytes() == got.grad[sel].tobytes()
 
     def test_window_mean_matches_whole_image_reference(self):
@@ -341,7 +341,7 @@ class TestImageOps:
         w = rng.standard_normal((len(rc), 3))
         for radius in (0, 1, 2, 4, 9):  # 9 spans the whole image
             got, want = tape.Var(vals), tape.Var(vals)
-            out = tape.window_mean((1, *shape), rc, got, radius, 0)
+            out = tape.window_mean((1, *shape), rc, got, (radius,), 0)[0]
             ref = reference_window_mean(shape, rc, want, radius)
             assert out.data.tobytes() == ref.data.tobytes(), radius
             tape.backward(tape.vsum(out * w))
@@ -352,19 +352,59 @@ class TestImageOps:
         img = np.random.default_rng(15).random((9, 11, 3))
         radii = (0, 1, 2, 4, 5, 20)
         levels = losses.image_pyramid(img, radii)
-        assert np.array_equal(levels[0], img)
+        assert levels.shape == (9, 11, 1 + len(radii), 3)
+        assert np.array_equal(levels[:, :, 0], img)
         # the window_mean route: every pixel of the image as a sample
         rc = np.indices(img.shape[:2]).reshape(2, -1).T
-        for lvl, r in zip(levels[1:], radii):
+        for i, r in enumerate(radii):
+            lvl = np.ascontiguousarray(levels[:, :, 1 + i])
             ref = reference_box_blur(tape.Var(img), r).data
             assert lvl.tobytes() == ref.tobytes(), r
             dense = tape.window_mean((1, *img.shape), rc, img.reshape(-1, 3),
-                                     r, 0).data.reshape(img.shape)
+                                     (r,), 0).data.reshape(img.shape)
             assert lvl.tobytes() == dense.tobytes(), r
+
+    def test_image_pyramid_without_radii_is_the_image(self):
+        img = np.random.default_rng(17).random((5, 4, 3))
+        levels = losses.image_pyramid(img, ())
+        assert levels.shape == (5, 4, 1, 3)
+        assert levels[:, :, 0].tobytes() == img.tobytes()
+
+    def test_window_mean_over_radii_matches_one_radius_calls(self):
+        rng = np.random.default_rng(18)
+        shape = (2, 6, 7, 3)
+        # duplicates within and across frames, corners and interior pixels
+        rc = np.concatenate([[[0, 0], [2, 3], [2, 3], [5, 6], [2, 3]],
+                             rng.integers(0, [6, 7], size=(11, 2))])
+        frame = rng.integers(0, 2, size=len(rc))
+        frame[:3] = 0
+        vals = rng.standard_normal((len(rc), 3))
+        radii = (2, 0, 4, 2, 9)
+        w = rng.standard_normal((len(radii), len(rc), 3))
+        got = tape.Var(vals)
+        out = tape.window_mean(shape, rc, got, radii, frame)
+        assert out.shape == (len(radii), len(rc), 3)
+        tape.backward(tape.vsum(out * w))
+        grad = np.zeros_like(vals)
+        for k, r in enumerate(radii):
+            one_v = tape.Var(vals)
+            one = tape.window_mean(shape, rc, one_v, (r,), frame)
+            assert one.data.tobytes() == out.data[k:k + 1].tobytes(), r
+            tape.backward(tape.vsum(one * w[k]))
+            grad = grad + one_v.grad
+        assert got.grad.tobytes() == grad.tobytes()
+
+    def test_window_mean_without_radii_is_empty(self):
+        got = tape.Var(np.ones((4, 3)))
+        out = tape.window_mean((1, 3, 3, 3), np.ones((4, 2), int), got, (), 0)
+        assert out.shape == (0, 4, 3)
+        tape.backward(tape.vsum(out))
+        assert got.grad.dtype == np.float64 and not got.grad.any()
 
     def test_window_mean_keeps_a_constant_image(self):
         rc = np.indices((5, 6)).reshape(2, -1).T
-        out = tape.window_mean((1, 5, 6, 3), rc, np.full((30, 3), 2.5), 2, 0)
+        out = tape.window_mean((1, 5, 6, 3), rc, np.full((30, 3), 2.5),
+                               (2, 0, 7), 0)
         np.testing.assert_allclose(out.data, 2.5, atol=1e-12)
 
     def test_window_mean_grad(self):
@@ -374,7 +414,7 @@ class TestImageOps:
 
         def build(v):
             vals = tape.reshape(v, (5, 2))
-            out = tape.window_mean((1, 4, 4, 2), rc, vals, 1, 0)
+            out = tape.window_mean((1, 4, 4, 2), rc, vals, (1, 2), 0)
             return tape.vsum(out * out * w)
 
         check_op(build, 10, rng)
