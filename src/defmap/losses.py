@@ -534,12 +534,13 @@ def total_loss(
                                           rows("pix_y"), cfg)
     terms["emb_align"] = embedding_alignment_loss(pred.kappa, pred.R, seg)
 
-    # every frame drew a sphere set above; only frame 0's is placed
-    B_sphere = model_mod.basis_at(mdl, leaves, spheres[0])
-    mask_pts = tape.batch_matvec(B_sphere,
-                                 tape.reshape(pred.alpha, (n_frames, 1, -1)))
+    # every frame drew a sphere set above; only frame 0's is placed. No
+    # name holds the samples' basis or placement, so when the term is the
+    # graph-free zero they are freed before the terms below are built.
     terms["mask"] = mask_reprojection_loss(
-        mask_pts, pred.R, t, cam, raster,
+        tape.batch_matvec(model_mod.basis_at(mdl, leaves, spheres[0]),
+                          tape.reshape(pred.alpha, (n_frames, 1, -1))),
+        pred.R, t, cam, raster,
         np.stack([fr.mask_dist for fr in frames]), cfg)
     terms["texture"] = texture_loss(mdl, leaves, frames, subsets, pred.kappa,
                                     pred.beta, weights, cfg)

@@ -9,6 +9,8 @@ ASCII PLY file IO for the evaluated clouds lives here as well.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +65,11 @@ def variance_normalize(points) -> np.ndarray:
     return centered / np.sqrt(var)
 
 
-def octahedral_rotations() -> list[np.ndarray]:
-    """The 24 rotations of the cube: signed axis permutations with det +1."""
-    import itertools
-
+@functools.cache
+def octahedral_rotations() -> np.ndarray:
+    """The 24 rotations of the cube, signed axis permutations with det +1,
+    as one read-only (24,3,3) array built on the first call: every ICP call
+    seeds its restarts with them."""
     out = []
     for perm in itertools.permutations(range(3)):
         P = np.eye(3)[list(perm)]
@@ -74,7 +77,9 @@ def octahedral_rotations() -> list[np.ndarray]:
             R = np.diag(signs) @ P
             if np.linalg.det(R) > 0:
                 out.append(R)
-    return out
+    rotations = np.stack(out)
+    rotations.flags.writeable = False
+    return rotations
 
 
 def _umeyama_batch(source: np.ndarray, targets: np.ndarray):
@@ -180,7 +185,8 @@ def icp_align(source, target) -> AlignResult:
     mu_t = target.mean(axis=0)
     var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
     # per-restart state: scales (K,), rotations (K,3,3), translations (K,3)
-    rot = np.stack(_pca_frame_seeds(source, target) + octahedral_rotations())
+    rot = np.concatenate([np.stack(_pca_frame_seeds(source, target)),
+                          octahedral_rotations()])
     k = len(rot)
     scale0 = np.sqrt(var_t / var_s)
     scale = np.full(k, scale0)

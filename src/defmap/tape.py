@@ -31,7 +31,8 @@ __all__ = [
 class Var:
     """A node in the computation graph wrapping one float64 ndarray."""
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    # weak references let a caller check that a graph it dropped is freed
+    __slots__ = ("data", "grad", "_parents", "_vjp", "__weakref__")
 
     # keep numpy from broadcasting ufuncs over Var objects; with this unset,
     # ndarray * Var silently builds an object array instead of calling __rmul__

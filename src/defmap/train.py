@@ -335,6 +335,29 @@ def _csv_writer(f, header):
     return w
 
 
+def _train_step(model: model_mod.DeformerModel, frames, w_eff,
+                cfg: TrainConfig, state: TrainState):
+    """One optimizer step on a batch; returns (loss value, breakdown,
+    pre-clip gradient norm), the norm NaN when a non-finite gradient made
+    the step a skipped one.
+
+    The step's graph and leaves live only in this call, so the next step
+    builds its graph after this one's is freed.
+    """
+    leaves = model_mod.make_leaves(model)
+    total, breakdown = losses.total_loss(model, leaves, frames, w_eff,
+                                         cfg.loss_cfg, state.rng,
+                                         n_pixels=cfg.n_pixels)
+    value, grads = tape.collect(total, leaves)
+    try:
+        gnorm = clip_global_norm(grads, cfg.clip_norm)
+        sgd_momentum_step(state, grads)
+    except NonFiniteGradient:
+        state.nonfinite += 1
+        gnorm = np.nan
+    return value, breakdown, gnorm
+
+
 def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
         train_ids, val_ids, run_dir, state: TrainState | None = None):
     """Optimize ``model`` on a category's frames; returns the per-epoch log.
@@ -350,7 +373,9 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     ``metrics.csv`` and model/state checkpoints into ``run_dir``.
     A resumed run appends to the logs it finds there; a new log file
     starts with its header row.
-    Non-finite gradient steps are skipped, counted, and reported.
+    Non-finite gradient steps are skipped, counted, and reported; an
+    epoch's means and its plateau check cover its applied steps only (an
+    epoch with none logs NaN means and leaves the schedule as it was).
     """
     train_frames = [category.frames[i] for i in train_ids]
     if not train_frames:
@@ -383,34 +408,32 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
             log_f, ["step", "epoch", "lr", "total", *LOG_TERMS, "grad_norm"])
         met_w = _csv_writer(met_f, METRIC_COLS)
         while state.epoch < cfg.epochs:
-            totals = []
+            totals = []  # of the applied steps only
             term_sums = dict.fromkeys(LOG_TERMS, 0.0)
             for _ in range(cfg.batches_per_epoch):
                 batch = synth.make_batches(
                     instance_ids, rebal, cfg.batch_size, 1, state.rng)[0]
-                leaves = model_mod.make_leaves(model)
-                total, breakdown = losses.total_loss(
-                    model, leaves, [train_frames[i] for i in batch], w_eff,
-                    cfg.loss_cfg, state.rng, n_pixels=cfg.n_pixels)
-                value, grads = tape.collect(total, leaves)
-                try:
-                    gnorm = clip_global_norm(grads, cfg.clip_norm)
-                    sgd_momentum_step(state, grads)
-                except NonFiniteGradient:
-                    state.nonfinite += 1
-                    gnorm = np.nan
-                totals.append(value)
-                for t in LOG_TERMS:
-                    term_sums[t] += breakdown[t]
+                value, breakdown, gnorm = _train_step(
+                    model, [train_frames[i] for i in batch], w_eff, cfg,
+                    state)
+                if not np.isnan(gnorm):
+                    totals.append(value)
+                    for t in LOG_TERMS:
+                        term_sums[t] += breakdown[t]
                 log_w.writerow([
                     state.step, state.epoch, repr(state.lr), repr(value),
                     *(repr(breakdown[t]) for t in LOG_TERMS), repr(gnorm),
                 ])
-            mean_total = float(np.mean(totals))
             lr_used = state.lr
-            _plateau_step(state, mean_total, cfg.plateau_patience,
-                          cfg.plateau_factor, cfg.plateau_rel_improve,
-                          cfg.max_lr_decays)
+            if totals:
+                mean_total = float(np.mean(totals))
+                term_means = {t: term_sums[t] / len(totals) for t in LOG_TERMS}
+                _plateau_step(state, mean_total, cfg.plateau_patience,
+                              cfg.plateau_factor, cfg.plateau_rel_improve,
+                              cfg.max_lr_decays)
+            else:  # no step applied: nothing to judge the schedule by
+                mean_total = np.nan
+                term_means = dict.fromkeys(LOG_TERMS, np.nan)
             state.epoch += 1
             run_val = (state.epoch == cfg.epochs
                        or (cfg.validate_every > 0
@@ -423,8 +446,7 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
             row = {
                 "epoch": state.epoch,
                 "mean_total": mean_total,
-                **{f"mean_{t}": term_sums[t] / cfg.batches_per_epoch
-                   for t in LOG_TERMS},
+                **{f"mean_{t}": term_means[t] for t in LOG_TERMS},
                 "d_pcl": d_pcl,
                 "d_depth": d_depth,
                 "lr": lr_used,

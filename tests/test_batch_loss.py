@@ -8,6 +8,7 @@ agree to rounding in value, breakdown and every leaf gradient.
 """
 
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -297,12 +298,17 @@ def test_graph_size_does_not_grow_with_the_batch():
     assert len(set(counts)) == 1, counts
 
 
-def test_a_batch_inside_its_silhouettes_has_no_mask_graph(monkeypatch):
-    cat = category(geom.ORTHOGRAPHIC)
-    # the fresh model's shapes sit near the origin, inside every silhouette
+def inside_silhouettes():
+    """A fresh model, whose shapes sit near the origin, inside every
+    silhouette of the orthographic category, and a 61-sample mask config."""
     mdl = model_mod.init_model(generic_model(model_mod.AMORTIZED, 0).dims,
                                model_mod.AMORTIZED, np.random.default_rng(2))
-    cfg = losses.LossConfig(n_mask_samples=61)
+    return mdl, losses.LossConfig(n_mask_samples=61)
+
+
+def test_a_batch_inside_its_silhouettes_has_no_mask_graph(monkeypatch):
+    cat = category(geom.ORTHOGRAPHIC)
+    mdl, cfg = inside_silhouettes()
     frames = cat.frames[:4]
     sphere_basis = []
     real = nets.mlp_forward
@@ -329,3 +335,30 @@ def test_a_batch_inside_its_silhouettes_has_no_mask_graph(monkeypatch):
     # value and gradients still equal the reference's, which builds the term
     got, want = both_losses(mdl, frames, cfg, losses.LossWeights())
     assert_agree(got, want)
+
+
+def test_the_sphere_basis_is_freed_before_the_texture_term(monkeypatch):
+    # with the mask term the graph-free zero, nothing keeps the basis net's
+    # output on the sphere samples alive into the later terms
+    mdl, cfg = inside_silhouettes()
+    sphere_basis, alive_at_texture = [], []
+    real_mlp, real_texture = nets.mlp_forward, losses.texture_loss
+
+    def spy_mlp(theta, mlp_cfg, x, *frame_cols):
+        out = real_mlp(theta, mlp_cfg, x, *frame_cols)
+        if mlp_cfg == mdl.nets["basis"].config and out.shape[0] == 61:
+            sphere_basis.append(weakref.ref(out))
+        return out
+
+    def spy_texture(*args):
+        alive_at_texture.extend(ref() is not None for ref in sphere_basis)
+        return real_texture(*args)
+
+    monkeypatch.setattr(nets, "mlp_forward", spy_mlp)
+    monkeypatch.setattr(losses, "texture_loss", spy_texture)
+    _, br = losses.total_loss(mdl, model_mod.make_leaves(mdl),
+                              category(geom.ORTHOGRAPHIC).frames[:4],
+                              losses.LossWeights(), cfg,
+                              np.random.default_rng(9), 25)
+    assert br["mask"] == 0.0
+    assert alive_at_texture == [False]

@@ -79,6 +79,13 @@ class TestOctahedralRotations:
             keys.add(tuple(np.rint(R.ravel()).astype(int)))
         assert len(keys) == 24  # pairwise distinct
 
+    def test_the_shared_set_cannot_be_changed(self):
+        mats = metrics.octahedral_rotations()
+        for R in (mats, mats[0]):
+            with pytest.raises(ValueError):
+                R[0, 0] = 5.0
+        assert metrics.octahedral_rotations() is mats
+
     def test_closed_under_composition(self):
         mats = metrics.octahedral_rotations()
         keys = {tuple(np.rint(R.ravel()).astype(int)) for R in mats}
@@ -207,8 +214,8 @@ def reference_restarts(source, target) -> list:
     var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
     scale0 = np.sqrt(var_t / var_s)
     out = []
-    for R0 in (metrics._pca_frame_seeds(source, target)
-               + metrics.octahedral_rotations()):
+    for R0 in [*metrics._pca_frame_seeds(source, target),
+               *metrics.octahedral_rotations()]:
         T = geom.SimilarityTransform(scale0, R0, mu_t - scale0 * R0 @ mu_s)
         prev, converged = np.inf, False
         for n_iter in range(1, metrics.ICP_MAX_ITER + 1):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -379,11 +380,59 @@ class TestFit:
         before = {k: v.copy() for k, v in mdl.param_arrays().items()}
         cfg = tiny_cfg(epochs=1)
         state = train.init_state(mdl, cfg)
-        train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path, state=state)
+        log = train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path,
+                        state=state)
         assert state.nonfinite == cfg.batches_per_epoch
         assert state.step == 0
         for name, arr in mdl.param_arrays().items():
             np.testing.assert_array_equal(arr, before[name])
+        # an epoch with no applied step has no mean and moves no schedule
+        assert np.isnan(log[0]["mean_total"]) and np.isnan(log[0]["mean_prior"])
+        assert (state.best, state.wait, state.lr) == (np.inf, 0, cfg.lr)
+
+    def test_epoch_means_cover_the_applied_steps(self, tmp_path):
+        cat = synth.generate_category(tiny_spec(seed=9))
+        for fr in cat.frames:
+            if fr.instance_id == 0:
+                fr.labels.alpha[:] = np.nan     # its batches are skipped
+        mdl = fresh_model(cat.spec)
+        cfg = tiny_cfg(epochs=3, batches_per_epoch=4)
+        state = train.init_state(mdl, cfg)
+        log = train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path,
+                        state=state)
+        with open(tmp_path / "log.csv") as f:
+            steps = list(csv.DictReader(f))
+        assert 0 < state.nonfinite < len(steps)
+        for row in log:
+            applied = [s for s in steps if int(s["epoch"]) == row["epoch"] - 1
+                       and s["grad_norm"] != "nan"]
+            if not applied:
+                assert np.isnan(row["mean_total"])
+                continue
+            totals = [float(s["total"]) for s in applied]
+            assert row["mean_total"] == float(np.mean(totals))
+            for t in train.LOG_TERMS:
+                assert row[f"mean_{t}"] == (sum(float(s[t]) for s in applied)
+                                            / len(applied))
+        assert np.isfinite(state.best)
+
+    def test_each_step_frees_the_previous_steps_graph(self, tiny_cat,
+                                                      tmp_path, monkeypatch):
+        roots, alive = [], []
+        real = losses.total_loss
+
+        def spy(*args, **kwargs):
+            alive.extend(ref() is not None for ref in roots[-1:])
+            total, breakdown = real(*args, **kwargs)
+            roots.append(weakref.ref(total))
+            return total, breakdown
+
+        monkeypatch.setattr(losses, "total_loss", spy)
+        cfg = tiny_cfg(epochs=1)
+        train.fit(tiny_cat, fresh_model(tiny_cat.spec), cfg,
+                  all_ids(tiny_cat), [0], tmp_path)
+        assert len(roots) == cfg.batches_per_epoch
+        assert alive == [False] * (cfg.batches_per_epoch - 1)
 
     def test_direct_latent_mode_trains(self, tiny_cat, tmp_path):
         mdl = fresh_model(tiny_cat.spec, mode=model_mod.DIRECT_LATENT,
