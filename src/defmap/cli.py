@@ -107,6 +107,23 @@ def write_manifest(path, command: str, argv, config: dict, inputs: dict,
     return manifest
 
 
+def _input_records(dataset, **files) -> dict:
+    """Manifest ``inputs``: the dataset by its content hash, every other
+    input file (name -> path) by its sha256."""
+    return {"dataset": {"path": str(dataset),
+                        "dataset_hash": synth.dataset_hash(dataset)},
+            **{name: {"path": str(path), "sha256": _file_sha256(path)}
+               for name, path in files.items()}}
+
+
+def _check_frames(cat: synth.GroundTruthCategory, frame_ids,
+                  what: str = "frame") -> None:
+    """InvalidSpec for the first id that is not a frame of ``cat``."""
+    for fid in frame_ids:
+        if fid < 0 or fid >= len(cat.frames):
+            raise errors.InvalidSpec(f"{what} {fid} outside the dataset")
+
+
 def _require_model(path) -> model_mod.DeformerModel:
     if not os.path.isfile(path):
         raise errors.IoError(f"no checkpoint at {path!r}")
@@ -128,16 +145,17 @@ def _load_json(path) -> dict:
 
 # -- synth-gen --------------------------------------------------------------------
 
+# preset -> spec builder of a seed; "benchmark" is the default category
 _PRESETS = {
-    "default": lambda seed: synth.CategorySpec(seed=seed),
+    "default": synth.CategorySpec,
     "fixed-point": synth.fixed_point_spec,
-    "benchmark": synth.benchmark_spec,
+    "benchmark": synth.CategorySpec,
 }
 
 
 def _build_spec(args) -> synth.CategorySpec:
     seed = 0 if args.seed is None else args.seed
-    base = asdict(_PRESETS[args.preset](seed))
+    base = asdict(_PRESETS[args.preset](seed=seed))
     if args.spec is not None:
         overrides = _load_json(args.spec)
         unknown = set(overrides) - set(base)
@@ -193,6 +211,7 @@ def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
         "n_pixels": args.n_pixels,
         "validate_every": args.validate_every,
         "checkpoint_every": args.checkpoint_every,
+        "holdout_every": args.holdout_every,
     }
     for key, val in overrides.items():
         if val is not None:
@@ -242,8 +261,6 @@ def _fit_usage_error(msg: str):
 
 
 def cmd_fit(args) -> int:
-    if args.holdout_every < 0:
-        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
     cat = synth.load_category(args.dataset)
     state = None
     if args.resume is not None:
@@ -256,17 +273,20 @@ def cmd_fit(args) -> int:
             raise errors.IoError(f"no training state at {state_path!r}")
         state = train.load_state(state_path, mdl)
     cfg = _build_train_config(args, cat.spec.camera_kind)
+    holdout = cfg.holdout_every  # the flag's, else the resumed run's
+    if holdout < 0:
+        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
     if state is None:
         mdl = _build_model(args, cat, np.random.default_rng(cfg.seed))
-    if mdl.mode == model_mod.DIRECT_LATENT and args.holdout_every > 0:
+    if mdl.mode == model_mod.DIRECT_LATENT and holdout > 0:
         # decided on the model actually used, built or resumed
         _fit_usage_error("--holdout-every needs an amortized model; "
                      "direct-latent rows of held-out frames are never trained")
 
     ids = list(range(len(cat.frames)))
-    if args.holdout_every > 0:
-        val_ids = ids[::args.holdout_every]
-        train_ids = [i for i in ids if i % args.holdout_every != 0]
+    if holdout > 0:
+        val_ids = ids[::holdout]
+        train_ids = [i for i in ids if i % holdout != 0]
     else:
         train_ids = val_ids = ids
 
@@ -280,22 +300,13 @@ def cmd_fit(args) -> int:
     cfg_dict["model_dims"] = asdict(mdl.dims)
     cfg_dict["train_ids"] = train_ids
     cfg_dict["val_ids"] = val_ids
-    inputs = {"dataset": {"path": str(args.dataset),
-                          "dataset_hash": synth.dataset_hash(args.dataset)}}
-    if args.resume is not None:
-        inputs["resume_model"] = {
-            "path": os.path.join(args.resume, "model_final.bin"),
-            "sha256": _file_sha256(
-                os.path.join(args.resume, "model_final.bin")),
-        }
-        inputs["resume_state"] = {
-            "path": os.path.join(args.resume, "state_final.bin"),
-            "sha256": _file_sha256(
-                os.path.join(args.resume, "state_final.bin")),
-        }
+    resumed = {} if args.resume is None else {
+        f"resume_{part}": os.path.join(args.resume, f"{part}_final.bin")
+        for part in ("model", "state")}
     write_manifest(
         os.path.join(args.out, "manifest.json"),
-        "fit", args.argv, cfg_dict, inputs=inputs,
+        "fit", args.argv, cfg_dict,
+        inputs=_input_records(args.dataset, **resumed),
         outputs=["config.json", "log.csv", "metrics.csv",
                  "model_final.bin", "state_final.bin"],
         seed=cfg.seed,
@@ -332,9 +343,7 @@ def cmd_eval(args) -> int:
     mdl = _require_model(args.checkpoint)
     frame_ids = (list(range(len(cat.frames))) if not args.frames
                  else sorted(set(args.frames)))
-    for fid in frame_ids:
-        if fid < 0 or fid >= len(cat.frames):
-            raise errors.InvalidSpec(f"frame {fid} outside the dataset")
+    _check_frames(cat, frame_ids)
     rows = eval_frames(cat, mdl, frame_ids, args.n_points)
     means, failed = train.reduce_rows(rows)
 
@@ -366,12 +375,7 @@ def cmd_eval(args) -> int:
         "eval", args.argv,
         {"n_points": args.n_points, "frames": frame_ids,
          "dump_ply": bool(args.dump_ply)},
-        inputs={
-            "dataset": {"path": str(args.dataset),
-                        "dataset_hash": synth.dataset_hash(args.dataset)},
-            "checkpoint": {"path": str(args.checkpoint),
-                           "sha256": _file_sha256(args.checkpoint)},
-        },
+        inputs=_input_records(args.dataset, checkpoint=args.checkpoint),
         outputs=outputs,
     )
     print(f"frames: {len(rows)}  d_pcl: {means['d_pcl']:.6g}"
@@ -589,11 +593,8 @@ def transfer_texture(cat: synth.GroundTruthCategory,
 def cmd_texture_transfer(args) -> int:
     cat = synth.load_category(args.dataset)
     mdl = _require_model(args.checkpoint)
-    for fid, label in ((args.target_frame, "target"),
-                       (args.texture_frame, "texture")):
-        if fid < 0 or fid >= len(cat.frames):
-            raise errors.InvalidSpec(
-                f"{label} frame {fid} outside the dataset")
+    _check_frames(cat, [args.target_frame], "target frame")
+    _check_frames(cat, [args.texture_frame], "texture frame")
     out_img = transfer_texture(cat, mdl, args.target_frame,
                                args.texture_frame)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -603,12 +604,7 @@ def cmd_texture_transfer(args) -> int:
         "texture-transfer", args.argv,
         {"target_frame": args.target_frame,
          "texture_frame": args.texture_frame},
-        inputs={
-            "dataset": {"path": str(args.dataset),
-                        "dataset_hash": synth.dataset_hash(args.dataset)},
-            "checkpoint": {"path": str(args.checkpoint),
-                           "sha256": _file_sha256(args.checkpoint)},
-        },
+        inputs=_input_records(args.dataset, checkpoint=args.checkpoint),
         outputs=[args.out],
     )
     print(f"wrote {args.out} ({out_img.shape[1]}x{out_img.shape[0]})")
@@ -658,9 +654,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--ablate", action="append", default=[],
                    choices=sorted(losses.TERMS),
                    help="zero one loss term (repeatable)")
-    f.add_argument("--holdout-every", type=int, default=0,
+    f.add_argument("--holdout-every", type=int, default=None,
                    help="every K-th frame is held out for validation "
-                        "(amortized mode only)")
+                        "(amortized mode only; default: the resumed "
+                        "run's, else 0)")
     f.add_argument("--resume", default=None,
                    help="run directory to continue from")
     f.set_defaults(func=cmd_fit)

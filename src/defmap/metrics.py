@@ -257,28 +257,25 @@ def point_cloud_distance(pred, gt) -> float:
     return chamfer_symmetric(res.transform.apply(p), g)
 
 
-def depth_error(pred_depth, gt_depth, mask) -> float:
+def depth_error(pred_depth, gt_depth) -> float:
     """Mean absolute depth difference after mean/variance matching.
 
-    Both maps are read inside ``mask`` only; the prediction is affinely
-    rescaled to the ground truth's mean and variance there, which removes
-    the reconstruction's arbitrary depth offset and scale.
+    Both arguments hold one depth per evaluated pixel; the prediction is
+    affinely rescaled to the ground truth's mean and variance, which
+    removes the reconstruction's arbitrary depth offset and scale.
     """
-    pred = np.asarray(pred_depth, dtype=np.float64)
-    gt = np.asarray(gt_depth, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if pred.shape != gt.shape or pred.shape != mask.shape:
-        raise DimMismatch("depth maps and mask must share one shape")
-    p = pred[mask]
-    g = gt[mask]
+    p = np.asarray(pred_depth, dtype=np.float64)
+    g = np.asarray(gt_depth, dtype=np.float64)
+    if p.shape != g.shape:
+        raise DimMismatch("predicted and true depths must share one shape")
     if p.size == 0:
-        raise DegenerateDepth("empty evaluation mask")
+        raise DegenerateDepth("no pixels to evaluate")
     if not (np.isfinite(p).all() and np.isfinite(g).all()):
-        raise DegenerateDepth("non-finite depth inside the mask")
+        raise DegenerateDepth("non-finite depth")
     p_std = float(p.std())
     g_std = float(g.std())
     if p_std < 1e-24 or g_std < 1e-24:
-        raise DegenerateDepth("constant depth inside the mask")
+        raise DegenerateDepth("constant depth")
     p_matched = (p - p.mean()) / p_std * g_std + g.mean()
     return float(np.mean(np.abs(p_matched - g)))
 

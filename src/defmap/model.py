@@ -143,7 +143,6 @@ class FramePrediction:
     kappa: tape.Var        # (N,3) unit embeddings of the supplied pixels
     alpha: tape.Var        # (F,D)
     beta: tape.Var         # (F,D')
-    view6d: tape.Var       # (F,6)
     R: tape.Var            # (F,3,3)
 
 
@@ -196,11 +195,9 @@ def predict_frame(
     """
     kappa = embed_pixels(model, leaves, pixel_descriptors)
     if model.mode == AMORTIZED:
-        g = np.asarray(instance_descriptors, dtype=np.float64)
-        if g.ndim != 2 or g.shape[1] != model.dims.instance_dim:
-            raise DimMismatch("instance descriptor width mismatch")
         alpha, beta, v6 = (
-            nets.mlp_forward(leaves[f"net:{key}"], model.nets[key].config, g)
+            nets.mlp_forward(leaves[f"net:{key}"], model.nets[key].config,
+                             instance_descriptors)
             for key in _HEADS)
     else:
         ids = np.asarray(frame_ids, dtype=int)
@@ -212,8 +209,8 @@ def predict_frame(
     if model.dims.pin_first_coeff:
         head = tape.detach(tape.as_var(np.ones((alpha.shape[0], 1))))
         alpha = tape.concat([head, alpha[:, 1:]], axis=1)
-    R = geom.rotation_from_6d_var(v6)
-    return FramePrediction(kappa=kappa, alpha=alpha, beta=beta, view6d=v6, R=R)
+    return FramePrediction(kappa=kappa, alpha=alpha, beta=beta,
+                           R=geom.rotation_from_6d_var(v6))
 
 
 # -- plain-numpy evaluation helpers -----------------------------------------
@@ -230,12 +227,9 @@ def basis_np(model: DeformerModel, kappa: np.ndarray) -> np.ndarray:
 def surface_sample(
     model: DeformerModel, kappa_set: np.ndarray, alpha: np.ndarray
 ) -> np.ndarray:
-    """Point cloud basis(kappa_i) @ alpha for a fixed coefficient vector."""
-    kappa_set = np.asarray(kappa_set, dtype=np.float64)
-    if kappa_set.ndim != 2 or kappa_set.shape[1] != 3:
-        raise DimMismatch("kappa_set must be (M,3)")
-    B = basis_np(model, kappa_set)
-    return B @ np.asarray(alpha, dtype=np.float64)
+    """Point cloud basis(kappa_i) @ alpha of (M,3) points for a fixed
+    coefficient vector."""
+    return basis_np(model, kappa_set) @ np.asarray(alpha, dtype=np.float64)
 
 
 def predict_np(model, instance_descriptor, frame_index, pixel_descriptors):
@@ -248,7 +242,6 @@ def predict_np(model, instance_descriptor, frame_index, pixel_descriptors):
         "kappa": pred.kappa.data,
         "alpha": pred.alpha.data[0],
         "beta": pred.beta.data[0],
-        "view6d": pred.view6d.data[0],
         "R": pred.R.data[0],
     }
 

@@ -138,7 +138,7 @@ def l2norm_rows(x: tape.Var) -> tape.Var:
 
 
 def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
-    """Forward pass producing (N,out_dim) (or (out_dim,) for a single row).
+    """Forward pass of (N,in_dim) rows ``x``, producing (N,out_dim).
 
     ``theta`` is the flat parameter vector (Var or ndarray); gradients flow
     into it when it is a Var. ``x`` may likewise be a Var or ndarray; a
@@ -153,8 +153,9 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
     """
     theta = tape.as_var(theta)
     x_var = isinstance(x, tape.Var)
-    x_data = x.data if x_var else np.asarray(x, dtype=np.float64)
-    rows = x_data.reshape(1, -1) if x_data.ndim == 1 else x_data
+    rows = x.data if x_var else np.asarray(x, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DimMismatch(f"input must be (N,in_dim) rows, got {rows.shape}")
     width = rows.shape[1]
     if frame_x is not None:
         frame_x, seg = tape.as_var(frame_x), np.asarray(seg)
@@ -198,7 +199,7 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
             g.sum(axis=0, out=gp[b])
             return g @ p[w]
 
-        gh = linear("w_out", "b_out", h, np.reshape(g, out.shape))
+        gh = linear("w_out", "b_out", h, g)
         for k in reversed(range(cfg.n_res_blocks)):
             gate, s, n, r = blocks[k]
             gr = linear(f"blk{k}_w2", f"blk{k}_b2", r, gh)
@@ -215,7 +216,7 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
         np.matmul(gh.T, rows, out=gp["w_in"][:, :d])
         gh.sum(axis=0, out=gp["b_in"])
         if x_var:
-            grads.append((gh @ w_x).reshape(x.shape))
+            grads.append(gh @ w_x)
         if frame_x is not None:
             g_frame = onehot(seg, frame_x.shape[0]) @ gh  # per-frame sums
             np.matmul(g_frame.T, frame_x.data, out=gp["w_in"][:, d:])
@@ -227,8 +228,7 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
         parents.append(x)
     if frame_x is not None:
         parents.append(frame_x)
-    return tape._node(out.reshape(-1) if x_data.ndim == 1 else out, parents,
-                      vjp)
+    return tape._node(out, parents, vjp)
 
 
 def onehot(seg: np.ndarray, n: int) -> np.ndarray:

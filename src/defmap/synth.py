@@ -60,7 +60,6 @@ __all__ = [
     "load_category",
     "dataset_hash",
     "fixed_point_spec",
-    "benchmark_spec",
 ]
 
 SH_DIM = 16
@@ -286,7 +285,7 @@ def pose_rotation(azimuth: float, elevation: float) -> np.ndarray:
     return tilt @ spin
 
 
-def azimuth_of(R: np.ndarray, eps: float = 1e-9) -> float:
+def azimuth_of(R: np.ndarray) -> float:
     """Recover the azimuth as the right-factor twist about world z.
 
     Decomposes R = R_rest @ R_z(theta) via the rotation's quaternion:
@@ -296,17 +295,18 @@ def azimuth_of(R: np.ndarray, eps: float = 1e-9) -> float:
     q = geom.quat_from_matrix(np.asarray(R, dtype=np.float64))
     w, z = q[0], q[3]
     n = np.hypot(w, z)
-    if n < eps:
+    if n < 1e-9:
         raise GimbalDegenerate("twist about z is unconstrained here")
     return float(2.0 * np.arctan2(z, w))
 
 
-def rebalance_weights(azimuths, n_bins: int = 16) -> np.ndarray:
-    """Inverse-propensity frame weights from a binned azimuth histogram.
+def rebalance_weights(azimuths) -> np.ndarray:
+    """Inverse-propensity frame weights from a 16-bin azimuth histogram.
 
     Frames in over-represented azimuth bins are down-weighted so every
     occupied bin carries the same total mass; weights average to 1.
     """
+    n_bins = 16
     az = np.mod(np.asarray(azimuths, dtype=np.float64) + np.pi, 2 * np.pi) - np.pi
     bins = np.minimum((az + np.pi) / (2 * np.pi) * n_bins, n_bins - 1).astype(int)
     counts = np.bincount(bins, minlength=n_bins)
@@ -671,11 +671,6 @@ def fixed_point_spec(seed: int = 0) -> CategorySpec:
         background_matches_albedo=True,
         n_surface_samples=16000,
     )
-
-
-def benchmark_spec(seed: int = 0) -> CategorySpec:
-    """Textured noisy category at the scale the training benchmarks use."""
-    return CategorySpec(seed=seed)
 
 
 # -- dataset io -----------------------------------------------------------------

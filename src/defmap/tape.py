@@ -193,12 +193,10 @@ def vsum(a, axis=None, keepdims=False) -> Var:
     return _node(out, (a,), vjp)
 
 
-def vmean(a, axis=None, keepdims=False) -> Var:
+def vmean(a) -> Var:
+    """Mean of every entry, a scalar."""
     a = as_var(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[d] for d in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(vsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return mul(vsum(a), 1.0 / float(a.data.size))
 
 
 def reshape(a, shape) -> Var:
@@ -324,10 +322,6 @@ def detach(a) -> Var:
 
 
 # -- linear algebra helpers ------------------------------------------------
-
-
-def dot(a, b) -> Var:
-    return vsum(mul(a, b))
 
 
 def cross3(a, b) -> Var:

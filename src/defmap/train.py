@@ -59,6 +59,7 @@ class TrainConfig:
     n_eval_points: int = 800            # cloud size for epoch validation
     validate_every: int = 1             # epochs between validations; 0 = end
     checkpoint_every: int = 0           # epochs between snapshots; 0 = end only
+    holdout_every: int = 0              # every K-th frame held out; 0 = none
     ablate: tuple = ()
     seed: int = 0
     weights: losses.LossWeights = field(default_factory=losses.LossWeights)
@@ -279,7 +280,6 @@ def eval_frames(cat: synth.GroundTruthCategory, mdl: model_mod.DeformerModel,
         cloud = model_mod.surface_sample(mdl, eval_kappa, pred["alpha"])
         gt_cloud = cat.surface_points(eval_kappa, fr.gt_alpha)
         gt_depth = fr.depth[fr.pix_rc[:, 0], fr.pix_rc[:, 1]]
-        ones = np.ones(len(gt_depth), dtype=bool)
         z_emb = (model_mod.basis_np(mdl, pred["kappa"]) @ pred["alpha"]
                  @ pred["R"].T)[:, 2]
         z_anchor = (model_mod.basis_np(mdl, fr.gt_kappa) @ pred["alpha"]
@@ -287,9 +287,9 @@ def eval_frames(cat: synth.GroundTruthCategory, mdl: model_mod.DeformerModel,
         row = {"frame_id": fid, "instance_id": fr.instance_id,
                "pred_cloud": cloud, "gt_cloud": gt_cloud, "errors": []}
         _score(row, "d_pcl", metrics.point_cloud_distance, cloud, gt_cloud)
-        _score(row, "d_depth", metrics.depth_error, z_emb, gt_depth, ones)
+        _score(row, "d_depth", metrics.depth_error, z_emb, gt_depth)
         _score(row, "d_depth_anchored", metrics.depth_error, z_anchor,
-               gt_depth, ones)
+               gt_depth)
         rows.append(row)
     return rows
 

@@ -144,7 +144,7 @@ class TestCriterion04MetricOracles:
             ps = np.sqrt(((p - pm) ** 2).sum() / p.size)
             gs = np.sqrt(((g - gm) ** 2).sum() / g.size)
             oracle = np.abs((p - pm) / ps * gs + gm - g).mean()
-            npt.assert_allclose(metrics.depth_error(pred, gt, mask), oracle,
+            npt.assert_allclose(metrics.depth_error(p, g), oracle,
                                 rtol=1e-12, atol=0)
 
     def test_d_pcl_scale_invariant_exactly(self):
@@ -239,7 +239,7 @@ class TestCriterion05GroundTruthFixedPoint:
 
 class TestCriterion08ViewpointRebalancing:
     N_DRAWS = 100_000
-    N_BINS = 16
+    N_BINS = 16     # rebalance_weights' histogram
 
     def test_weighted_draws_uniformize_a_skewed_azimuth_distribution(self):
         rng = np.random.default_rng(11)
@@ -253,7 +253,7 @@ class TestCriterion08ViewpointRebalancing:
         raw = np.bincount(bins, minlength=self.N_BINS)
         assert raw.min() > 0
 
-        w = synth.rebalance_weights(az, self.N_BINS)
+        w = synth.rebalance_weights(az)
         draws = rng.choice(m, size=self.N_DRAWS, p=w / w.sum())
         hist = np.bincount(bins[draws], minlength=self.N_BINS)
 

@@ -29,9 +29,9 @@ def _ph_rows(z, eps):
 
 def _rotation(raw):
     a, b = raw[slice(0, 3)], raw[slice(3, 6)]
-    c1 = a / tape.sqrt(tape.dot(a, a))
-    b_perp = b - tape.dot(c1, b) * c1
-    c2 = b_perp / tape.sqrt(tape.dot(b_perp, b_perp))
+    c1 = a / tape.sqrt(tape.vsum(a * a))
+    b_perp = b - tape.vsum(c1 * b) * c1
+    c2 = b_perp / tape.sqrt(tape.vsum(b_perp * b_perp))
     return tape.transpose(tape.stack([c1, c2, tape.cross3(c1, c2)], axis=0))
 
 
@@ -47,9 +47,10 @@ def _project(cam, X, min_depth):
 def _predict(mdl, leaves, frame, desc):
     kappa = model_mod.embed_pixels(mdl, leaves, desc)
     if mdl.mode == model_mod.AMORTIZED:
+        # each head on the frame's one (1,G) row
         alpha, beta, v6 = (nets.mlp_forward(leaves[f"net:{key}"],
                                             mdl.nets[key].config,
-                                            frame.instance_desc)
+                                            frame.instance_desc[None])[0]
                            for key in ("shape_head", "texture_head",
                                        "view_head"))
     else:
@@ -104,8 +105,8 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         translations.append(t)
         add("repro", repro)
 
-        u = nets.l2norm_rows(tape.vmean(kappa, axis=0))
-        add("emb_align", tape.dot(R[2], u))
+        u = nets.l2norm_rows(tape.vsum(kappa, axis=0) * (1.0 / len(idx)))
+        add("emb_align", tape.vsum(R[2] * u))
 
         sphere = losses.sample_sphere(cfg.n_mask_samples, rng)
         if i == 0:

@@ -160,6 +160,18 @@ class TestSynthGen:
                          "--spec", spec, "--seed", "5"]) == 0
         assert synth.dataset_hash(tmp_path / "c") != h_a
 
+    def test_benchmark_preset_is_the_default_category(self, tmp_path):
+        # only the size is overridden, as the benchmark's spec does
+        spec = write_json(tmp_path / "spec.json",
+                          {"n_instances": 2, "frames_per_instance": 1})
+        hashes = []
+        for preset in ("benchmark", "default"):
+            out = tmp_path / preset
+            assert cli.main(["synth-gen", "--preset", preset, "--spec", spec,
+                             "--seed", "3", "--out", str(out)]) == 0
+            hashes.append(synth.dataset_hash(out))
+        assert hashes[0] == hashes[1]
+
     def test_prints_refined_pixel_count(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", SPEC)
         out = tmp_path / "ds"
@@ -341,6 +353,32 @@ class TestFit:
             assert first[1:] + rest[1:] == whole[1:]    # rows, bit for bit
         assert (resumed / "model_final.bin").read_bytes() \
             == (unbroken / "model_final.bin").read_bytes()
+
+    def test_resume_keeps_the_holdout(self, ds, tmp_path):
+        # a run fitted with --holdout-every and resumed without the flag
+        # must not train on its held-out frames
+        base = ["--dataset", str(ds), "--batches-per-epoch", "3",
+                "--batch-size", "2", "--seed", "0", "--holdout-every", "3",
+                "--config", write_json(tmp_path / "tc.json", TRAIN_CFG),
+                "--model-config", write_json(tmp_path / "md.json", MODEL_CFG)]
+        first, resumed, unbroken = (tmp_path / n for n in ("f", "r", "u"))
+        assert cli.main(["fit", *base, "--out", str(first),
+                         "--epochs", "1"]) == 0
+        assert cli.main(["fit", *base, "--out", str(unbroken),
+                         "--epochs", "2"]) == 0
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(resumed),
+                         "--resume", str(first), "--epochs", "2"]) == 0
+        for name in ("log.csv", "metrics.csv"):
+            first_rows = (first / name).read_text().splitlines()
+            rest = (resumed / name).read_text().splitlines()
+            whole = (unbroken / name).read_text().splitlines()
+            assert first_rows[1:] + rest[1:] == whole[1:]  # bit for bit
+        assert (resumed / "model_final.bin").read_bytes() \
+            == (unbroken / "model_final.bin").read_bytes()
+        m = json.loads((resumed / "manifest.json").read_text())
+        assert m["config"]["val_ids"] == [0, 3]
+        assert json.loads((resumed / "config.json").read_text()) \
+            ["holdout_every"] == 3
 
     def test_resume_from_truncated_state_exits_17(self, ds, run, tmp_path,
                                                   capsys):

@@ -339,8 +339,7 @@ class TestPointCloudDistance:
 
 
 class TestDepthError:
-    def _oracle(self, pred, gt, mask):
-        p, g = pred[mask], gt[mask]
+    def _oracle(self, p, g):
         a = g.std() / p.std()
         b = g.mean() - a * p.mean()
         return np.abs(a * p + b - g).mean()
@@ -351,53 +350,42 @@ class TestDepthError:
             pred = rng.standard_normal((20, 30))
             gt = rng.standard_normal((20, 30))
             mask = rng.random((20, 30)) < 0.6
-            got = metrics.depth_error(pred, gt, mask)
-            assert got == pytest.approx(self._oracle(pred, gt, mask), rel=1e-12)
+            got = metrics.depth_error(pred[mask], gt[mask])
+            assert got == pytest.approx(self._oracle(pred[mask], gt[mask]),
+                                        rel=1e-12)
 
     def test_affine_invariance_of_prediction(self):
         rng = np.random.default_rng(15)
-        pred = rng.standard_normal((16, 16))
-        gt = rng.standard_normal((16, 16))
-        mask = np.ones((16, 16), bool)
-        base = metrics.depth_error(pred, gt, mask)
-        assert metrics.depth_error(3.7 * pred - 11.0, gt, mask) == pytest.approx(
+        pred = rng.standard_normal(256)
+        gt = rng.standard_normal(256)
+        base = metrics.depth_error(pred, gt)
+        assert metrics.depth_error(3.7 * pred - 11.0, gt) == pytest.approx(
             base, rel=1e-9
         )
 
-    def test_outside_mask_ignored(self):
-        rng = np.random.default_rng(16)
-        pred = rng.standard_normal((12, 12))
-        gt = rng.standard_normal((12, 12))
-        mask = np.zeros((12, 12), bool)
-        mask[3:9, 3:9] = True
-        base = metrics.depth_error(pred, gt, mask)
-        pred2 = pred.copy()
-        pred2[~mask] = 1e6
-        assert metrics.depth_error(pred2, gt, mask) == base
+    def test_mismatched_lengths_raise(self):
+        varying = np.arange(16.0)
+        with pytest.raises(DimMismatch):
+            metrics.depth_error(varying, varying[:-1])
 
     def test_perfect_depth_zero(self):
         rng = np.random.default_rng(17)
-        gt = rng.standard_normal((10, 10))
-        mask = np.ones((10, 10), bool)
-        assert metrics.depth_error(0.5 * gt + 2, gt, mask) < 1e-12
+        gt = rng.standard_normal(100)
+        assert metrics.depth_error(0.5 * gt + 2, gt) < 1e-12
 
     def test_degenerate(self):
-        flat = np.ones((4, 4))
-        varying = np.arange(16.0).reshape(4, 4)
+        flat = np.ones(16)
+        varying = np.arange(16.0)
         with pytest.raises(DegenerateDepth):
-            metrics.depth_error(varying, varying, np.zeros((4, 4), bool))
+            metrics.depth_error(varying[:0], varying[:0])
         with pytest.raises(DegenerateDepth):
-            metrics.depth_error(flat, varying, np.ones((4, 4), bool))
+            metrics.depth_error(flat, varying)
         for bad in (np.nan, -np.inf):
             broken = varying.copy()
-            broken[1, 2] = bad
+            broken[6] = bad
             for pred, gt in ((broken, varying), (varying, broken)):
                 with pytest.raises(DegenerateDepth):
-                    metrics.depth_error(pred, gt, np.ones((4, 4), bool))
-            # outside the mask it is never read
-            mask = np.ones((4, 4), bool)
-            mask[1, 2] = False
-            assert np.isfinite(metrics.depth_error(broken, varying, mask))
+                    metrics.depth_error(pred, gt)
 
 
 class TestPlyIO:

@@ -134,6 +134,14 @@ class TestPredictFrame:
         np.testing.assert_array_equal(pred.beta.data[0], m.latents["beta"][1])
         np.testing.assert_allclose(pred.R.data[0], np.eye(3), atol=1e-12)
 
+    def test_instance_descriptor_width_checked(self):
+        # the heads' own input check: (F,G) rows of the model's width
+        m = small_model()
+        leaves = model.make_leaves(m)
+        for g in (np.zeros((2, 4)), np.zeros((2, 6)), np.zeros(5)):
+            with pytest.raises(DimMismatch):
+                model.predict_frame(m, leaves, g, [0, 1], np.zeros((3, 6)))
+
     def test_direct_frame_index_checked(self):
         m = small_model(mode=model.DIRECT_LATENT, n_frames=2)
         leaves = model.make_leaves(m)
@@ -168,7 +176,7 @@ class TestPredictFrame:
             assert batch.R.shape == (3, 3, 3)
             for f in range(3):
                 one = model.predict_np(m, g[f], ids[f], d[f:f + 1])
-                for key in ("alpha", "beta", "view6d", "R"):
+                for key in ("alpha", "beta", "R"):
                     np.testing.assert_allclose(getattr(batch, key).data[f],
                                                one[key], rtol=1e-13, atol=1e-15)
 

@@ -12,9 +12,6 @@ def composed_mlp_forward(theta, cfg, x):
     """Reference: the same net built from generic tape ops, a slice of the
     flat vector per layer, so a call is 56-77 nodes instead of one."""
     theta, x = tape.as_var(theta), tape.as_var(x)
-    single = x.ndim == 1
-    if single:
-        x = tape.reshape(x, (1, -1))
     views, off = {}, 0
     for name, shape in nets.layer_shapes(cfg):
         size = int(np.prod(shape))
@@ -30,8 +27,7 @@ def composed_mlp_forward(theta, cfg, x):
         r = tape.clip(linear(nets.l2norm_rows(h), f"blk{k}_w1", f"blk{k}_b1"),
                       0.0, np.inf)
         h = h + linear(r, f"blk{k}_w2", f"blk{k}_b2")
-    out = linear(h, "w_out", "b_out")
-    return tape.reshape(out, (cfg.out_dim,)) if single else out
+    return linear(h, "w_out", "b_out")
 
 
 NET_CONFIGS = [
@@ -86,13 +82,21 @@ class TestStructure:
         np.testing.assert_array_equal(nets.mlp_eval(p, x), np.zeros((10, 5)))
 
     def test_single_row_input(self):
+        # a (1,in_dim) row gives the row of any batch it sits in
         cfg = nets.MlpConfig(in_dim=3, hidden_dim=6, out_dim=2, n_res_blocks=1)
         p = nets.init_params(cfg, np.random.default_rng(4))
-        x = np.random.default_rng(5).standard_normal(3)
-        single = nets.mlp_eval(p, x)
-        batch = nets.mlp_eval(p, x[None, :])
-        assert single.shape == (2,)
-        np.testing.assert_allclose(single, batch[0], atol=1e-14)
+        x = np.random.default_rng(5).standard_normal((4, 3))
+        single = nets.mlp_eval(p, x[2:3])
+        batch = nets.mlp_eval(p, x)
+        assert single.shape == (1, 2)
+        np.testing.assert_allclose(single[0], batch[2], atol=1e-14)
+
+    def test_one_dimensional_input_raises(self):
+        cfg = nets.MlpConfig(in_dim=3, hidden_dim=6, out_dim=2, n_res_blocks=1)
+        theta = nets.init_params(cfg, np.random.default_rng(4)).values
+        for x in (np.zeros(3), tape.Var(np.zeros(3)), np.zeros((1, 1, 3))):
+            with pytest.raises(DimMismatch):
+                nets.mlp_forward(theta, cfg, x)
 
     def test_width_mismatch_raises(self):
         cfg = nets.MlpConfig(in_dim=3, hidden_dim=6, out_dim=2)
@@ -159,10 +163,8 @@ class TestOneNode:
         rng = np.random.default_rng(n_rows)
         theta = nets.init_params(cfg, rng).values
         theta += 0.25 * rng.standard_normal(theta.shape)
-        # one row takes the 1-D head path
-        shape = (cfg.in_dim,) if n_rows == 1 else (n_rows, cfg.in_dim)
-        x = rng.standard_normal(shape)
-        w = rng.standard_normal(shape[:-1] + (cfg.out_dim,))
+        x = rng.standard_normal((n_rows, cfg.in_dim))
+        w = rng.standard_normal((n_rows, cfg.out_dim))
         out, g_theta, g_x = _grads(nets.mlp_forward, theta, cfg, x, w)
         ref_out, ref_theta, ref_x = _grads(composed_mlp_forward, theta, cfg,
                                            x, w)

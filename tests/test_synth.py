@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from defmap import geom, synth
+from defmap import cli, geom, synth
 from defmap.errors import (
     DimMismatch,
     GimbalDegenerate,
@@ -558,7 +558,7 @@ class TestPresets:
         assert spec.background_matches_albedo
 
     def test_benchmark_spec_valid(self):
-        spec = synth.benchmark_spec(seed=9)
+        spec = cli._PRESETS["benchmark"](seed=9)
         assert spec.n_instances >= 10
         assert spec.sigma_descriptor > 0
 
