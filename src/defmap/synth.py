@@ -374,31 +374,43 @@ def _camera(spec: CategorySpec) -> geom.CameraIntrinsics:
 def _zbuffer(spec, px, z):
     """3x3 splatted z-buffer. Returns (mask, depth grid, winner sample idx).
 
-    Each pixel keeps its nearest splat entry; among equally near entries,
-    the last one (entries run offset by offset, samples in order within).
+    Each sample writes its depth to the 3x3 pixels around its rounded
+    centre. Each pixel keeps its nearest entry; among equally near entries,
+    the last one, with entries running offset by offset ((-1, -1) first,
+    row-major) and samples in order within an offset.
+
+    Each sample is placed once on a grid of centres padded by the splat
+    radius, where each centre keeps its nearest depth and, among equal
+    depths, its last sample. The splat is then nine shifted comparisons of
+    that grid in entry order, a later offset winning ties. This needs
+    finite depths: a NaN depth drops its whole centre, not just its own
+    entries, and an infinite one may lose its pixels.
     """
     H, W = spec.image_h, spec.image_w
-    cols = np.rint(px[:, 0]).astype(int)
-    rows = np.rint(px[:, 1]).astype(int)
-    offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-    all_r = np.concatenate([rows + dr for dr, _ in offsets])
-    all_c = np.concatenate([cols + dc for _, dc in offsets])
-    all_z = np.tile(z, len(offsets))
-    all_i = np.tile(np.arange(len(z)), len(offsets))
-    ok = (all_r >= 0) & (all_r < H) & (all_c >= 0) & (all_c < W)
-    pix = all_r[ok] * W + all_c[ok]
-    all_z, all_i = all_z[ok], all_i[ok]
-    near = np.full(H * W, np.inf)
-    np.minimum.at(near, pix, all_z)
-    front = np.flatnonzero(all_z == near[pix])
-    last = np.full(H * W, -1)
-    np.maximum.at(last, pix[front], front)
-    mask = last >= 0
-    depth = np.full(H * W, np.nan)
-    winner = np.full(H * W, -1)
-    depth[mask] = all_z[last[mask]]
-    winner[mask] = all_i[last[mask]]
-    return mask.reshape(H, W), depth.reshape(H, W), winner.reshape(H, W)
+    rows = np.rint(px[:, 1]).astype(int) + 1   # padded-grid coordinates
+    cols = np.rint(px[:, 0]).astype(int) + 1
+    idx = np.flatnonzero((rows >= 0) & (rows < H + 2)
+                         & (cols >= 0) & (cols < W + 2))
+    cell = rows[idx] * (W + 2) + cols[idx]
+    zc = z[idx]
+    near = np.full((H + 2) * (W + 2), np.inf)
+    np.minimum.at(near, cell, zc)
+    front = zc == near[cell]
+    last = np.full((H + 2) * (W + 2), -1)
+    np.maximum.at(last, cell[front], idx[front])
+    near, last = near.reshape(H + 2, W + 2), last.reshape(H + 2, W + 2)
+    depth = np.full((H, W), np.inf)
+    winner = np.full((H, W), -1)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            # the centres that reach the pixels through offset (dr, dc)
+            src = np.s_[1 - dr:H + 1 - dr, 1 - dc:W + 1 - dc]
+            take = near[src] <= depth
+            depth = np.where(take, near[src], depth)
+            winner = np.where(take, last[src], winner)
+    mask = winner >= 0
+    depth[~mask] = np.nan
+    return mask, depth, winner
 
 
 def _tangent_frame(kappa: np.ndarray):

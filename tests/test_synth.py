@@ -1,6 +1,7 @@
 """Generator contracts: exact geometry, recoverable poses, dataset IO."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,13 +270,18 @@ class RenderedGeometryContract:
     supply the category as the ``small_cat`` fixture."""
 
     def test_zbuffer_matches_sorted_writes(self, small_cat):
+        # each frame's splat, and the same splat blown up past the image
+        # borders with its depths coarsened into ties between centres
+        spec = small_cat.spec
+        mid = np.array([spec.image_w - 1, spec.image_h - 1]) / 2.0
         for fr in small_cat.frames:
             _, px, z = dense_splat(small_cat, fr)
-            got = synth._zbuffer(small_cat.spec, px, z)
-            want = zbuffer_argsort(small_cat.spec, px, z)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype
-                np.testing.assert_array_equal(g, w)
+            for p, d in ((px, z), (mid + 1.6 * (px - mid), np.round(z * 8))):
+                got = synth._zbuffer(spec, p, d)
+                want = zbuffer_argsort(spec, p, d)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
 
     def test_refinement_matches_every_pixel_reference(self, small_cat):
         for fr in small_cat.frames:
@@ -355,16 +361,47 @@ def test_zbuffer_ties_go_to_the_last_entry():
     px = np.array([[5.0, 5.0], [7.0, 5.0], [0.0, 0.0], [20.0, 20.0],
                    [20.0, 20.0]])
     z = np.array([0.5, 0.5, 1.0, 0.25, 1.0])
+    # centres one pixel outside each border (and the corner) splat onto
+    # the edge, centres two pixels outside do not; samples 0 and 1 reach
+    # column 0 at equal depth, 0 through the later offset (0, +1)
+    edge_px = np.array([[-1.0, 10.0], [1.0, 10.0], [48.0, 20.0],
+                        [30.0, -1.0], [40.0, 48.0], [-1.0, -1.0],
+                        [-2.0, 30.0], [49.0, 30.0], [10.0, -2.0],
+                        [20.0, 49.0], [-2.0, -1.0]])
+    edge_z = np.full(len(edge_px), 0.5)
+    for p, d in ((px, z), (edge_px, edge_z)):
+        for got, want in zip(synth._zbuffer(SMALL, p, d),
+                             zbuffer_argsort(SMALL, p, d)):
+            np.testing.assert_array_equal(got, want)
+    mask, depth, winner = synth._zbuffer(SMALL, edge_px, edge_z)
+    assert (winner[9:12, 0] == 0).all() and (winner[9:12, 1:3] == 1).all()
+    assert (winner[19:22, 47] == 2).all() and (winner[0, 29:32] == 3).all()
+    assert (winner[47, 39:42] == 4).all() and winner[0, 0] == 5
+    assert mask.sum() == 9 + 3 * 3 + 1 and (depth[mask] == 0.5).all()
+
     mask, depth, winner = synth._zbuffer(SMALL, px, z)
-    for got, want in zip((mask, depth, winner),
-                         zbuffer_argsort(SMALL, px, z)):
-        np.testing.assert_array_equal(got, want)
     assert (winner[4:7, 6] == 0).all() and (depth[4:7, 6] == 0.5).all()
     assert (winner[4:7, 4] == 0).all() and (winner[4:7, 8] == 1).all()
     assert (winner[19:22, 19:22] == 3).all()
     assert (depth[19:22, 19:22] == 0.25).all()
     assert (winner[:2, :2] == 2).all()
     assert mask.sum() == 15 + 9 + 4 and np.isnan(depth[~mask]).all()
+
+
+def test_zbuffer_allocates_little_at_preset_size():
+    # the preset's 24,000 samples on its 64x64 image; nine shifted copies
+    # of every sample would take ~12 MB
+    spec = synth.CategorySpec()
+    rng = np.random.default_rng(0)
+    px = rng.uniform(-2.0, 66.0, (spec.n_surface_samples, 2))
+    z = rng.uniform(2.0, 4.0, spec.n_surface_samples)
+    tracemalloc.start()
+    try:
+        synth._zbuffer(spec, px, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 class TestPerspectiveRenderedGeometry(RenderedGeometryContract):
