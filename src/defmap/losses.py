@@ -505,10 +505,13 @@ def total_loss(
     if n_frames == 0:
         raise DimMismatch("empty batch")
     cam, raster = frames[0].camera, frames[0].raster
-    subsets, spheres = [], []
-    for frame in frames:  # the draw order of a per-frame loop
+    subsets = []
+    for k, frame in enumerate(frames):  # the draw order of a per-frame loop
         subsets.append(_frame_pixel_subset(frame, n_pixels, rng))
-        spheres.append(sample_sphere(cfg.n_mask_samples, rng))
+        if k == 0:
+            sphere = sample_sphere(cfg.n_mask_samples, rng)
+        else:  # a discarded sphere set: the same draws, not normalized
+            rng.standard_normal((cfg.n_mask_samples, 3))
     seg = np.repeat(np.arange(n_frames), [len(i) for i in subsets])
 
     def rows(field):
@@ -534,11 +537,11 @@ def total_loss(
                                           rows("pix_y"), cfg)
     terms["emb_align"] = embedding_alignment_loss(pred.kappa, pred.R, seg)
 
-    # every frame drew a sphere set above; only frame 0's is placed. No
-    # name holds the samples' basis or placement, so when the term is the
-    # graph-free zero they are freed before the terms below are built.
+    # only frame 0's sphere set is placed. No name holds the samples' basis
+    # or placement, so when the term is the graph-free zero they are freed
+    # before the terms below are built.
     terms["mask"] = mask_reprojection_loss(
-        tape.batch_matvec(model_mod.basis_at(mdl, leaves, spheres[0]),
+        tape.batch_matvec(model_mod.basis_at(mdl, leaves, sphere),
                           tape.reshape(pred.alpha, (n_frames, 1, -1))),
         pred.R, t, cam, raster,
         np.stack([fr.mask_dist for fr in frames]), cfg)

@@ -30,7 +30,6 @@ import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from . import geom, losses
 from .errors import (
@@ -413,6 +412,36 @@ def _zbuffer(spec, px, z):
     return mask, depth, winner
 
 
+#: (row, column, column) entries per block of :func:`_mask_distance`
+_EDT_BLOCK = 1 << 17
+
+
+def _mask_distance(mask: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every pixel to the nearest silhouette pixel.
+
+    Exact and separable: each pixel's distance ``g`` to the nearest
+    silhouette row of its own column, then the minimum over columns ``c``
+    of ``g[:, c]**2 + (j - c)**2`` in integers, in blocks of rows, then one
+    square root. The squared distances are exact integers, so the values
+    equal scipy's ``distance_transform_edt(~mask)`` bit for bit. ``mask``
+    needs at least one silhouette pixel.
+    """
+    h, w = mask.shape
+    rows = np.arange(h)[:, None]
+    far = h + w  # a column with no silhouette pixel: beyond any real gap
+    above = np.maximum.accumulate(np.where(mask, rows, -far), axis=0)
+    below = np.minimum.accumulate(np.where(mask, rows, 2 * far)[::-1],
+                                  axis=0)[::-1]
+    g2 = np.minimum(rows - above, below - rows) ** 2
+    cols = np.arange(w)
+    shift2 = (cols[:, None] - cols) ** 2  # [j, c]
+    d2 = np.empty((h, w), dtype=g2.dtype)
+    step = max(1, _EDT_BLOCK // (w * w))
+    for lo in range(0, h, step):
+        d2[lo:lo + step] = np.min(g2[lo:lo + step, None, :] + shift2, axis=2)
+    return np.sqrt(d2.astype(np.float64))
+
+
 def _tangent_frame(kappa: np.ndarray):
     """Per-row orthonormal (e1, e2) spanning the tangent plane at kappa."""
     ref = np.where(
@@ -495,6 +524,9 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
     Xc = X @ R.T + t
     px = raster.to_px(geom.project(cam, Xc))
     mask, depth, winner = _zbuffer(spec, px, Xc[:, 2])
+    if not mask.any():
+        raise InvalidSpec(f"instance {instance} renders an empty silhouette: "
+                          "the frame has no pixel to fit")
 
     rows, cols = np.nonzero(mask)
     seeds = dense_kappa[winner[rows, cols]]
@@ -520,7 +552,7 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
         "camera": cam,
         "raster": raster,
         "image": image,
-        "mask_dist": distance_transform_edt(~mask),
+        "mask_dist": _mask_distance(mask),
         "depth": depth,
         "pix_rc": np.stack([rows, cols], axis=1),
         "pix_y": pix_y,

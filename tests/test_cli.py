@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -827,6 +831,45 @@ class TestTextureTransfer:
         fr = cat.frames[0]
         on = np.isfinite(fr.depth)
         assert np.abs(img[on] - fr.image[on]).max() <= 1.0 / 255.0
+
+
+# runs CLI calls in one fresh interpreter, then prints the scipy modules
+# it has loaded
+_SCIPY_PROBE = """
+import json, sys
+from defmap import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_benchmark_sizes_load_neither_scipy_spatial_nor_ndimage(tmp_path):
+    # the two imports cost ~30 MB resident; at the benchmark's sizes (clouds
+    # below TREE_MIN_POINTS) no call may need them
+    ds, run, ev = (str(tmp_path / d) for d in ("ds", "run", "ev"))
+    calls = [
+        ["synth-gen", "--out", ds, "--spec",
+         write_json(tmp_path / "spec.json", SPEC), "--seed", "4"],
+        ["fit", "--dataset", ds, "--out", run,
+         "--config", write_json(tmp_path / "tc.json", TRAIN_CFG),
+         "--model-config", write_json(tmp_path / "md.json", MODEL_CFG),
+         "--epochs", "1", "--batches-per-epoch", "2", "--batch-size", "2",
+         "--seed", "0"],
+        ["eval", "--checkpoint", str(tmp_path / "run" / "model_final.bin"),
+         "--dataset", ds, "--out", ev, "--n-points", "100"],
+    ]
+    assert TRAIN_CFG["n_eval_points"] < metrics.TREE_MIN_POINTS
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    p = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    loaded = json.loads(p.stdout.splitlines()[-1])
+    assert "scipy.spatial" not in loaded and "scipy.ndimage" not in loaded, \
+        loaded
 
 
 class TestPpmRoundtrip:

@@ -1,5 +1,7 @@
 """Metric contracts: similarity invariance, oracles, file roundtrips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -141,6 +143,104 @@ class TestNearestNeighbors:
         oi, od = self._oracle(target, query)
         np.testing.assert_array_equal(idx, oi)
         np.testing.assert_allclose(dist, od, atol=1e-12)
+
+
+def scan_nearest(target, query):
+    """The full (M,P,3) brute-force scan: nearest indices, lowest on ties,
+    and their distances."""
+    d2 = np.sum((query[:, None, :] - target[None, :, :]) ** 2, axis=2)
+    idx = np.argmin(d2, axis=1)
+    return idx, np.sqrt(d2[np.arange(len(query)), idx])
+
+
+def assert_equals_scan(target, query):
+    idx, dist = metrics.nearest_neighbors(target, query)
+    want_idx, want_dist = scan_nearest(target, query)
+    np.testing.assert_array_equal(idx, want_idx)
+    assert dist.tobytes() == want_dist.tobytes()
+
+
+class TestSmallCloudKernel:
+    """Below ``TREE_MIN_POINTS`` the blocked kernel equals the full scan."""
+
+    @pytest.mark.parametrize("block", [metrics._SCAN_BLOCK, 64, 1])
+    def test_equals_scan(self, monkeypatch, block):
+        monkeypatch.setattr(metrics, "_SCAN_BLOCK", block)
+        rng = np.random.default_rng(40)
+        for trial in range(40):
+            n, m = rng.integers(1, 250), rng.integers(1, 700)
+            scale = rng.uniform(1e-3, 1e3)
+            target = rng.standard_normal((n, 3)) * scale
+            query = rng.standard_normal((m, 3)) * scale
+            if trial % 4 == 0:    # far from the origin
+                target += 1e5 * scale
+                query += 1e5 * scale
+            assert_equals_scan(target, query)
+
+    def test_duplicate_targets_take_the_lowest_index(self):
+        rng = np.random.default_rng(41)
+        base = rng.standard_normal((60, 3))
+        target = np.concatenate([base, base[::-1], base[:7]])
+        query = np.concatenate([base + 1e-9 * rng.standard_normal((60, 3)),
+                                rng.standard_normal((200, 3))])
+        assert_equals_scan(target, query)
+        idx, dist = metrics.nearest_neighbors(target, base)
+        np.testing.assert_array_equal(idx, np.arange(60))
+        assert not dist.any()
+
+    def test_exact_ties_take_the_lowest_index(self):
+        # lattice points: every query is at exactly equal squared distance
+        # (integers, exact in floating point) from several targets
+        grid = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * 3,
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        target = grid[np.random.default_rng(42).permutation(len(grid))][:200]
+        query = np.concatenate([grid + 0.5, grid + [0.5, 0.0, 0.0]])
+        assert_equals_scan(target, query)
+        t = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                      [1.0, -1.0, 0.0]])
+        idx, dist = metrics.nearest_neighbors(t, [[1.0, 0.0, 0.0]])
+        assert idx.tolist() == [0] and dist.tolist() == [1.0]
+
+    def test_near_ties_below_the_expansions_resolution(self):
+        # a wide target cloud centred on the origin: near its rim
+        # |t|^2 - 2 q.t rounds targets 0 and 1 to one value, and the
+        # scan's arithmetic still finds target 1 nearer
+        y = 1.0 + 2.0**-30
+        t = np.array([[1e4, y, 0.0], [1e4 + 1.0, 0.0, 0.0],
+                      [-1e4, -y, 0.0], [-1e4 - 1.0, 0.0, 0.0]])
+        q = np.array([[1e4, 0.0, 0.0]])
+        assert not t.mean(axis=0).any()
+        expansion = np.sum(t**2, axis=1) - 2.0 * (q @ t.T)[0]
+        assert expansion[0] == expansion[1]
+        idx, dist = metrics.nearest_neighbors(t, q)
+        assert idx.tolist() == [1] and dist.tolist() == [1.0]
+
+    def test_allocates_about_one_block(self):
+        # one ICP round's shape: 28 restarts x 255 points on 255 targets;
+        # the (M,P,3) scan would take ~44 MB
+        n = 255
+        assert n < metrics.TREE_MIN_POINTS
+        rng = np.random.default_rng(43)
+        target = rng.standard_normal((n, 3))
+        query = rng.standard_normal((28 * n, 3))
+        tracemalloc.start()
+        try:
+            metrics.nearest_neighbors(target, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_routes_give_identical_chamfer(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            a = rng.standard_normal((int(rng.integers(5, 501)), 3))
+            b = rng.standard_normal((int(rng.integers(5, 501)), 3))
+            values = []
+            for cutoff in (0, 10**9):   # every cloud on the tree, then none
+                monkeypatch.setattr(metrics, "TREE_MIN_POINTS", cutoff)
+                values.append(metrics.chamfer_symmetric(a, b))
+            assert values[0] == values[1]
 
 
 class TestChamfer:
@@ -299,7 +399,8 @@ class TestIcpLockstep:
                                   tied[1].transform.rotation)
         assert_same_result(metrics.icp_align(source, target), tied[0])
 
-    def test_one_tree_per_call(self, monkeypatch):
+    @staticmethod
+    def count_trees(monkeypatch):
         built = []
 
         def counting_tree(points):
@@ -307,10 +408,23 @@ class TestIcpLockstep:
             return cKDTree(points)
 
         monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+        return built
+
+    def test_one_tree_per_call(self, monkeypatch):
+        built = self.count_trees(monkeypatch)
+        n = metrics.TREE_MIN_POINTS
         rng = np.random.default_rng(25)
-        metrics.icp_align(rng.standard_normal((80, 3)),
-                          rng.standard_normal((90, 3)))
-        assert built == [90]
+        metrics.icp_align(rng.standard_normal((n - 10, 3)),
+                          rng.standard_normal((n, 3)))
+        assert built == [n]
+
+    def test_small_clouds_build_no_tree(self, monkeypatch):
+        built = self.count_trees(monkeypatch)
+        n = metrics.TREE_MIN_POINTS - 1
+        rng = np.random.default_rng(26)
+        metrics.icp_align(rng.standard_normal((n + 10, 3)),
+                          rng.standard_normal((n, 3)))
+        assert built == []
 
     def test_degenerate_source(self):
         with pytest.raises(DegenerateCloud):

@@ -404,6 +404,58 @@ def test_zbuffer_allocates_little_at_preset_size():
     assert peak < 4e6
 
 
+def silhouettes():
+    """(name, mask) pairs for the mask distance transform."""
+    rng = np.random.default_rng(8)
+    border = np.zeros((20, 20), dtype=bool)
+    border[0, 5:9] = border[7:, 19] = border[19, 0] = True
+    single = np.zeros((17, 23), dtype=bool)
+    single[3, 21] = True
+    corner = np.zeros((16, 16), dtype=bool)
+    corner[15, 15] = True
+    yy, xx = np.mgrid[:64, :64]
+    yield "border", border
+    yield "single", single
+    yield "corner", corner
+    yield "full", np.ones((18, 18), dtype=bool)
+    yield "ellipse", (yy - 30) ** 2 / 400 + (xx - 33) ** 2 / 250 < 1
+    yield "wide", rng.random((16, 40)) < 0.05
+    yield "tall", rng.random((40, 16)) < 0.05
+    for p in (0.002, 0.3, 0.95):
+        m = rng.random((48, 48)) < p
+        m[24, 24] = True
+        yield f"random{p}", m
+
+
+@pytest.mark.parametrize("block", [synth._EDT_BLOCK, 1])
+def test_mask_distance_equals_scipy_bit_for_bit(monkeypatch, block):
+    from scipy.ndimage import distance_transform_edt
+    monkeypatch.setattr(synth, "_EDT_BLOCK", block)   # 1: a row per block
+    for name, mask in silhouettes():
+        got = synth._mask_distance(mask)
+        want = distance_transform_edt(~mask)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_empty_silhouette_fails_before_the_dataset_is_written(
+        tmp_path, monkeypatch, capsys):
+    def empty_zbuffer(spec, px, z):
+        h, w = spec.image_h, spec.image_w
+        return (np.zeros((h, w), dtype=bool), np.full((h, w), np.nan),
+                np.full((h, w), -1))
+
+    monkeypatch.setattr(synth, "_zbuffer", empty_zbuffer)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_instances": 1, "frames_per_instance": 1, '
+                    '"image_h": 20, "image_w": 20, "n_surface_samples": 1200}')
+    out = tmp_path / "ds"
+    code = cli.main(["synth-gen", "--out", str(out), "--spec", str(spec)])
+    assert code == cli.EXIT_CODES[InvalidSpec]
+    assert "empty silhouette" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPerspectiveRenderedGeometry(RenderedGeometryContract):
     @pytest.fixture(scope="class")
     def small_cat(self, persp_cat):
