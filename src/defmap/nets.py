@@ -11,7 +11,9 @@ parameters. With all block weights at zero a block is the identity.
 Parameters live in one flat float64 vector whose layout is fixed by the
 config. One :func:`mlp_forward` call is one tape node, a numpy forward on
 views of that vector with a VJP that writes one flat gradient, so the same
-function serves training and plain evaluation.
+function serves training and plain evaluation. The node computes in the
+dtype of the vector it is given: a training step passes a float32 copy of
+the weights, every other caller the float64 weights themselves.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
     plain array is constant data and gets no gradient. The result is one
     tape node whose parents are ``theta`` and each Var input; every block
     normalizes as :func:`l2norm_rows` does, clamp and gradient gate included.
+    The forward and the VJP compute in ``theta``'s dtype (float32 or
+    float64); the output and every gradient are float64.
 
     With ``frame_x`` (F,k) and ``seg`` (N,), the input is the column blocks
     ``[x, frame_x[seg]]`` without that (N,k) block being built: row n's last
@@ -152,13 +156,15 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
     applies them once per frame and sums their gradient per frame.
     """
     theta = tape.as_var(theta)
+    dt = theta.data.dtype  # the compute dtype
     x_var = isinstance(x, tape.Var)
-    rows = x.data if x_var else np.asarray(x, dtype=np.float64)
+    rows = np.asarray(x.data if x_var else x, dtype=dt)
     if rows.ndim != 2:
         raise DimMismatch(f"input must be (N,in_dim) rows, got {rows.shape}")
     width = rows.shape[1]
     if frame_x is not None:
         frame_x, seg = tape.as_var(frame_x), np.asarray(seg)
+        frame_rows = np.asarray(frame_x.data, dtype=dt)
         width += frame_x.shape[1]
     if width != cfg.in_dim:
         raise DimMismatch(f"input width {width} != in_dim {cfg.in_dim}")
@@ -170,7 +176,7 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
     if frame_x is None:
         h += p["b_in"]
     else:
-        per_frame = frame_x.data @ w_f.T
+        per_frame = frame_rows @ w_f.T
         per_frame += p["b_in"]
         h += per_frame[seg]
     blocks = []  # each residual block's forward values, for the VJP
@@ -190,6 +196,7 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
     out += p["b_out"]
 
     def vjp(g):
+        g = np.asarray(g, dtype=dt)
         grad = np.zeros_like(theta.data)
         gp = _layers(cfg, grad)
 
@@ -218,23 +225,23 @@ def mlp_forward(theta, cfg: MlpConfig, x, frame_x=None, seg=None) -> tape.Var:
         if x_var:
             grads.append(gh @ w_x)
         if frame_x is not None:
-            g_frame = onehot(seg, frame_x.shape[0]) @ gh  # per-frame sums
-            np.matmul(g_frame.T, frame_x.data, out=gp["w_in"][:, d:])
+            g_frame = onehot(seg, frame_x.shape[0], dt) @ gh  # per-frame sums
+            np.matmul(g_frame.T, frame_rows, out=gp["w_in"][:, d:])
             grads.append(g_frame @ w_f)
-        return grads
+        return [gr.astype(np.float64, copy=False) for gr in grads]
 
     parents = [theta]
     if x_var:
         parents.append(x)
     if frame_x is not None:
         parents.append(frame_x)
-    return tape._node(out, parents, vjp)
+    return tape._node(out.astype(np.float64, copy=False), parents, vjp)
 
 
-def onehot(seg: np.ndarray, n: int) -> np.ndarray:
-    """(n,N) constant whose row f is 1 where ``seg`` (N,) is f: a sum of
-    rows per segment (per frame) as one matmul."""
-    return (np.arange(n)[:, None] == seg[None, :]).astype(np.float64)
+def onehot(seg: np.ndarray, n: int, dtype=np.float64) -> np.ndarray:
+    """(n,N) constant of ``dtype`` whose row f is 1 where ``seg`` (N,) is f:
+    a sum of rows per segment (per frame) as one matmul."""
+    return (np.arange(n)[:, None] == seg[None, :]).astype(dtype)
 
 
 def mlp_eval(params: MlpParams, x: np.ndarray) -> np.ndarray:

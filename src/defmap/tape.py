@@ -7,8 +7,10 @@ storing a node's first incoming gradient as is and adding later ones; an
 interior node drops its gradient once propagated, a leaf keeps it. Stored
 gradients may be shared, so no VJP may write into its incoming gradient.
 
-All values are float64. Operations are vectorized; per-element Python loops
-never appear on the forward or backward path.
+Values are float64, apart from float32 leaves: a leaf built from a float32
+array keeps it, for an op that computes in its operand's dtype (the MLP node)
+and returns float64. Every gradient is float64. Operations are vectorized;
+per-element Python loops never appear on the forward or backward path.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ __all__ = [
 
 
 class Var:
-    """A node in the computation graph wrapping one float64 ndarray."""
+    """A node in the computation graph wrapping one ndarray: float32 when
+    built from a float32 array, float64 otherwise."""
 
     # weak references let a caller check that a graph it dropped is freed
     __slots__ = ("data", "grad", "_parents", "_vjp", "__weakref__")
@@ -39,7 +42,9 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, data, _parents=(), _vjp=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = (data if data.dtype == np.float32
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self._parents = _parents
         self._vjp = _vjp
@@ -500,12 +505,12 @@ def backward(root: Var) -> None:
 
 
 def collect(loss: Var, leaves: dict) -> tuple[float, dict]:
-    """Run backward; return the loss value and the gradient of each leaf
-    (name -> leaf Var), zeros for a leaf the loss does not reach."""
+    """Run backward; return the loss value and the float64 gradient of each
+    leaf (name -> leaf Var), zeros for a leaf the loss does not reach."""
     backward(loss)
     grads = {
         name: np.array(leaf.grad) if leaf.grad is not None
-        else np.zeros_like(leaf.data)
+        else np.zeros(leaf.shape)
         for name, leaf in leaves.items()
     }
     return float(loss.data), grads

@@ -335,6 +335,18 @@ def _csv_writer(f, header):
     return w
 
 
+def step_leaves(model: model_mod.DeformerModel) -> dict[str, tape.Var]:
+    """The leaves of one training step: each network's leaf is a float32
+    copy of its float64 weights, so the nets compute in float32 (see
+    :func:`nets.mlp_forward`); the latent tables stay float64. The
+    gradients :func:`tape.collect` returns are float64 either way."""
+    leaves = model_mod.make_leaves(model)
+    for name, leaf in leaves.items():
+        if name.startswith("net:"):
+            leaves[name] = tape.Var(leaf.data.astype(np.float32))
+    return leaves
+
+
 def _train_step(model: model_mod.DeformerModel, frames, w_eff,
                 cfg: TrainConfig, state: TrainState):
     """One optimizer step on a batch; returns (loss value, breakdown,
@@ -344,7 +356,7 @@ def _train_step(model: model_mod.DeformerModel, frames, w_eff,
     The step's graph and leaves live only in this call, so the next step
     builds its graph after this one's is freed.
     """
-    leaves = model_mod.make_leaves(model)
+    leaves = step_leaves(model)
     total, breakdown = losses.total_loss(model, leaves, frames, w_eff,
                                          cfg.loss_cfg, state.rng,
                                          n_pixels=cfg.n_pixels)

@@ -872,6 +872,34 @@ def test_benchmark_sizes_load_neither_scipy_spatial_nor_ndimage(tmp_path):
         loaded
 
 
+def test_same_seed_fits_match_at_the_default_blas_threads(tmp_path):
+    # the benchmark pins one BLAS thread; a user's fit runs at the default
+    # count, where OpenBLAS may split the nets' float32 matmuls across
+    # threads. Paper widths and every pixel keep those matmuls large
+    ds = str(tmp_path / "ds")
+    assert cli.main(["synth-gen", "--out", ds, "--spec",
+                     write_json(tmp_path / "spec.json", SPEC),
+                     "--seed", "4"]) == 0
+    cfg = write_json(tmp_path / "tc.json", {**TRAIN_CFG, "n_pixels": None})
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    logs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        p = subprocess.run(
+            [sys.executable, "-m", "defmap.cli", "fit", "--dataset", ds,
+             "--out", str(out), "--config", cfg, "--epochs", "1",
+             "--batches-per-epoch", "3", "--batch-size", "2",
+             "--seed", "0"],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=300)
+        assert p.returncode == 0, p.stderr
+        logs.append((out / "log.csv").read_bytes())
+    assert logs[0] == logs[1]
+    assert len(logs[0].splitlines()) == 4
+
+
 class TestPpmRoundtrip:
     def test_roundtrip_is_quantization(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -240,6 +240,62 @@ class TestOneNode:
         assert theta._parents == () and x._parents == ()
 
 
+def _node_at(dtype, theta0, cfg, x0, w, fx0=None, seg=None):
+    """Output and every gradient of one node whose ``theta`` leaf is
+    ``theta0`` cast to ``dtype``; ``x`` (and ``frame_x``) are float64."""
+    theta, x = tape.Var(theta0.astype(dtype)), tape.Var(x0)
+    fx = None if fx0 is None else tape.Var(fx0)
+    out = nets.mlp_forward(theta, cfg, x, fx, seg)
+    tape.backward(tape.vsum(out * tape.Var(w)))
+    return [out.data, theta.grad, x.grad] + ([] if fx is None else [fx.grad])
+
+
+class TestFloat32Node:
+    """A float32 ``theta`` (a training step's leaves) against float64 (every
+    other caller): the node computes in float32 and hands back float64."""
+
+    RTOL = 1e-5  # ~80 float32 ulps; measured at most ~1.1e-6 on these nets
+
+    def _compare(self, theta0, cfg, x0, fx0=None, seg=None):
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((len(x0), cfg.out_dim))
+        got = _node_at(np.float32, theta0, cfg, x0, w, fx0, seg)
+        want = _node_at(np.float64, theta0, cfg, x0, w, fx0, seg)
+        assert len(got) == len(want)
+        for g32, g64 in zip(got, want):
+            assert g32.dtype == np.float64 and g32.shape == g64.shape
+            _assert_rel_close(g32, g64, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("cfg", NET_CONFIGS)
+    def test_plain_input(self, cfg):
+        rng = np.random.default_rng(7)
+        theta0 = nets.init_params(cfg, rng).values
+        theta0 += 0.25 * rng.standard_normal(theta0.shape)
+        self._compare(theta0, cfg, rng.standard_normal((220, cfg.in_dim)))
+
+    @pytest.mark.parametrize("cfg", NET_CONFIGS)
+    def test_frame_columns(self, cfg):
+        rng = np.random.default_rng(8)
+        theta0 = nets.init_params(cfg, rng).values
+        theta0 += 0.25 * rng.standard_normal(theta0.shape)
+        d = cfg.in_dim // 2  # per-row columns; the rest are per frame
+        seg = rng.integers(0, 10, 220)
+        self._compare(theta0, cfg, rng.standard_normal((220, d)),
+                      rng.standard_normal((10, cfg.in_dim - d)), seg)
+
+    @pytest.mark.parametrize("cfg", NET_CONFIGS)
+    def test_zero_hidden_row(self, cfg):
+        # as in TestOneNode: an all-zero and a tiny first-block row, at and
+        # inside the ``sq > 1e-16`` gate, which float32 must honour too
+        rng = np.random.default_rng(9)
+        p = nets.init_params(cfg, rng)
+        p.view("b_in")[:] = 0.0
+        x = rng.standard_normal((6, cfg.in_dim))
+        x[2] = 0.0
+        x[3] *= 1e-12
+        self._compare(p.values, cfg, x)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = nets.MlpConfig(in_dim=5, hidden_dim=9, out_dim=7, n_res_blocks=3)

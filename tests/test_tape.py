@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defmap import losses, tape
+from defmap import losses, nets, tape
 from defmap.errors import DimMismatch
 
 
@@ -462,6 +462,24 @@ class TestDriver:
         value, grads = tape.collect(loss, {"a": a, "b": b})
         assert value == 3.0
         np.testing.assert_array_equal(grads["b"], np.zeros(2))
+
+    def test_collect_returns_float64_gradients_for_float32_leaves(self):
+        # a float32 leaf stays float32; its gradient, reached through the
+        # MLP node or not reached at all, is float64 like every other
+        cfg = nets.MlpConfig(in_dim=3, hidden_dim=4, out_dim=2, n_res_blocks=1)
+        theta = nets.init_params(cfg, np.random.default_rng(0)).values
+        reached = tape.Var(theta.astype(np.float32))
+        unreached = tape.Var(theta.astype(np.float32))
+        leaves = {"reached": reached, "unreached": unreached,
+                  "x": tape.Var(np.ones((5, 3))),
+                  "unused": tape.Var(np.ones(2))}
+        assert reached.data.dtype == np.float32
+        out = nets.mlp_forward(reached, cfg, leaves["x"])
+        _, grads = tape.collect(tape.vsum(out * out), leaves)
+        assert {name: g.dtype for name, g in grads.items()} \
+            == dict.fromkeys(leaves, np.dtype(np.float64))
+        assert np.any(grads["reached"]) and np.any(grads["x"])
+        assert not np.any(grads["unreached"])
 
     def test_grad_check_passes_and_catches_corruption(self):
         rng = np.random.default_rng(17)

@@ -327,7 +327,7 @@ class TestFit:
         for row in logged:
             batch = synth.make_batches(inst, rebal, cfg.batch_size, 1,
                                        state.rng)[0]
-            leaves = model_mod.make_leaves(mdl2)
+            leaves = train.step_leaves(mdl2)
             total, breakdown = losses.total_loss(
                 mdl2, leaves, [frames[i] for i in batch], w, cfg.loss_cfg,
                 state.rng, n_pixels=cfg.n_pixels)
@@ -442,6 +442,27 @@ class TestFit:
         log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], tmp_path)
         assert not np.array_equal(mdl.latents["alpha"], lat0)
         assert np.isfinite(log[0]["mean_total"])
+
+    def test_step_leaves_run_the_nets_in_float32(self, tiny_cat):
+        # a step's network leaves are float32 copies of the float64 weights;
+        # the latent tables and every gradient stay float64
+        mdl = fresh_model(tiny_cat.spec, mode=model_mod.DIRECT_LATENT,
+                          n_frames=len(tiny_cat.frames))
+        leaves = train.step_leaves(mdl)
+        for name, arr in mdl.param_arrays().items():
+            dtype = np.float32 if name.startswith("net:") else np.float64
+            assert arr.dtype == np.float64
+            assert leaves[name].data.dtype == dtype
+            np.testing.assert_array_equal(leaves[name].data,
+                                          arr.astype(dtype))
+        cfg = tiny_cfg()
+        total, _ = losses.total_loss(
+            mdl, leaves, [tiny_cat.frames[0], tiny_cat.frames[2]],
+            cfg.weights, cfg.loss_cfg, np.random.default_rng(0),
+            n_pixels=cfg.n_pixels)
+        _, grads = tape.collect(total, leaves)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+        assert all(np.any(g) for g in grads.values())
 
     def test_empty_train_set_rejected(self, tiny_cat, tmp_path):
         with pytest.raises(DimMismatch):
