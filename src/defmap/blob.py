@@ -4,7 +4,8 @@ A file is a magic line, one sorted-key JSON header line, then raw
 little-endian float64 arrays stored back to back. The header says where each
 array sits (``offset`` in bytes into the payload, ``count`` of values and,
 for arrays that keep their shape, ``shape``). Every malformed file raises
-:class:`~defmap.errors.CheckpointError`.
+:class:`~defmap.errors.CheckpointError`, a missing or unreadable one
+:class:`~defmap.errors.IoError`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import CheckpointError, check_keys
+from .errors import CheckpointError, IoError, check_keys
 
 
 def layout(*sections: dict) -> list[dict]:
@@ -42,8 +43,11 @@ def write(path, magic: bytes, header: dict, arrays) -> None:
 def read(path, magic: bytes, what: str, keys) -> tuple[dict, bytes]:
     """(header, payload) of a file written by :func:`write` with ``magic``,
     whose header holds exactly the fields ``keys``."""
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise IoError(f"cannot read {path!r}: {e}") from e
     if not data.startswith(magic):
         raise CheckpointError(f"not a {what} checkpoint")
     nl = data.find(b"\n", len(magic))

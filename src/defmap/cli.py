@@ -38,28 +38,12 @@ from . import model as model_mod
 from . import synth, tape, train
 from .train import eval_frames
 
-# 0 = success, 1 = checks failed, 2 = usage; error classes follow in
-# declaration order so the mapping stays stable as the taxonomy grows.
-_ERROR_ORDER = (
-    errors.DimMismatch,
-    errors.DegenerateInput,
-    errors.BehindCamera,
-    errors.WrongCameraKind,
-    errors.SingularSystem,
-    errors.EmptyVisibleSet,
-    errors.KTooLarge,
-    errors.DegenerateCloud,
-    errors.DegenerateDepth,
-    errors.GimbalDegenerate,
-    errors.DegenerateRotations,
-    errors.InvalidSpec,
-    errors.InfeasibleConstraint,
-    errors.NonFiniteGradient,
-    errors.CheckpointError,
-    errors.IoError,
-)
-EXIT_CODES = {cls: 3 + i for i, cls in enumerate(_ERROR_ORDER)}
-_EXIT_OTHER = 3 + len(_ERROR_ORDER)
+# 0 = success, 1 = checks failed, 2 = usage; the error classes follow in
+# the order ``errors`` defines them, so a new class goes last and every
+# earlier code stays.
+EXIT_CODES = {cls: 3 + i
+              for i, cls in enumerate(errors.DefmapError.__subclasses__())}
+_EXIT_OTHER = 3 + len(EXIT_CODES)
 
 
 def exit_code_for(exc: errors.DefmapError) -> int:
@@ -82,12 +66,14 @@ def _canonical_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def write_manifest(path, command: str, argv, config: dict, inputs: dict,
-                   outputs: list, seed=None) -> dict:
-    """Record one run; the hash covers command, config and input identities."""
+def write_manifest(path, args, config: dict, inputs: dict, outputs: list,
+                   seed=None) -> dict:
+    """Record the run of the parsed command line ``args``; the hash covers
+    command, config and input identities."""
+    command = args.command
     manifest = {
         "command": command,
-        "argv": list(argv),
+        "argv": list(args.argv),
         "config": config,
         "inputs": inputs,
         "outputs": sorted(str(p) for p in outputs),
@@ -124,20 +110,12 @@ def _check_frames(cat: synth.GroundTruthCategory, frame_ids,
             raise errors.InvalidSpec(f"{what} {fid} outside the dataset")
 
 
-def _require_model(path) -> model_mod.DeformerModel:
-    if not os.path.isfile(path):
-        raise errors.IoError(f"no checkpoint at {path!r}")
-    return model_mod.load_model(path)
-
-
 def _load_json(path) -> dict:
-    if not os.path.isfile(path):
-        raise errors.IoError(f"no config file at {path!r}")
-    with open(path) as f:
-        try:
+    try:
+        with open(path) as f:
             out = json.load(f)
-        except json.JSONDecodeError as e:
-            raise errors.IoError(f"malformed JSON in {path!r}: {e}") from e
+    except (OSError, ValueError) as e:  # missing, not UTF-8 or not JSON
+        raise errors.IoError(f"cannot read {path!r}: {e}") from e
     if not isinstance(out, dict):
         raise errors.InvalidSpec(f"{path!r} must hold a JSON object")
     return out
@@ -173,11 +151,8 @@ def cmd_synth_gen(args) -> int:
     cat = synth.generate_category(spec)
     outputs = synth.save_category(args.out, cat)
     ds_hash = synth.dataset_hash(args.out)
-    write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "synth-gen", args.argv, asdict(spec),
-        inputs={}, outputs=outputs, seed=spec.seed,
-    )
+    write_manifest(os.path.join(args.out, "manifest.json"), args,
+                   asdict(spec), inputs={}, outputs=outputs, seed=spec.seed)
     print(f"dataset: {args.out}")
     print(f"frames: {len(cat.frames)}")
     # seeded: the z-buffer's silhouette; kept: the pixels whose refinement
@@ -192,6 +167,12 @@ def cmd_synth_gen(args) -> int:
 # -- fit ---------------------------------------------------------------------------
 
 
+# TrainConfig field -> type of the fit flag that overrides it
+_FIT_FLAGS = {"epochs": int, "batches_per_epoch": int, "batch_size": int,
+              "lr": float, "seed": int, "n_pixels": int,
+              "validate_every": int, "checkpoint_every": int}
+
+
 def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
     """``--config`` (or a resumed run's ``config.json``) under explicit flags."""
     path = (args.config if args.resume is None
@@ -202,20 +183,9 @@ def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
     radii = lc_fields.get("blur_radii") if isinstance(lc_fields, dict) else None
     if isinstance(radii, list):     # JSON has no tuples
         lc_fields["blur_radii"] = tuple(radii)
-    overrides = {
-        "epochs": args.epochs,
-        "batches_per_epoch": args.batches_per_epoch,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "seed": args.train_seed,
-        "n_pixels": args.n_pixels,
-        "validate_every": args.validate_every,
-        "checkpoint_every": args.checkpoint_every,
-        "holdout_every": args.holdout_every,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
+    for key in (*_FIT_FLAGS, "holdout_every"):
+        if getattr(args, key) is not None:
+            base[key] = getattr(args, key)
     if args.ablate:
         base["ablate"] = tuple(args.ablate)
     elif isinstance(base.get("ablate"), list):  # JSON has no tuples
@@ -263,19 +233,19 @@ def _fit_usage_error(msg: str):
 def cmd_fit(args) -> int:
     cat = synth.load_category(args.dataset)
     state = None
-    if args.resume is not None:
+    resumed = {} if args.resume is None else {
+        f"resume_{part}": os.path.join(args.resume, f"{part}_final.bin")
+        for part in ("model", "state")}
+    if resumed:
         if (args.mode, args.model_config, args.config) != (None, None, None):
             _fit_usage_error("--mode, --model-config and --config do not apply "
                              "to --resume; the resumed run fixes them")
-        mdl = _require_model(os.path.join(args.resume, "model_final.bin"))
-        state_path = os.path.join(args.resume, "state_final.bin")
-        if not os.path.isfile(state_path):
-            raise errors.IoError(f"no training state at {state_path!r}")
-        state = train.load_state(state_path, mdl)
+        mdl = model_mod.load_model(resumed["resume_model"])
+        state = train.load_state(resumed["resume_state"], mdl)
+    if args.holdout_every is not None and args.holdout_every < 0:
+        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
     cfg = _build_train_config(args, cat.spec.camera_kind)
     holdout = cfg.holdout_every  # the flag's, else the resumed run's
-    if holdout < 0:
-        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
     if state is None:
         mdl = _build_model(args, cat, np.random.default_rng(cfg.seed))
     if mdl.mode == model_mod.DIRECT_LATENT and holdout > 0:
@@ -300,12 +270,8 @@ def cmd_fit(args) -> int:
     cfg_dict["model_dims"] = asdict(mdl.dims)
     cfg_dict["train_ids"] = train_ids
     cfg_dict["val_ids"] = val_ids
-    resumed = {} if args.resume is None else {
-        f"resume_{part}": os.path.join(args.resume, f"{part}_final.bin")
-        for part in ("model", "state")}
     write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "fit", args.argv, cfg_dict,
+        os.path.join(args.out, "manifest.json"), args, cfg_dict,
         inputs=_input_records(args.dataset, **resumed),
         outputs=["config.json", "log.csv", "metrics.csv",
                  "model_final.bin", "state_final.bin"],
@@ -340,7 +306,7 @@ def cmd_eval(args) -> int:
     if args.n_points < 2:  # one point or none has no spread to compare
         raise errors.InvalidSpec("--n-points must be >= 2")
     cat = synth.load_category(args.dataset)
-    mdl = _require_model(args.checkpoint)
+    mdl = model_mod.load_model(args.checkpoint)
     frame_ids = (list(range(len(cat.frames))) if not args.frames
                  else sorted(set(args.frames)))
     _check_frames(cat, frame_ids)
@@ -371,8 +337,7 @@ def cmd_eval(args) -> int:
             outputs.append(gt_name)
 
     write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "eval", args.argv,
+        os.path.join(args.out, "manifest.json"), args,
         {"n_points": args.n_points, "frames": frame_ids,
          "dump_ply": bool(args.dump_ply)},
         inputs=_input_records(args.dataset, checkpoint=args.checkpoint),
@@ -545,8 +510,7 @@ def cmd_gradcheck(args) -> int:
             for name, err, ok in rows:
                 f.write(f"{name},{err!r},{ok}\n")
         write_manifest(
-            os.path.join(args.out, "manifest.json"),
-            "gradcheck", args.argv,
+            os.path.join(args.out, "manifest.json"), args,
             {"scope": args.scope, "corrupt_one": bool(args.corrupt_one),
              "points": args.points},
             inputs={}, outputs=["gradcheck.csv"], seed=args.seed,
@@ -592,7 +556,7 @@ def transfer_texture(cat: synth.GroundTruthCategory,
 
 def cmd_texture_transfer(args) -> int:
     cat = synth.load_category(args.dataset)
-    mdl = _require_model(args.checkpoint)
+    mdl = model_mod.load_model(args.checkpoint)
     _check_frames(cat, [args.target_frame], "target frame")
     _check_frames(cat, [args.texture_frame], "texture frame")
     out_img = transfer_texture(cat, mdl, args.target_frame,
@@ -600,8 +564,7 @@ def cmd_texture_transfer(args) -> int:
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_ppm(args.out, out_img)
     write_manifest(
-        str(args.out) + ".manifest.json",
-        "texture-transfer", args.argv,
+        str(args.out) + ".manifest.json", args,
         {"target_frame": args.target_frame,
          "texture_frame": args.texture_frame},
         inputs=_input_records(args.dataset, checkpoint=args.checkpoint),
@@ -643,14 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=["amortized", "direct-latent"],
                    default=None, help="model mode of a fresh fit "
                                       "(default: amortized)")
-    f.add_argument("--epochs", type=int, default=None)
-    f.add_argument("--batches-per-epoch", type=int, default=None)
-    f.add_argument("--batch-size", type=int, default=None)
-    f.add_argument("--lr", type=float, default=None)
-    f.add_argument("--seed", dest="train_seed", type=int, default=None)
-    f.add_argument("--n-pixels", type=int, default=None)
-    f.add_argument("--validate-every", type=int, default=None)
-    f.add_argument("--checkpoint-every", type=int, default=None)
+    for key, typ in _FIT_FLAGS.items():
+        f.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
     f.add_argument("--ablate", action="append", default=[],
                    choices=sorted(losses.TERMS),
                    help="zero one loss term (repeatable)")

@@ -56,8 +56,8 @@ class GimbalDegenerate(DefmapError):
 class DegenerateRotations(DefmapError):
     """Rotations too alike to determine a shared axis.
 
-    Nothing raises it now; it stays so that ``cli.EXIT_CODES``, which
-    numbers the error classes in order, keeps every later code.
+    Nothing raises it now; it stays so that every class defined after it
+    keeps its exit code (the CLI numbers the classes in definition order).
     """
 
 

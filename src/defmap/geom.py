@@ -63,12 +63,9 @@ class Raster:
     cx: float
     cy: float
 
-    def to_px(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
+    def to_px(self, y):
+        """Pixel coordinates of the (...,2) array or Var ``y``, of its kind."""
         return y * self.ppu + np.array([self.cx, self.cy])
-
-    def to_px_var(self, y):
-        return tape.as_var(y) * self.ppu + np.array([self.cx, self.cy])
 
     def from_px(self, px: np.ndarray) -> np.ndarray:
         px = np.asarray(px, dtype=np.float64)

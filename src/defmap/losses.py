@@ -337,7 +337,7 @@ def photometric_loss(
     its border by the sampler.
     """
     n_ref, h, w = ref_levels.shape[:3]
-    px = ref_raster.to_px_var(coords)
+    px = ref_raster.to_px(coords)
     sampled = tape.bilinear_sample(ref_levels.reshape(n_ref, h, w, -1), px,
                                    np.arange(n_ref)[:, None])
     diff = tape.reshape(sampled, px.shape[:2] + target_colors.shape[1:]) \
@@ -410,7 +410,7 @@ def mask_reprojection_loss(
     """
     proj = geom.project_var(cam, _posed(points_world, R, t),
                             min_depth=cfg.min_depth)
-    px = raster.to_px_var(proj)
+    px = raster.to_px(proj)
     n, h, w = mask_dist.shape
     lim = np.array([w - 1.0, h - 1.0])
     inside_px = tape.clip(px, np.zeros(2), lim)

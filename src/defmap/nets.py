@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import blob, tape
-from .errors import CheckpointError, DimMismatch
+from .errors import CheckpointError, DimMismatch, check_types
 
 _MAGIC = b"DEFMAP-MLP1\n"
 
@@ -38,6 +38,7 @@ class MlpConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        check_types(self, DimMismatch)
         if min(self.in_dim, self.hidden_dim, self.out_dim) < 1:
             raise DimMismatch("all MLP dimensions must be positive")
         if self.n_res_blocks < 0:

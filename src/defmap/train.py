@@ -81,6 +81,8 @@ class TrainConfig:
         if self.validate_every < 0 or self.checkpoint_every < 0:
             raise InvalidSpec("validate_every and checkpoint_every must be "
                               ">= 0 (0 = at the end only)")
+        if self.holdout_every < 0:
+            raise InvalidSpec("holdout_every must be >= 0 (0 = no holdout)")
         if self.n_eval_points < 2:
             raise InvalidSpec("n_eval_points must be >= 2")
         if self.n_pixels is not None and self.n_pixels < 1:

@@ -112,7 +112,7 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         if i == 0:
             B_sphere = model_mod.basis_at(mdl, leaves, tape.Var(sphere))
         X = tape.batch_matvec(B_sphere, alpha) @ tape.transpose(R) + t
-        px = fr.raster.to_px_var(_project(fr.camera, X, cfg.min_depth))
+        px = fr.raster.to_px(_project(fr.camera, X, cfg.min_depth))
         h, w = fr.mask_dist.shape
         inside = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
         over = px - inside
@@ -145,7 +145,7 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         ref = frames[j]
         X = (tape.batch_matvec(B_target, alphas[j])
              @ tape.transpose(rotations[j]) + translations[j])
-        px = ref.raster.to_px_var(_project(ref.camera, X, cfg.min_depth))
+        px = ref.raster.to_px(_project(ref.camera, X, cfg.min_depth))
         per_pixel = None
         levels = ref.levels(cfg.blur_radii)
         for lvl in range(levels.shape[2]):

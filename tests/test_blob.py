@@ -1,8 +1,8 @@
 """Checkpoint container: model, train-state and MLP files share one layout.
 
 Every malformed file of each kind is a CheckpointError, also one whose
-header fields differ from the format, and a loaded file saves back to the
-same bytes.
+header fields differ from the format, a missing one is an IoError, and a
+loaded file saves back to the same bytes.
 """
 
 import json
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from defmap import model, nets, train
-from defmap.errors import CheckpointError
+from defmap.errors import CheckpointError, IoError
 
 DIMS = model.ModelDims(
     descriptor_dim=6, instance_dim=5, n_shape_coeffs=4, n_texture_coeffs=3,
@@ -101,6 +101,9 @@ CORRUPTIONS = {
     "unknown_arrays_section": _edit_header(
         lambda d: d["arrays"].update(bogus={})),
     "zero_width": _edit_header(lambda d: d.update(hidden_dim=0)),
+    "in_dim_a_string": _edit_header(lambda d: d.update(in_dim="3")),
+    "in_dim_a_float": _edit_header(lambda d: d.update(in_dim=3.0)),
+    "n_res_blocks_a_bool": _edit_header(lambda d: d.update(n_res_blocks=True)),
     "rng_empty": _edit_header(lambda d: d.update(rng={})),
     "rng_state_not_a_dict": _edit_header(
         lambda d: d.update(rng={"bit_generator": "PCG64", "state": 3})),
@@ -128,7 +131,8 @@ ONLY = {
               "latent_shape_wrong", "latent_rows_differ"),
     "state": ("array_count_missing", "velocity_shape_wrong",
               "unknown_arrays_section", *STATE_HEADER),
-    "mlp": ("zero_width",),
+    "mlp": ("zero_width", "in_dim_a_string", "in_dim_a_float",
+            "n_res_blocks_a_bool"),
 }
 CASES = [(kind, c) for kind in sorted(KINDS) for c in sorted(CORRUPTIONS)
          if all(c not in names for k, names in ONLY.items() if k != kind)]
@@ -142,6 +146,12 @@ def test_corrupt_file_is_checkpoint_error(tmp_path, kind, corruption):
     path.write_bytes(CORRUPTIONS[corruption](*_split(path.read_bytes())))
     with pytest.raises(CheckpointError):
         load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_missing_file_is_io_error(tmp_path, kind):
+    with pytest.raises(IoError):
+        KINDS[kind][2](tmp_path / "missing.bin")
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

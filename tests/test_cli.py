@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defmap import cli, metrics, nets, synth, tape
+from defmap import cli, errors, metrics, nets, synth, tape
 from defmap import model as model_mod
 from defmap.errors import (CheckpointError, DegenerateCloud,
                            InfeasibleConstraint, InvalidSpec, IoError)
@@ -437,11 +437,13 @@ class TestFit:
         ([], {"loss_cfg": {"min_k": 0}}, "min_k"),
         ([], {"loss_cfg": {"min_depth": 0.0}}, "min_depth"),
         ([], {"loss_cfg": {"max_clamped_frac": 1.5}}, "max_clamped_frac"),
+        ([], {"holdout_every": -2}, "holdout_every"),
     ], ids=["n_pixels_zero", "n_pixels_negative", "n_mask_samples_zero",
             "validate_every_negative", "checkpoint_every_negative",
             "n_eval_points_one", "blur_radius_negative",
             "blur_radius_not_an_int", "eps_geom_zero", "eps_color_negative",
-            "min_k_zero", "min_depth_zero", "max_clamped_frac_above_one"])
+            "min_k_zero", "min_depth_zero", "max_clamped_frac_above_one",
+            "holdout_every_negative_in_config"])
     def test_out_of_range_size_is_invalid_spec(self, ds, tmp_path, capsys,
                                                flags, config, key):
         cfg = write_json(tmp_path / "tc.json", config)
@@ -993,6 +995,51 @@ class TestExitCodes:
         assert len(set(codes)) == len(codes)
         assert min(codes) == 3          # 0 ok, 1 checks failed, 2 usage
         assert len(codes) == 16
+
+    def test_codes_are_the_readme_table(self):
+        names = ["DimMismatch", "DegenerateInput", "BehindCamera",
+                 "WrongCameraKind", "SingularSystem", "EmptyVisibleSet",
+                 "KTooLarge", "DegenerateCloud", "DegenerateDepth",
+                 "GimbalDegenerate", "DegenerateRotations", "InvalidSpec",
+                 "InfeasibleConstraint", "NonFiniteGradient",
+                 "CheckpointError", "IoError"]
+        assert {cls.__name__: code for cls, code in cli.EXIT_CODES.items()} \
+            == {name: 3 + i for i, name in enumerate(names)}
+        assert cli.exit_code_for(type("Other", (errors.DefmapError,), {})()) \
+            == 19
+
+    def test_every_error_class_is_numbered(self):
+        # the codes number DefmapError's direct subclasses: a class one
+        # level deeper, or outside the taxonomy, would go unnumbered
+        classes = {v for v in vars(errors).values() if isinstance(v, type)
+                   and issubclass(v, Exception)}
+        assert classes == {errors.DefmapError, *cli.EXIT_CODES}
+
+    def test_missing_checkpoint(self, ds, tmp_path, capsys):
+        code = cli.main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
+                         "--dataset", str(ds), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CODES[IoError] == 18
+        assert _one_error_line(capsys, "IoError")
+
+    @pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe{"],
+                             ids=["missing", "not_json", "not_utf8"])
+    def test_unreadable_config(self, ds, tmp_path, capsys, content):
+        cfg = tmp_path / "tc.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        code = cli.main(["fit", "--dataset", str(ds), "--out",
+                         str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == cli.EXIT_CODES[IoError] == 18
+        assert _one_error_line(capsys, "IoError")
+
+    def test_resume_without_state(self, ds, run, tmp_path, capsys):
+        p1 = tmp_path / "p1"
+        shutil.copytree(run, p1)
+        (p1 / "state_final.bin").unlink()
+        code = cli.main(["fit", "--dataset", str(ds), "--out",
+                         str(tmp_path / "p2"), "--resume", str(p1)])
+        assert code == cli.EXIT_CODES[IoError] == 18
+        assert _one_error_line(capsys, "IoError")
 
     def test_malformed_checkpoint(self, oracle, tmp_path):
         ds_flat, _ = oracle

@@ -360,7 +360,7 @@ def graph_mask_loss(points_world, R, t, cam, raster, mask_dist, cfg):
     every sample's value and overshoot are zero."""
     proj = geom.project_var(cam, losses._posed(points_world, R, t),
                             min_depth=cfg.min_depth)
-    px = raster.to_px_var(proj)
+    px = raster.to_px(proj)
     n, h, w = mask_dist.shape
     inside_px = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
     overshoot = px - inside_px
