@@ -32,8 +32,8 @@ __all__ = [
     "save_ply",
 ]
 
-# Route switch of `nearest_neighbors` and `icp_align`: below this many
-# target points they run the exact blocked scan `_nearest_index`, at or above
+# Route switch of `_matcher`, so of `nearest_neighbors` and `icp_align`: below
+# this many target points they run the exact blocked scan, at or above
 # it they build a k-d tree (`cKDTree`, whose import costs ~30 MB resident).
 # A measured speed trade-off, set where the two cost the same on ICP's query
 # shape: median per-pair time ratio scan / tree of one `icp_align` call on
@@ -41,10 +41,11 @@ __all__ = [
 # Gaussian clouds; Intel Xeon, one BLAS thread, numpy 2.4.6, scipy 1.17.1):
 #   n      100        200        300        400        500        600
 #   ratio  0.87/0.89  0.88/0.90  0.93/0.87  0.82/0.88  0.91/0.95  1.08/1.13
-# An earlier run of the same comparison read 0.99/1.03 at 500.
+# An earlier run of the same comparison read 0.99/1.03 at 500. Both were
+# taken while the scan rebuilt its target matrix on every ICP round.
 TREE_MIN_POINTS = 500
 
-# (query, target) entries per block of `_nearest_index`: ~1 MB of float64
+# (query, target) entries per block of the scan: ~1 MB of float64
 _SCAN_BLOCK = 1 << 17
 
 ICP_MAX_ITER = 100
@@ -89,27 +90,43 @@ def octahedral_rotations() -> np.ndarray:
     return rotations
 
 
-def _umeyama_batch(source: np.ndarray, targets: np.ndarray):
-    """Least-squares similarities mapping one source onto K paired targets.
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x**2, axis=-1)`` of 3-vectors, bit for bit: numpy adds the
+    three squares in the same order, but reduces a length-3 axis ~6x
+    slower than these two adds."""
+    sq = x * x
+    return sq[..., 0] + sq[..., 1] + sq[..., 2]
 
-    ``source`` is (N,3) and ``targets`` (K,N,3), row i of each target paired
-    with row i of the source. Standard closed form per pairing: SVD of the
-    cross-covariance with a determinant correction so R stays a proper
-    rotation. Returns scales (K,), rotations (K,3,3), translations (K,3).
-    """
+
+def _centred(source: np.ndarray):
+    """(source - centroid, centroid, mean squared radius) of a source cloud."""
     mu_s = source.mean(axis=0)
     src = source - mu_s
     var_s = float(np.mean(np.sum(src**2, axis=1)))
     if var_s < 1e-24:
         raise DegenerateCloud("source cloud has (near-)zero variance")
-    mu_t = targets.mean(axis=1)
-    cov = np.swapaxes(targets - mu_t[:, None, :], 1, 2) @ src / len(source)
+    return src, mu_s, var_s
+
+
+def _umeyama_batch(src: np.ndarray, mu_s: np.ndarray, var_s: float,
+                   targets: np.ndarray):
+    """Least-squares similarities mapping one source onto K paired targets.
+
+    The source comes as ``_centred`` returns it: centred rows ``src`` (N,3),
+    centroid ``mu_s`` and mean squared radius ``var_s``. ``targets`` is
+    (K,N,3), row i of each target paired with row i of the source. Standard
+    closed form per pairing: SVD of the cross-covariance, with U's last
+    column times the sign of det(U Vt), so R stays a proper rotation.
+    Returns scales (K,), rotations (K,3,3), translations (K,3).
+    """
+    n = len(src)
+    mu_t = targets.sum(axis=1) / n
+    cov = np.swapaxes(targets - mu_t[:, None, :], 1, 2) @ src / n
     U, D, Vt = np.linalg.svd(cov)
-    S = np.zeros_like(cov)
-    S[:, 0, 0] = S[:, 1, 1] = 1.0
-    S[:, 2, 2] = np.sign(np.linalg.det(U @ Vt))
-    R = U @ S @ Vt
-    scale = np.trace(D[:, :, None] * np.eye(3) @ S, axis1=1, axis2=2) / var_s
+    sign = np.sign(np.linalg.det(U @ Vt))
+    U[:, :, 2] *= sign[:, None]
+    R = U @ Vt
+    scale = (D[:, 0] + D[:, 1] + D[:, 2] * sign) / var_s
     trans = mu_t - scale[:, None, None] * R @ mu_s
     return scale, R, trans
 
@@ -120,7 +137,7 @@ def umeyama_similarity(source, target) -> geom.SimilarityTransform:
     t = _as_cloud(target)
     if s.shape != t.shape:
         raise DimMismatch("source and target must pair up")
-    scale, R, trans = _umeyama_batch(s, t[None])
+    scale, R, trans = _umeyama_batch(*_centred(s), t[None])
     return geom.SimilarityTransform(scale=float(scale[0]), rotation=R[0],
                                     translation=trans[0])
 
@@ -134,51 +151,60 @@ def __getattr__(name):
     return cKDTree
 
 
-def _nearest_index(target: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Index of each query point's nearest target point, lowest on ties.
+def _matcher(target: np.ndarray):
+    """Nearest-target-index function of one target cloud: a k-d tree at or
+    above ``TREE_MIN_POINTS``, else the exact blocked scan. The tree is built
+    through the module attribute ``cKDTree``, so a wrapper set on it sees
+    every tree.
 
-    The same indices as the full scan ``argmin(np.sum((q - t)**2))``, in
-    blocks of ``_SCAN_BLOCK`` entries: each block takes the argmin of
-    ``|t|^2 - 2 q.t`` from one matmul, and every row whose second-best
-    candidate lies within a bound far above that expansion's rounding
-    error is decided by the scan's own arithmetic instead.
+    The scan returns the same indices as the full scan
+    ``argmin(np.sum((q - t)**2))``, lowest on ties, in blocks of
+    ``_SCAN_BLOCK`` entries: each block takes the argmin of ``|t|^2 - 2 q.t``
+    from one matmul, and every row whose second-best candidate lies within a
+    bound far above that expansion's rounding error is decided by the scan's
+    own arithmetic instead. Everything that depends on the target alone,
+    and the block buffer, is built here once, not once per query.
     """
+    if len(target) >= TREE_MIN_POINTS:
+        tree = sys.modules[__name__].cKDTree(target)
+        return lambda query: tree.query(query)[1]
     # centred on the target, so that the expansion's rounding error, ~1e-15
     # of |q|^2 + max |t|^2, stays small for clouds far from the origin
     center = target.mean(axis=0)
     t = target - center
     tmat = np.vstack([-2.0 * t.T, np.sum(t**2, axis=1)])
-    aug = np.ones((len(query), 4))
-    aug[:, :3] = query - center
-    reach = 1e-9 * (np.sum(aug[:, :3] ** 2, axis=1) + tmat[3].max())
-    idx = np.empty(len(query), dtype=np.intp)
+    max_t2 = tmat[3].max()
     step = max(1, _SCAN_BLOCK // len(target))
-    # one buffer for every block: a fresh ~1 MB array each would be mapped
-    # and faulted in anew
-    block = np.empty((min(step, len(query)), len(target)))
-    for lo in range(0, len(query), step):
-        q = aug[lo:lo + step]
-        s = np.matmul(q, tmat, out=block[:len(q)])
-        r = np.arange(len(s))
-        i = np.argmin(s, axis=1)
-        best = s[r, i]
-        s[r, i] = np.inf
-        second = s[r, np.argmin(s, axis=1)]
-        for k in np.flatnonzero(second - best <= reach[lo:lo + step]):
-            i[k] = np.argmin(np.sum((query[lo + k] - target) ** 2, axis=1))
-        idx[lo:lo + step] = i
-    return idx
+    # one buffer for every block of every query, sized by the first (in ICP
+    # the largest) query: a fresh ~1 MB array per block would be mapped and
+    # faulted in anew. Rows go into columns 0-2 of ``aug``; its column 3
+    # stays 1 and picks up the |t|^2 row of ``tmat``.
+    aug = block = np.empty((0, 0))
 
+    def nearest(query: np.ndarray) -> np.ndarray:
+        nonlocal aug, block
+        if len(block) < min(step, len(query)):
+            aug = np.ones((min(step, len(query)), 4))
+            block = np.empty((len(aug), len(target)))
+        q = query - center
+        reach = 1e-9 * (_sq_norms(q) + max_t2)
+        idx = np.empty(len(query), dtype=np.intp)
+        for lo in range(0, len(query), step):
+            hi = min(lo + step, len(query))
+            aug[:hi - lo, :3] = q[lo:hi]
+            s = np.matmul(aug[:hi - lo], tmat, out=block[:hi - lo])
+            r = np.arange(hi - lo)
+            i = np.argmin(s, axis=1)
+            best = s[r, i]
+            s[r, i] = np.inf
+            second = s[r, np.argmin(s, axis=1)]
+            for k in np.flatnonzero(second - best <= reach[lo:hi]):
+                i[k] = np.argmin(np.sum((query[lo + k] - target) ** 2,
+                                        axis=1))
+            idx[lo:hi] = i
+        return idx
 
-def _matcher(target: np.ndarray):
-    """Nearest-target-index function of one target cloud: a k-d tree at or
-    above ``TREE_MIN_POINTS``, else ``_nearest_index``. The tree is built
-    through the module attribute ``cKDTree``, so a wrapper set on it sees
-    every tree."""
-    if len(target) < TREE_MIN_POINTS:
-        return functools.partial(_nearest_index, target)
-    tree = sys.modules[__name__].cKDTree(target)
-    return lambda query: tree.query(query)[1]
+    return nearest
 
 
 def nearest_neighbors(target, query) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +216,7 @@ def nearest_neighbors(target, query) -> tuple[np.ndarray, np.ndarray]:
     target = _as_cloud(target)
     query = _as_cloud(query)
     idx = _matcher(target)(query)
-    return idx, np.sqrt(np.sum((query - target[idx]) ** 2, axis=1))
+    return idx, np.sqrt(_sq_norms(query - target[idx]))
 
 
 @dataclass(frozen=True)
@@ -234,17 +260,17 @@ def icp_align(source, target) -> AlignResult:
     The restarts run in lockstep: each round matches the moved clouds of
     every still-active restart at once, on one nearest-neighbour route of
     the target (see ``TREE_MIN_POINTS``), and refits them with one batched
-    SVD. Distances are recomputed from the matched points, so each
-    restart's rounds equal those of a restart run on its own. Walking the restarts in seed order, the first with the
+    SVD from the matched points it gathered. The target's route (its k-d
+    tree, or its centred scan matrix and block buffer) is built once per
+    call, and so is the centred source. Distances are recomputed from the
+    matched points, so each restart's rounds equal those of a restart run
+    on its own. Walking the restarts in seed order, the first with the
     lowest final residual wins, and a numerically perfect fit ends the walk.
     """
     source = _as_cloud(source)
     target = _as_cloud(target)
     n = len(source)
-    mu_s = source.mean(axis=0)
-    var_s = float(np.mean(np.sum((source - mu_s) ** 2, axis=1)))
-    if var_s < 1e-24:
-        raise DegenerateCloud("source cloud has (near-)zero variance")
+    src, mu_s, var_s = _centred(source)
     mu_t = target.mean(axis=0)
     var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
     # per-restart state: scales (K,), rotations (K,3,3), translations (K,3)
@@ -258,28 +284,29 @@ def icp_align(source, target) -> AlignResult:
     match = _matcher(target)
 
     def residuals(active):
-        """Matched target indices and mean squared distances of restarts."""
+        """Matched target points and mean squared distances of restarts."""
         moved = (scale[active, None, None] * source
                  @ np.swapaxes(rot[active], 1, 2) + trans[active, None, :])
-        idx = match(moved.reshape(-1, 3)).reshape(len(active), n)
-        dist = np.sqrt(np.sum((moved - target[idx]) ** 2, axis=-1))
-        return idx, np.mean(dist**2, axis=1)
+        matched = np.take(target, match(moved.reshape(-1, 3)),
+                          axis=0).reshape(moved.shape)
+        dist = np.sqrt(_sq_norms(moved - matched))
+        return matched, np.sum(dist**2, axis=1) / n
 
     residual = np.full(k, np.inf)
     n_iter = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     active = np.arange(k)
     for it in range(1, ICP_MAX_ITER + 1):
-        idx, res = residuals(active)
+        matched, res = residuals(active)
         n_iter[active] = it
         done = residual[active] - res < ICP_TOL
         converged[active[done]] = True
         residual[active] = res
-        idx, active = idx[~done], active[~done]
+        matched, active = matched[~done], active[~done]
         if not len(active):
             break
         scale[active], rot[active], trans[active] = _umeyama_batch(
-            source, target[idx])
+            src, mu_s, var_s, matched)
     if len(active):  # stopped at ICP_MAX_ITER: score the last refit
         residual[active] = residuals(active)[1]
 

@@ -297,12 +297,27 @@ class TestIcpAlign:
         assert res.residual <= np.mean(d0**2) + 1e-12
 
 
+def reference_similarity(source, target) -> geom.SimilarityTransform:
+    """Umeyama's closed form, written out apart from ``metrics``: SVD of the
+    cross-covariance, S = diag(1, 1, sign det(U Vt)), R = U S Vt and scale
+    trace(D S) / var(source)."""
+    mu_s, mu_t = source.mean(axis=0), target.mean(axis=0)
+    src = source - mu_s
+    var_s = np.mean(np.sum(src**2, axis=1))
+    cov = (target - mu_t).T @ src / len(source)
+    U, D, Vt = np.linalg.svd(cov)
+    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
+    R = U @ S @ Vt
+    scale = float(np.trace(np.diag(D) @ S) / var_s)
+    return geom.SimilarityTransform(scale, R, mu_t - scale * R @ mu_s)
+
+
 def reference_restarts(source, target) -> list:
     """Every restart of the per-restart ICP loop, on a brute-force oracle.
 
     This is the sequential loop that ``icp_align`` runs in lockstep: each
     restart matches with an exhaustive ``cdist`` scan and refits with
-    ``umeyama_similarity``, one restart after the other.
+    ``reference_similarity``, one restart after the other.
     """
     def match(moved):
         idx = np.argmin(cdist(moved, target), axis=1)
@@ -324,7 +339,7 @@ def reference_restarts(source, target) -> list:
                 converged = True
                 break
             prev = residual
-            T = metrics.umeyama_similarity(source, target[idx])
+            T = reference_similarity(source, target[idx])
         out.append(metrics.AlignResult(T, match(T.apply(source))[1], n_iter,
                                        converged))
     return out
@@ -358,16 +373,31 @@ def mirrored_pair(seed):
     return [np.concatenate([h, h * [-1.0, -1.0, 1.0]]) for h in halves]
 
 
+def lockstep_pair(case):
+    """Source and target of one ``test_equals_sequential_reference`` case:
+    anisotropic Gaussian clouds of 40-120 points for a seed, two
+    variance-normalized 100-point clouds (eval's shape) for ``"eval"``, and
+    a target one point below ``TREE_MIN_POINTS`` for ``"widest_scan"``."""
+    rng = np.random.default_rng(27 if isinstance(case, str) else case)
+    sizes = {"eval": (100, 100),
+             "widest_scan": (60, metrics.TREE_MIN_POINTS - 1)}
+    n_s, n_t = sizes.get(case, rng.integers(40, 120, size=2))
+    source = rng.standard_normal((n_s, 3)) * rng.uniform(0.3, 2.0, 3)
+    target = rng.standard_normal((n_t, 3)) * rng.uniform(0.3, 2.0, 3)
+    if case == "eval":
+        source, target = map(metrics.variance_normalize, (source, target))
+    return source, target
+
+
 class TestIcpLockstep:
-    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
-    def test_equals_sequential_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n_s, n_t = rng.integers(40, 120, size=2)
-        source = rng.standard_normal((n_s, 3)) * rng.uniform(0.3, 2.0, 3)
-        target = rng.standard_normal((n_t, 3)) * rng.uniform(0.3, 2.0, 3)
-        assert_same_result(metrics.icp_align(source, target),
-                           reference_select(reference_restarts(source,
-                                                               target)))
+    @pytest.mark.parametrize("case", [21, 22, 23, 24, "eval", "widest_scan"])
+    def test_equals_sequential_reference(self, monkeypatch, case):
+        source, target = lockstep_pair(case)
+        want = reference_select(reference_restarts(source, target))
+        # the scan built once per call still blocks and falls back exactly
+        for block in (metrics._SCAN_BLOCK, 64, 1):
+            monkeypatch.setattr(metrics, "_SCAN_BLOCK", block)
+            assert_same_result(metrics.icp_align(source, target), want)
 
     def test_iteration_cap_without_convergence(self, monkeypatch):
         monkeypatch.setattr(metrics, "ICP_MAX_ITER", 3)
@@ -425,6 +455,23 @@ class TestIcpLockstep:
         metrics.icp_align(rng.standard_normal((n + 10, 3)),
                           rng.standard_normal((n, 3)))
         assert built == []
+
+    def test_allocates_about_one_block(self):
+        # 28 restarts x 499 points on the widest target the scan serves: a
+        # block buffer for all restarts' rows would take ~55 MB
+        n = metrics.TREE_MIN_POINTS - 1
+        rng = np.random.default_rng(29)
+        source = rng.standard_normal((n, 3)) * [2.0, 1.0, 0.5]
+        target = rng.standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            metrics.icp_align(source, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one ~1 MB block, plus the restarts' moved and matched clouds and
+        # the query's coordinates, each 28 x 499 x 3 float64 (~0.34 MB)
+        assert peak < 4e6
 
     def test_degenerate_source(self):
         with pytest.raises(DegenerateCloud):
