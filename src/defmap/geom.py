@@ -88,6 +88,14 @@ class SimilarityTransform:
 # -- rotation construction ---------------------------------------------------
 
 
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x**2, axis=-1)`` of 3-vectors, bit for bit: numpy adds the
+    three squares in the same order, but reduces a length-3 axis ~6x
+    slower than these two adds."""
+    sq = x * x
+    return sq[..., 0] + sq[..., 1] + sq[..., 2]
+
+
 def rotation_from_6d(raw: np.ndarray) -> np.ndarray:
     """Gram-Schmidt map from a raw 6-vector (a, b) to a rotation matrix.
 

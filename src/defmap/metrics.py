@@ -38,12 +38,13 @@ __all__ = [
 # A measured speed trade-off, set where the two cost the same on ICP's query
 # shape: median per-pair time ratio scan / tree of one `icp_align` call on
 # n-point variance-normalized clouds (12 pairs each: synthetic surfaces /
-# Gaussian clouds; Intel Xeon, one BLAS thread, numpy 2.4.6, scipy 1.17.1):
-#   n      100        200        300        400        500        600
-#   ratio  0.87/0.89  0.88/0.90  0.93/0.87  0.82/0.88  0.91/0.95  1.08/1.13
-# An earlier run of the same comparison read 0.99/1.03 at 500. Both were
-# taken while the scan rebuilt its target matrix on every ICP round.
-TREE_MIN_POINTS = 500
+# anisotropic Gaussian clouds; each route timed twice per pair, fastest
+# kept; Intel Xeon, one BLAS thread, numpy 2.4.6, scipy 1.17.1):
+#   n      250        300        350        400        450        500
+#   ratio  0.93/0.95  0.94/1.00  0.98/1.07  1.08/1.08  1.12/1.18  1.23/1.27
+# and 1.17/1.40 at 600, 1.36/1.43 at 700. The tree route's import raises
+# the peak RSS of a process that runs one such call from ~40 to ~70 MB.
+TREE_MIN_POINTS = 350
 
 # (query, target) entries per block of the scan: ~1 MB of float64
 _SCAN_BLOCK = 1 << 17
@@ -88,14 +89,6 @@ def octahedral_rotations() -> np.ndarray:
     rotations = np.stack(out)
     rotations.flags.writeable = False
     return rotations
-
-
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x**2, axis=-1)`` of 3-vectors, bit for bit: numpy adds the
-    three squares in the same order, but reduces a length-3 axis ~6x
-    slower than these two adds."""
-    sq = x * x
-    return sq[..., 0] + sq[..., 1] + sq[..., 2]
 
 
 def _centred(source: np.ndarray):
@@ -187,7 +180,7 @@ def _matcher(target: np.ndarray):
             aug = np.ones((min(step, len(query)), 4))
             block = np.empty((len(aug), len(target)))
         q = query - center
-        reach = 1e-9 * (_sq_norms(q) + max_t2)
+        reach = 1e-9 * (geom.sq_norms(q) + max_t2)
         idx = np.empty(len(query), dtype=np.intp)
         for lo in range(0, len(query), step):
             hi = min(lo + step, len(query))
@@ -216,7 +209,7 @@ def nearest_neighbors(target, query) -> tuple[np.ndarray, np.ndarray]:
     target = _as_cloud(target)
     query = _as_cloud(query)
     idx = _matcher(target)(query)
-    return idx, np.sqrt(_sq_norms(query - target[idx]))
+    return idx, np.sqrt(geom.sq_norms(query - target[idx]))
 
 
 @dataclass(frozen=True)
@@ -289,7 +282,7 @@ def icp_align(source, target) -> AlignResult:
                  @ np.swapaxes(rot[active], 1, 2) + trans[active, None, :])
         matched = np.take(target, match(moved.reshape(-1, 3)),
                           axis=0).reshape(moved.shape)
-        dist = np.sqrt(_sq_norms(moved - matched))
+        dist = np.sqrt(geom.sq_norms(moved - matched))
         return matched, np.sum(dist**2, axis=1) / n
 
     residual = np.full(k, np.inf)

@@ -73,25 +73,36 @@ def sh_basis(kappa: np.ndarray) -> np.ndarray:
     k = np.asarray(kappa, dtype=np.float64)
     if k.ndim != 2 or k.shape[1] != 3:
         raise DimMismatch("kappa must be (N,3)")
-    x, y, z = k[:, 0], k[:, 1], k[:, 2]
+    return _sh_basis_xyz(k[:, 0], k[:, 1], k[:, 2])
+
+
+def _sh_basis_xyz(x, y, z):
+    """:func:`sh_basis` of the points with coordinate arrays x, y, z (N,).
+
+    Each column's last product is written in place, and factors two columns
+    share are formed once; every value takes the same operations either way.
+    """
     x2, y2, z2 = x * x, y * y, z * z
-    out = np.empty((k.shape[0], SH_DIM))
-    out[:, 0] = 0.28209479177387814
-    out[:, 1] = 0.4886025119029199 * y
-    out[:, 2] = 0.4886025119029199 * z
-    out[:, 3] = 0.4886025119029199 * x
-    out[:, 4] = 1.0925484305920792 * x * y
-    out[:, 5] = 1.0925484305920792 * y * z
-    out[:, 6] = 0.31539156525252005 * (3.0 * z2 - 1.0)
-    out[:, 7] = 1.0925484305920792 * x * z
-    out[:, 8] = 0.5462742152960396 * (x2 - y2)
-    out[:, 9] = 0.5900435899266435 * y * (3.0 * x2 - y2)
-    out[:, 10] = 2.890611442640554 * x * y * z
-    out[:, 11] = 0.4570457994644658 * y * (5.0 * z2 - 1.0)
-    out[:, 12] = 0.3731763325901154 * z * (5.0 * z2 - 3.0)
-    out[:, 13] = 0.4570457994644658 * x * (5.0 * z2 - 1.0)
-    out[:, 14] = 1.445305721320277 * z * (x2 - y2)
-    out[:, 15] = 0.5900435899266435 * x * (x2 - 3.0 * y2)
+    cx, dxy, z5 = 1.0925484305920792 * x, x2 - y2, 5.0 * z2 - 1.0
+    out = np.empty((x.shape[0], SH_DIM))
+    col = out.T
+    mul = np.multiply
+    col[0] = 0.28209479177387814
+    mul(0.4886025119029199, y, out=col[1])
+    mul(0.4886025119029199, z, out=col[2])
+    mul(0.4886025119029199, x, out=col[3])
+    mul(cx, y, out=col[4])
+    mul(1.0925484305920792 * y, z, out=col[5])
+    mul(0.31539156525252005, 3.0 * z2 - 1.0, out=col[6])
+    mul(cx, z, out=col[7])
+    mul(0.5462742152960396, dxy, out=col[8])
+    mul(0.5900435899266435 * y, 3.0 * x2 - y2, out=col[9])
+    mul(2.890611442640554 * x * y, z, out=col[10])
+    mul(0.4570457994644658 * y, z5, out=col[11])
+    mul(0.3731763325901154 * z, 5.0 * z2 - 3.0, out=col[12])
+    mul(0.4570457994644658 * x, z5, out=col[13])
+    mul(1.445305721320277 * z, dxy, out=col[14])
+    mul(0.5900435899266435 * x, x2 - 3.0 * y2, out=col[15])
     return out
 
 
@@ -236,19 +247,27 @@ class GroundTruthCategory:
         B[:, :, 0] += kappa
         return B
 
+    def shape_coeffs(self, alpha: np.ndarray) -> np.ndarray:
+        """(16,3) SH coefficients of the surface of shape coefficients alpha."""
+        return np.einsum("scd,d->sc", self.basis_coeffs, alpha)
+
     def surface_points(self, kappa: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        coeff = np.einsum("scd,d->sc", self.basis_coeffs, alpha)
-        return sh_basis(kappa) @ coeff + alpha[0] * np.asarray(kappa)
+        return _surface(sh_basis(kappa), np.asarray(kappa),
+                        self.shape_coeffs(alpha), alpha)
 
     def albedo(self, kappa: np.ndarray, instance: int) -> np.ndarray:
         """Canonical RGB albedo field of one instance, (N,3) in [0,1]."""
+        return self.albedo_of_sh(sh_basis(np.asarray(kappa, dtype=np.float64)),
+                                 instance)
+
+    def albedo_of_sh(self, sh: np.ndarray, instance: int) -> np.ndarray:
+        """:meth:`albedo` of the canonical points whose SH rows are ``sh``."""
         if self.spec.constant_albedo:
             coeffs = self.albedo_base
         else:
             delta = (self.albedo_proj @ self.betas[instance]).reshape(SH_DIM, 3)
             coeffs = self.albedo_base + 0.25 * delta
-        raw = sh_basis(np.asarray(kappa, dtype=np.float64)) @ coeffs
-        return np.clip(0.5 + raw, 0.02, 0.98)
+        return np.clip(0.5 + sh @ coeffs, 0.02, 0.98)
 
     def pixel_descriptor(self, kappa, rng=None) -> np.ndarray:
         d = np.tanh(np.asarray(kappa) @ self.pix_w1.T) @ self.pix_w2.T
@@ -267,6 +286,13 @@ class GroundTruthCategory:
         if self.spec.background_matches_albedo:
             return self.albedo(np.array([[0.0, 0.0, 1.0]]), 0)[0]
         return np.full(3, 0.08)
+
+
+def _surface(sh, kappa, coeff, alpha):
+    """Surface points of canonical points ``kappa`` (N,3) with SH rows ``sh``,
+    given ``coeff``, the :meth:`GroundTruthCategory.shape_coeffs` of
+    ``alpha``."""
+    return sh @ coeff + alpha[0] * kappa
 
 
 # -- poses ----------------------------------------------------------------------
@@ -317,14 +343,14 @@ def make_batches(
     instance_ids,
     weights,
     batch_size: int,
-    n_batches: int,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Weighted frame batches whose members show pairwise distinct instances.
+) -> np.ndarray:
+    """One weighted frame batch whose members show pairwise distinct
+    instances.
 
-    The first entry of each batch is the min-k target. Frames are drawn by
-    the rebalancing weights; a draw landing on an already-used instance is
-    rejected within the batch.
+    The first entry is the min-k target. Frames are drawn by the
+    rebalancing weights; a draw landing on an already-used instance is
+    rejected.
     """
     instance_ids = np.asarray(instance_ids)
     weights = np.asarray(weights, dtype=np.float64)
@@ -338,19 +364,16 @@ def make_batches(
             f"{len(np.unique(instance_ids))}"
         )
     p = weights / weights.sum()
-    batches = []
-    for _ in range(n_batches):
-        used = set()
-        members = []
-        while len(members) < batch_size:
-            f = int(rng.choice(len(p), p=p))
-            inst = instance_ids[f]
-            if inst in used:
-                continue
-            used.add(inst)
-            members.append(f)
-        batches.append(np.asarray(members))
-    return batches
+    used = set()
+    members = []
+    while len(members) < batch_size:
+        f = int(rng.choice(len(p), p=p))
+        inst = instance_ids[f]
+        if inst in used:
+            continue
+        used.add(inst)
+        members.append(f)
+    return np.asarray(members)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -466,50 +489,70 @@ def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
     first iterate whose residual is within ``tol``; the rest take up to
     ``max_iter`` trust-region steps. Each iteration evaluates the residual
     and its four difference probes of the pixels still active in one
-    stacked ``surface_points`` call. Returns (kappa, residual_norm,
+    stacked surface evaluation. Returns (kappa, residual_norm,
     converged_mask).
     """
     kappa0 = np.asarray(kappa0, dtype=np.float64)
     e1, e2 = _tangent_frame(kappa0)
     n = kappa0.shape[0]
-    delta = np.zeros((n, 2))
+    coeff = cat.shape_coeffs(alpha)
+    delta = np.empty((n, 2))
     rnorm = np.empty(n)
 
-    def kappa_of(idx, d):
-        """Chart points of rows ``idx`` at offsets ``d`` (..., len(idx), 2)."""
-        k = kappa0[idx] + d[..., 0:1] * e1[idx] + d[..., 1:2] * e2[idx]
-        return k / np.linalg.norm(k, axis=-1, keepdims=True)
-
-    def residual(idx, d):
-        pts = cat.surface_points(kappa_of(idx, d).reshape(-1, 3), alpha)
-        y = geom.project(cam, pts @ R.T + t).reshape(d.shape)
-        return y - target_y[idx]
+    # Component-major, so that every elementwise step runs along the pixel
+    # axis: a chart holds the active pixels' origins, tangent bases (3,m)
+    # and targets (2,m); offsets are (2,m) and probes stack them to (2,P,m).
+    # Norms are sums of squares in component order: the same sequential sums
+    # np.linalg.norm takes over 2-3 entries, at a fraction of its cost.
+    def residual(chart, d):
+        """(x, y) residuals (2,P,m) of the chart points at offsets d."""
+        k0, u1, u2, target = (a[:, None] for a in chart)
+        k = k0 + d[0] * u1 + d[1] * u2
+        k = k / np.sqrt(k[0] * k[0] + k[1] * k[1] + k[2] * k[2])
+        x, y, z = k.reshape(3, -1)
+        pts = _surface(_sh_basis_xyz(x, y, z), np.stack([x, y, z], axis=1),
+                       coeff, alpha)
+        proj = geom.project(cam, pts @ R.T + t)
+        return proj.T.reshape(d.shape) - target
 
     h = 1e-7
     # the value, then the +-h probes of chart axis 0 and of axis 1
-    probes = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    probes = np.array([[0.0, h, -h, 0.0, 0.0], [0.0, 0.0, 0.0, h, -h]])
+    # the active pixels and their chart, compacted whenever some finish
     active = np.arange(n)
+    chart = tuple(np.ascontiguousarray(a.T)
+                  for a in (kappa0, e1, e2, np.asarray(target_y, np.float64)))
+    d = np.zeros((2, n))
     for _ in range(max_iter):
         if not len(active):
             break
-        r, rp0, rm0, rp1, rm1 = residual(active, delta[active] + probes[:, None])
-        rn = np.linalg.norm(r, axis=1)
+        res = residual(chart, d[:, None] + probes[:, :, None])
+        r = res[:, 0]
+        rn = np.sqrt(r[0] * r[0] + r[1] * r[1])
         done = rn <= tol
-        rnorm[active[done]] = rn[done]
-        J = np.stack([(rp0 - rm0) / (2 * h), (rp1 - rm1) / (2 * h)], axis=2)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        if done.any():
+            rnorm[active[done]] = rn[done]
+            delta[active[done]] = d[:, done].T
+            keep = ~done
+            active, d, res = active[keep], d[:, keep], res[..., keep]
+            chart = tuple(a[:, keep] for a in chart)
+            r = res[:, 0]
+        # the 2x2 Jacobian's columns: central differences along each axis
+        a = (res[:, 1] - res[:, 2]) / (2 * h)
+        b = (res[:, 3] - res[:, 4]) / (2 * h)
+        det = a[0] * b[1] - b[0] * a[1]
         det = np.where(np.abs(det) < 1e-18, np.nan, det)
-        du = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
-        dv = (J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
-        step = np.stack([du, dv], axis=1)
-        norm = np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-30)
-        step = step * np.minimum(1.0, 0.2 / norm)  # trust region
-        step = np.where(np.isfinite(step), step, 0.0)
-        active, step = active[~done], step[~done]
-        delta[active] -= step
-    rnorm[active] = np.linalg.norm(residual(active, delta[active]), axis=1)
+        du = (b[1] * r[0] - b[0] * r[1]) / det
+        dv = (a[0] * r[1] - a[1] * r[0]) / det
+        norm = np.maximum(np.sqrt(du * du + dv * dv), 1e-30)
+        step = np.stack([du, dv]) * np.minimum(1.0, 0.2 / norm)  # trust region
+        d = d - np.where(np.isfinite(step), step, 0.0)
+    r = residual(chart, d[:, None])[:, 0]
+    rnorm[active] = np.sqrt(r[0] * r[0] + r[1] * r[1])
+    delta[active] = d.T
     ok = np.isfinite(rnorm) & (rnorm <= tol)
-    return kappa_of(np.arange(n), delta), rnorm, ok
+    k = kappa0 + delta[:, 0:1] * e1 + delta[:, 1:2] * e2
+    return k / np.sqrt(geom.sq_norms(k))[:, None], rnorm, ok
 
 
 def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
@@ -519,9 +562,8 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
     raster = _default_raster(spec)
     alpha = cat.alphas[instance]
 
-    coeff = np.einsum("scd,d->sc", cat.basis_coeffs, alpha)
-    X = dense_sh @ coeff + alpha[0] * dense_kappa
-    Xc = X @ R.T + t
+    coeff = cat.shape_coeffs(alpha)
+    Xc = _surface(dense_sh, dense_kappa, coeff, alpha) @ R.T + t
     px = raster.to_px(geom.project(cam, Xc))
     mask, depth, winner = _zbuffer(spec, px, Xc[:, 2])
     if not mask.any():
@@ -529,24 +571,23 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
                           "the frame has no pixel to fit")
 
     rows, cols = np.nonzero(mask)
-    seeds = dense_kappa[winner[rows, cols]]
+    seeds = winner[rows, cols]
     target_y = raster.from_px(np.stack([cols, rows], axis=1).astype(np.float64))
-    kappa, rnorm, ok = _refine_pixels(cat, alpha, R, t, cam, seeds, target_y)
-
-    rows, cols, kappa = rows[ok], cols[ok], kappa[ok]
-    pix_y = target_y[ok]
-    colors = cat.albedo(kappa, instance)
+    kappa, _, ok = _refine_pixels(cat, alpha, R, t, cam, dense_kappa[seeds],
+                                  target_y)
 
     image = np.empty((spec.image_h, spec.image_w, 3))
     image[:] = cat.background_color()
-    seed_rows, seed_cols = np.nonzero(mask)
-    image[seed_rows, seed_cols] = cat.albedo(
-        dense_kappa[winner[seed_rows, seed_cols]], instance
-    )
+    image[rows, cols] = cat.albedo_of_sh(dense_sh[seeds], instance)
+
+    rows, cols, kappa = rows[ok], cols[ok], kappa[ok]
+    pix_y = target_y[ok]
+    sh = sh_basis(kappa)
+    colors = cat.albedo_of_sh(sh, instance)
     image[rows, cols] = colors
 
     # refined pixels read their own surface depth; the rest keep the splat's
-    depth[rows, cols] = (cat.surface_points(kappa, alpha) @ R.T + t)[:, 2]
+    depth[rows, cols] = (_surface(sh, kappa, coeff, alpha) @ R.T + t)[:, 2]
 
     return {
         "camera": cam,
@@ -609,9 +650,8 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         alphas[:, 1:] = 0.5 * rng_shape.standard_normal((spec.n_instances, D - 1))
     betas = rng_shape.standard_normal((spec.n_instances, T))
 
-    keypoints = fibonacci_sphere(512)[
-        farthest_point_sample(fibonacci_sphere(512), spec.n_keypoints)
-    ]
+    sphere = fibonacci_sphere(512)
+    keypoints = sphere[farthest_point_sample(sphere, spec.n_keypoints)]
 
     hidden, hidden_g = max(3 * F, 32), max(3 * G, 32)
     cat = GroundTruthCategory(
@@ -633,8 +673,10 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
     # rescale every instance to unit mean squared radius, so image span,
     # loss knees and metric thresholds mean the same thing in every category
     probe = fibonacci_sphere(4000)
+    probe_sh = sh_basis(probe)
     for i in range(spec.n_instances):
-        pts = cat.surface_points(probe, cat.alphas[i])
+        alpha = cat.alphas[i]
+        pts = _surface(probe_sh, probe, cat.shape_coeffs(alpha), alpha)
         centered = pts - pts.mean(axis=0)
         cat.alphas[i] /= np.sqrt(np.mean(np.sum(centered**2, axis=1)))
 

@@ -426,7 +426,7 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
             term_sums = dict.fromkeys(LOG_TERMS, 0.0)
             for _ in range(cfg.batches_per_epoch):
                 batch = synth.make_batches(
-                    instance_ids, rebal, cfg.batch_size, 1, state.rng)[0]
+                    instance_ids, rebal, cfg.batch_size, state.rng)
                 value, breakdown, gnorm = _train_step(
                     model, [train_frames[i] for i in batch], w_eff, cfg,
                     state)

@@ -177,9 +177,8 @@ class TestMakeBatches:
         rng = np.random.default_rng(6)
         inst = np.repeat(np.arange(6), 4)
         w = np.ones(24)
-        batches = synth.make_batches(inst, w, 5, 40, rng)
-        assert len(batches) == 40
-        for b in batches:
+        for _ in range(40):
+            b = synth.make_batches(inst, w, 5, rng)
             assert len(b) == 5
             assert len(np.unique(inst[b])) == 5
 
@@ -188,13 +187,12 @@ class TestMakeBatches:
         inst = np.arange(10)
         w = np.ones(10)
         w[3] = 50.0
-        batches = synth.make_batches(inst, w, 2, 300, rng)
-        hits = sum(3 in b for b in batches)
+        hits = sum(3 in synth.make_batches(inst, w, 2, rng) for _ in range(300))
         assert hits > 200  # weight-50 frame should appear almost always
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleConstraint):
-            synth.make_batches(np.zeros(8, int), np.ones(8), 2, 1,
+            synth.make_batches(np.zeros(8, int), np.ones(8), 2,
                                np.random.default_rng(8))
 
 
@@ -257,6 +255,62 @@ def refine_every_pixel(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
     return kappa_of(delta), rnorm, np.isfinite(rnorm) & (rnorm <= tol)
 
 
+def refine_gathering(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
+                     max_iter=60):
+    """Bit-for-bit reference of ``synth._refine_pixels``: the same steps,
+    with each iteration gathering its active rows from the full arrays and
+    stacking a Jacobian. Also returns the iteration each pixel finished at
+    (``max_iter`` if it never did)."""
+    kappa0 = np.asarray(kappa0, dtype=np.float64)
+    e1, e2 = synth._tangent_frame(kappa0)
+    n = kappa0.shape[0]
+    delta = np.zeros((n, 2))
+    rnorm = np.empty(n)
+    finished = np.full(n, max_iter)
+    coeff = np.einsum("scd,d->sc", cat.basis_coeffs, alpha)
+
+    def kappa_of(idx, d):
+        k = kappa0[idx] + d[..., 0:1] * e1[idx] + d[..., 1:2] * e2[idx]
+        return k / np.linalg.norm(k, axis=-1, keepdims=True)
+
+    def residual(idx, d):
+        k = kappa_of(idx, d).reshape(-1, 3)
+        pts = synth.sh_basis(k) @ coeff + alpha[0] * k
+        y = geom.project(cam, pts @ R.T + t).reshape(d.shape)
+        return y - target_y[idx]
+
+    h = 1e-7
+    probes = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    active = np.arange(n)
+    for it in range(max_iter):
+        if not len(active):
+            break
+        r, rp0, rm0, rp1, rm1 = residual(active, delta[active] + probes[:, None])
+        rn = np.linalg.norm(r, axis=1)
+        done = rn <= tol
+        rnorm[active[done]] = rn[done]
+        finished[active[done]] = it
+        J = np.stack([(rp0 - rm0) / (2 * h), (rp1 - rm1) / (2 * h)], axis=2)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        det = np.where(np.abs(det) < 1e-18, np.nan, det)
+        du = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
+        dv = (J[:, 0, 0] * r[:, 1] - J[:, 1, 0] * r[:, 0]) / det
+        step = np.stack([du, dv], axis=1)
+        norm = np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-30)
+        step = step * np.minimum(1.0, 0.2 / norm)
+        step = np.where(np.isfinite(step), step, 0.0)
+        active, step = active[~done], step[~done]
+        delta[active] -= step
+    rnorm[active] = np.linalg.norm(residual(active, delta[active]), axis=1)
+    ok = np.isfinite(rnorm) & (rnorm <= tol)
+    return kappa_of(np.arange(n), delta), rnorm, ok, finished
+
+
+def assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def dense_splat(cat, fr):
     """Pixel positions and depths of the dense sphere sampling of frame
     ``fr``, as rendering splats them."""
@@ -299,6 +353,40 @@ class RenderedGeometryContract:
             np.testing.assert_allclose(kappa[ok], want_kappa[ok], rtol=0,
                                        atol=1e-9)
             np.testing.assert_array_equal(fr.gt_kappa, kappa[ok])
+
+    def test_refinement_equals_the_gathering_loop_bit_for_bit(self, small_cat):
+        fr = small_cat.frames[0]
+        dense, px, z = dense_splat(small_cat, fr)
+        mask, _, winner = synth._zbuffer(small_cat.spec, px, z)
+        rows, cols = np.nonzero(mask)
+        seeds = dense[winner[rows, cols]]
+        target = fr.raster.from_px(np.stack([cols, rows], 1).astype(float))
+        # a last pixel whose seed already reprojects onto its target
+        on_seed = geom.project(fr.camera, small_cat.surface_points(
+            seeds[:1], fr.gt_alpha) @ fr.gt_R.T + fr.gt_t)
+        seeds = np.concatenate([seeds, seeds[:1]])
+        target = np.concatenate([target, on_seed])
+        # on the point surface alpha = 0 every Jacobian is singular, so no
+        # pixel moves; the one aimed at the point is done at once
+        point = np.zeros_like(fr.gt_alpha)
+        at_point = geom.project(fr.camera, fr.gt_t[None])
+        for alpha, k0, y in ((fr.gt_alpha, seeds, target),
+                             (point, seeds[:4],
+                              np.concatenate([at_point, target[:3]]))):
+            args = (small_cat, alpha, fr.gt_R, fr.gt_t, fr.camera, k0, y)
+            got = synth._refine_pixels(*args)
+            *want, finished = refine_gathering(*args)
+            for g, w in zip(got, want):
+                assert_bits_equal(g, w)
+            if alpha is point:
+                assert finished.tolist() == [0, 60, 60, 60]
+                assert_bits_equal(got[0], k0 / np.linalg.norm(
+                    k0, axis=1, keepdims=True))
+            else:
+                assert finished[-1] == 0
+                # converged after different numbers of steps, and never
+                assert len(np.unique(finished[finished < 60])) >= 3
+                assert (~got[2]).any() and (finished[~got[2]] == 60).all()
 
     def test_refined_pixels_reproject_exactly(self, small_cat):
         worst = 0.0
@@ -436,6 +524,27 @@ def test_mask_distance_equals_scipy_bit_for_bit(monkeypatch, block):
         want = distance_transform_edt(~mask)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+#: dataset_hash of gradcheck-size categories, pinned so that a faster
+#: generator must keep every byte it writes
+PINNED_HASHES = {
+    geom.ORTHOGRAPHIC:
+        "f9099ff5cf462ca8c6b9e02803afece4d8825f29e7b3317017556aa5769148f7",
+    geom.PERSPECTIVE:
+        "3f16e2a909f52ea068096f2503753c170dd9ec9df1669fedf6fb37347240627b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_HASHES))
+def test_generated_bytes_are_pinned(tmp_path, kind):
+    spec = synth.CategorySpec(
+        seed=17, n_instances=3, frames_per_instance=1, image_h=16,
+        image_w=16, camera_kind=kind, n_shape_coeffs=2, n_keypoints=6,
+        descriptor_dim=6, instance_desc_dim=5, n_texture_params=3,
+        sigma_descriptor=0.02, sigma_label=0.01, n_surface_samples=1000)
+    synth.save_category(tmp_path, synth.generate_category(spec))
+    assert synth.dataset_hash(tmp_path) == PINNED_HASHES[kind]
 
 
 def test_empty_silhouette_fails_before_the_dataset_is_written(

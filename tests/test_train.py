@@ -325,8 +325,8 @@ class TestFit:
             [synth.azimuth_of(fr.labels.rotation) for fr in frames])
         w = train.effective_weights(cfg.weights, cfg.ablate)
         for row in logged:
-            batch = synth.make_batches(inst, rebal, cfg.batch_size, 1,
-                                       state.rng)[0]
+            batch = synth.make_batches(inst, rebal, cfg.batch_size,
+                                       state.rng)
             leaves = train.step_leaves(mdl2)
             total, breakdown = losses.total_loss(
                 mdl2, leaves, [frames[i] for i in batch], w, cfg.loss_cfg,
