@@ -120,25 +120,21 @@ def rotation_from_6d(raw: np.ndarray) -> np.ndarray:
 
 def rotation_from_6d_var(raw: tape.Var) -> tape.Var:
     """Graph twin of :func:`rotation_from_6d` for a (...,6) stack of raw
-    vectors, giving (...,3,3); validates them all on the raw values, with
-    the thresholds of :func:`rotation_from_6d`."""
-    v = raw.data.reshape(-1, 6)
-    na = np.linalg.norm(v[:, :3], axis=1, keepdims=True)
-    if np.any(na < 1e-8):
-        raise DegenerateInput("6D rotation: first vector has near-zero norm")
-    c1 = v[:, :3] / na
-    b_perp = v[:, 3:] - np.sum(c1 * v[:, 3:], axis=1, keepdims=True) * c1
-    if np.any(np.linalg.norm(b_perp, axis=1) < 1e-8):
-        raise DegenerateInput("6D rotation: vectors are near-collinear")
+    vectors, giving (...,3,3); validates them all, with the thresholds of
+    :func:`rotation_from_6d`, on the norms it divides by."""
     a = raw[..., 0:3]
     b = raw[..., 3:6]
 
-    def unit(v):
-        return v / tape.sqrt(tape.vsum(v * v, axis=-1, keepdims=True))
+    def unit(v, degenerate):
+        norm = tape.sqrt(tape.vsum(v * v, axis=-1, keepdims=True))
+        if np.any(norm.data < 1e-8):
+            raise DegenerateInput(f"6D rotation: {degenerate}")
+        return v / norm
 
-    c1 = unit(a)
-    c2 = unit(b - tape.vsum(c1 * b, axis=-1, keepdims=True) * c1)
-    return tape.stack([c1, c2, tape.cross3(c1, c2)], axis=-1)
+    c1 = unit(a, "first vector has near-zero norm")
+    c2 = unit(b - tape.vsum(c1 * b, axis=-1, keepdims=True) * c1,
+              "vectors are near-collinear")
+    return tape.stack([c1, c2, tape.cross3(c1, c2)])
 
 
 def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -217,7 +213,7 @@ def project_var(cam: CameraIntrinsics, X: tape.Var, min_depth: float) -> tape.Va
     z = tape.clip(X[..., 2], min_depth, np.inf)
     (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
     x_z, y_z = X[..., 0] / z, X[..., 1] / z
-    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy], axis=-1)
+    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy])
 
 
 def ray_direction(cam: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:

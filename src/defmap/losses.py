@@ -32,27 +32,6 @@ from .errors import (
     check_types,
 )
 
-__all__ = [
-    "LossConfig",
-    "LossWeights",
-    "TERMS",
-    "NrsfmLabels",
-    "pseudo_huber",
-    "pseudo_huber_rows",
-    "prior_loss",
-    "closed_form_translation",
-    "reprojection_loss",
-    "ray_projection_loss",
-    "cross_project",
-    "photometric_loss",
-    "min_k_loss",
-    "embedding_alignment_loss",
-    "mask_reprojection_loss",
-    "texture_loss",
-    "total_loss",
-    "sample_sphere",
-]
-
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -139,11 +118,6 @@ def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # -- robust penalty -----------------------------------------------------------
-
-
-def pseudo_huber(z, eps: float) -> tape.Var:
-    """Smooth robust norm of one residual vector (any shape, flattened)."""
-    return pseudo_huber_rows(tape.reshape(z, (-1,)), eps)
 
 
 def pseudo_huber_rows(z, eps: float) -> tape.Var:

@@ -19,18 +19,6 @@ import numpy as np
 from . import geom
 from .errors import DegenerateCloud, DegenerateDepth, DimMismatch
 
-__all__ = [
-    "AlignResult",
-    "variance_normalize",
-    "octahedral_rotations",
-    "umeyama_similarity",
-    "nearest_neighbors",
-    "icp_align",
-    "chamfer_symmetric",
-    "point_cloud_distance",
-    "depth_error",
-    "save_ply",
-]
 
 # Route switch of `_matcher`, so of `nearest_neighbors` and `icp_align`: below
 # this many target points they run the exact blocked scan, at or above

@@ -208,7 +208,7 @@ def predict_frame(
         v6 = leaves["lat:view6d"][ids]
     if model.dims.pin_first_coeff:
         head = tape.detach(tape.as_var(np.ones((alpha.shape[0], 1))))
-        alpha = tape.concat([head, alpha[:, 1:]], axis=1)
+        alpha = tape.concat([head, alpha[:, 1:]])
     return FramePrediction(kappa=kappa, alpha=alpha, beta=beta,
                            R=geom.rotation_from_6d_var(v6))
 

@@ -42,24 +42,6 @@ from .errors import (
     check_types,
 )
 
-__all__ = [
-    "SH_DIM",
-    "sh_basis",
-    "fibonacci_sphere",
-    "farthest_point_sample",
-    "CategorySpec",
-    "Frame",
-    "GroundTruthCategory",
-    "pose_rotation",
-    "azimuth_of",
-    "rebalance_weights",
-    "make_batches",
-    "generate_category",
-    "save_category",
-    "load_category",
-    "dataset_hash",
-    "fixed_point_spec",
-]
 
 SH_DIM = 16
 
@@ -132,6 +114,9 @@ def farthest_point_sample(points: np.ndarray, k: int) -> np.ndarray:
 
 # -- category specification ----------------------------------------------------
 
+#: size of the Fibonacci sphere the keypoints are farthest-point sampled from
+KEYPOINT_SPHERE = 512
+
 
 @dataclass(frozen=True)
 class CategorySpec:
@@ -162,6 +147,8 @@ class CategorySpec:
 
     def __post_init__(self):
         check_types(self, InvalidSpec)
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.camera_kind not in (geom.ORTHOGRAPHIC, geom.PERSPECTIVE):
             raise InvalidSpec(f"unknown camera kind {self.camera_kind!r}")
         positive = {
@@ -180,18 +167,24 @@ class CategorySpec:
             raise InvalidSpec("images must be at least 16x16")
         if not 0 <= self.sh_degree <= 3:
             raise InvalidSpec("sh_degree must lie in 0..3")
-        if self.n_keypoints < 3:
-            raise InvalidSpec("need at least 3 keypoints")
+        if not 3 <= self.n_keypoints <= KEYPOINT_SPHERE:
+            raise InvalidSpec(f"n_keypoints must lie in 3..{KEYPOINT_SPHERE}, "
+                              f"got {self.n_keypoints}")
         if self.sigma_descriptor < 0 or self.sigma_label < 0:
             raise InvalidSpec("noise levels must be non-negative")
         if not 0.0 <= self.elevation_limit < np.deg2rad(80.0):
             raise InvalidSpec("elevation limit must stay clear of the poles")
+        if not self.azimuth_sigma >= 0:
+            raise InvalidSpec("azimuth_sigma must be >= 0")
         if not 0.5 <= self.azimuth_major_weight <= 1.0:
             raise InvalidSpec("primary azimuth mode must carry most mass")
         if self.n_surface_samples < 1000:
             raise InvalidSpec("surface sampling too sparse to rasterize")
         if self.camera_kind == geom.PERSPECTIVE and self.standoff <= 2.0:
             raise InvalidSpec("perspective standoff must clear the surface")
+        if self.camera_kind == geom.PERSPECTIVE and not self.focal > 0:
+            raise InvalidSpec(f"perspective focal must be > 0, "
+                              f"got {self.focal}")
 
 
 @dataclass
@@ -255,13 +248,9 @@ class GroundTruthCategory:
         return _surface(sh_basis(kappa), np.asarray(kappa),
                         self.shape_coeffs(alpha), alpha)
 
-    def albedo(self, kappa: np.ndarray, instance: int) -> np.ndarray:
-        """Canonical RGB albedo field of one instance, (N,3) in [0,1]."""
-        return self.albedo_of_sh(sh_basis(np.asarray(kappa, dtype=np.float64)),
-                                 instance)
-
     def albedo_of_sh(self, sh: np.ndarray, instance: int) -> np.ndarray:
-        """:meth:`albedo` of the canonical points whose SH rows are ``sh``."""
+        """Canonical RGB albedo field of one instance, (N,3) in [0,1], at
+        the canonical points whose SH rows are ``sh``."""
         if self.spec.constant_albedo:
             coeffs = self.albedo_base
         else:
@@ -269,22 +258,24 @@ class GroundTruthCategory:
             coeffs = self.albedo_base + 0.25 * delta
         return np.clip(0.5 + sh @ coeffs, 0.02, 0.98)
 
-    def pixel_descriptor(self, kappa, rng=None) -> np.ndarray:
+    def pixel_descriptor(self, kappa, rng) -> np.ndarray:
         d = np.tanh(np.asarray(kappa) @ self.pix_w1.T) @ self.pix_w2.T
-        if rng is not None and self.spec.sigma_descriptor > 0:
+        if self.spec.sigma_descriptor > 0:
             d = d + rng.normal(0.0, self.spec.sigma_descriptor, size=d.shape)
         return d
 
-    def instance_descriptor(self, alpha, beta, view6d, rng=None) -> np.ndarray:
+    def instance_descriptor(self, alpha, beta, view6d, rng) -> np.ndarray:
         v = np.concatenate([alpha, beta, view6d])
         d = self.inst_w2 @ np.tanh(self.inst_w1 @ v)
-        if rng is not None and self.spec.sigma_descriptor > 0:
+        if self.spec.sigma_descriptor > 0:
             d = d + rng.normal(0.0, self.spec.sigma_descriptor, size=d.shape)
         return d
 
     def background_color(self) -> np.ndarray:
         if self.spec.background_matches_albedo:
-            return self.albedo(np.array([[0.0, 0.0, 1.0]]), 0)[0]
+            # instance 0's albedo at the canonical north pole
+            return self.albedo_of_sh(sh_basis(np.array([[0.0, 0.0, 1.0]])),
+                                     0)[0]
         return np.full(3, 0.08)
 
 
@@ -478,18 +469,23 @@ def _tangent_frame(kappa: np.ndarray):
     return e1, e2
 
 
-def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
-                   max_iter=60):
+#: residual norm at which :func:`_refine_pixels` calls a pixel converged
+REFINE_TOL = 1e-12
+#: trust-region steps after which :func:`_refine_pixels` gives a pixel up
+REFINE_MAX_ITER = 60
+
+
+def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y):
     """Gauss-Newton polish so surface(kappa) reprojects onto pixel centers.
 
     Works in a fixed 2D tangent chart at each seed; the Jacobian comes from
     central differences (the surface is an analytic SH field, but the chart
     normalization makes closed forms noisier than they are worth: an
     analytic Jacobian changes which pixels converge). A pixel stops at the
-    first iterate whose residual is within ``tol``; the rest take up to
-    ``max_iter`` trust-region steps. Each iteration evaluates the residual
-    and its four difference probes of the pixels still active in one
-    stacked surface evaluation. Returns (kappa, residual_norm,
+    first iterate whose residual is within ``REFINE_TOL``; the rest take up
+    to ``REFINE_MAX_ITER`` trust-region steps. Each iteration evaluates the
+    residual and its four difference probes of the pixels still active in
+    one stacked surface evaluation. Returns (kappa, residual_norm,
     converged_mask).
     """
     kappa0 = np.asarray(kappa0, dtype=np.float64)
@@ -523,13 +519,13 @@ def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
     chart = tuple(np.ascontiguousarray(a.T)
                   for a in (kappa0, e1, e2, np.asarray(target_y, np.float64)))
     d = np.zeros((2, n))
-    for _ in range(max_iter):
+    for _ in range(REFINE_MAX_ITER):
         if not len(active):
             break
         res = residual(chart, d[:, None] + probes[:, :, None])
         r = res[:, 0]
         rn = np.sqrt(r[0] * r[0] + r[1] * r[1])
-        done = rn <= tol
+        done = rn <= REFINE_TOL
         if done.any():
             rnorm[active[done]] = rn[done]
             delta[active[done]] = d[:, done].T
@@ -550,7 +546,7 @@ def _refine_pixels(cat, alpha, R, t, cam, kappa0, target_y, tol=1e-12,
     r = residual(chart, d[:, None])[:, 0]
     rnorm[active] = np.sqrt(r[0] * r[0] + r[1] * r[1])
     delta[active] = d.T
-    ok = np.isfinite(rnorm) & (rnorm <= tol)
+    ok = np.isfinite(rnorm) & (rnorm <= REFINE_TOL)
     k = kappa0 + delta[:, 0:1] * e1 + delta[:, 1:2] * e2
     return k / np.sqrt(geom.sq_norms(k))[:, None], rnorm, ok
 
@@ -650,7 +646,7 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         alphas[:, 1:] = 0.5 * rng_shape.standard_normal((spec.n_instances, D - 1))
     betas = rng_shape.standard_normal((spec.n_instances, T))
 
-    sphere = fibonacci_sphere(512)
+    sphere = fibonacci_sphere(KEYPOINT_SPHERE)
     keypoints = sphere[farthest_point_sample(sphere, spec.n_keypoints)]
 
     hidden, hidden_g = max(3 * F, 32), max(3 * G, 32)
@@ -737,7 +733,7 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
 # -- presets --------------------------------------------------------------------
 
 
-def fixed_point_spec(seed: int = 0) -> CategorySpec:
+def fixed_point_spec(seed: int) -> CategorySpec:
     """Noise-free category whose ground truth is an exact loss fixed point.
 
     Constant shared albedo with a matching background makes every

@@ -21,14 +21,6 @@ import numpy as np
 
 from .errors import DimMismatch
 
-__all__ = [
-    "Var",
-    "as_var",
-    "backward",
-    "collect",
-    "grad_check",
-]
-
 
 class Var:
     """A node in the computation graph wrapping one ndarray: float32 when
@@ -253,31 +245,28 @@ def take(a, key) -> Var:
     return _node(out, (a,), vjp)
 
 
-def concat(parts: Sequence, axis=0) -> Var:
+def concat(parts: Sequence) -> Var:
+    """The parts joined along their last axis."""
     parts = [as_var(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate([p.data for p in parts], axis=-1)
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
     def vjp(g):
         g = np.asarray(g)
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(parts)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+        return tuple(g[..., offsets[i]:offsets[i + 1]]
+                     for i in range(len(parts)))
 
     return _node(out, parts, vjp)
 
 
-def stack(parts: Sequence, axis=0) -> Var:
+def stack(parts: Sequence) -> Var:
+    """The parts stacked along a new last axis."""
     parts = [as_var(p) for p in parts]
-    out = np.stack([p.data for p in parts], axis=axis)
+    out = np.stack([p.data for p in parts], axis=-1)
 
     def vjp(g):
         g = np.asarray(g)
-        return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
+        return tuple(np.take(g, i, axis=-1) for i in range(len(parts)))
 
     return _node(out, parts, vjp)
 
@@ -519,16 +508,17 @@ def collect(loss: Var, leaves: dict) -> tuple[float, dict]:
 def grad_check(
     fn: Callable[[Var], Var],
     point: np.ndarray,
-    h: float = 1e-5,
     coords: Sequence[int] | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``fn`` maps a leaf Var holding a flat vector to a scalar Var. The error
-    for coordinate i is |ga - gf| / max(1, |ga|, |gf|); the max over the
-    probed coordinates is returned. ``coords`` restricts the finite-difference
-    probes (the analytic gradient is always full).
+    for coordinate i is |ga - gf| / max(1, |ga|, |gf|), with the central
+    difference taken at a step of 1e-6; the max over the probed coordinates
+    is returned. ``coords`` restricts the finite-difference probes to those
+    coordinates (default: every one; the analytic gradient is always full).
     """
+    h = 1e-6
     point = np.asarray(point, dtype=np.float64).ravel()
     leaf = Var(point)
     out = fn(leaf)

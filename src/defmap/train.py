@@ -87,6 +87,8 @@ class TrainConfig:
             raise InvalidSpec("n_eval_points must be >= 2")
         if self.n_pixels is not None and self.n_pixels < 1:
             raise InvalidSpec("n_pixels must be >= 1 (or null for every pixel)")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
 
 def effective_weights(weights: losses.LossWeights, ablate) -> losses.LossWeights:
@@ -373,15 +375,15 @@ def _train_step(model: model_mod.DeformerModel, frames, w_eff,
 
 
 def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
-        train_ids, val_ids, run_dir, state: TrainState | None = None):
+        train_ids, val_ids, run_dir, state: TrainState | None):
     """Optimize ``model`` on a category's frames; returns the per-epoch log.
 
     ``train_ids``/``val_ids`` index ``category.frames``. Each log row holds
     the ``METRIC_COLS`` values plus ``val_failed``, the ``errors`` list of
     every validation frame that failed (see :func:`validate_frames`; empty
-    when the epoch was not validated). Passing a loaded
-    ``state`` resumes a run: the step/epoch counters, rng stream, plateau
-    bookkeeping and momentum buffers continue bit-exactly.
+    when the epoch was not validated). ``state`` None starts a fresh run;
+    a loaded ``state`` resumes one: the step/epoch counters, rng stream,
+    plateau bookkeeping and momentum buffers continue bit-exactly.
 
     The run writes ``config.json``, a per-step ``log.csv``, a per-epoch
     ``metrics.csv`` and model/state checkpoints into ``run_dir``.

@@ -173,7 +173,7 @@ class TestCriterion05GroundTruthFixedPoint:
 
     def test_every_loss_term_vanishes_at_generator_truth(self, clean_cat):
         cat = clean_cat
-        color = cat.albedo(np.array([[0.0, 0.0, 1.0]]), 0)[0]
+        color = cat.frames[0].colors[0]  # the constant albedo
         dims = model_mod.ModelDims(
             n_shape_coeffs=3, n_texture_coeffs=2,
             texture_hidden=8, texture_blocks=1,
@@ -326,7 +326,8 @@ class TestCriterion10DeterminismAndResume:
         logs = []
         for sub in ("r1", "r2"):
             cfg = train.TrainConfig(epochs=1, **self.CFG)
-            train.fit(cat, self._model(cat), cfg, ids, ids, tmp_path / sub)
+            train.fit(cat, self._model(cat), cfg, ids, ids, tmp_path / sub,
+                      None)
             logs.append((tmp_path / sub / "log.csv").read_bytes())
         assert logs[0] == logs[1]
 
@@ -335,11 +336,11 @@ class TestCriterion10DeterminismAndResume:
         ids = list(range(len(cat.frames)))
         u = tmp_path / "unbroken"
         train.fit(cat, self._model(cat), train.TrainConfig(epochs=2, **self.CFG),
-                  ids, ids, u)
+                  ids, ids, u, None)
 
         r1 = tmp_path / "part1"
         train.fit(cat, self._model(cat), train.TrainConfig(epochs=1, **self.CFG),
-                  ids, ids, r1)
+                  ids, ids, r1, None)
         mdl = model_mod.load_model(r1 / "model_final.bin")
         state = train.load_state(r1 / "state_final.bin", mdl)
         r2 = tmp_path / "part2"

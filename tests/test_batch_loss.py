@@ -32,7 +32,7 @@ def _rotation(raw):
     c1 = a / tape.sqrt(tape.vsum(a * a))
     b_perp = b - tape.vsum(c1 * b) * c1
     c2 = b_perp / tape.sqrt(tape.vsum(b_perp * b_perp))
-    return tape.transpose(tape.stack([c1, c2, tape.cross3(c1, c2)], axis=0))
+    return tape.stack([c1, c2, tape.cross3(c1, c2)])
 
 
 def _project(cam, X, min_depth):
@@ -41,7 +41,7 @@ def _project(cam, X, min_depth):
     z = tape.clip(X[:, 2], min_depth, np.inf)
     (fx, skew, cx), (fy, cy) = cam.K[0], cam.K[1, 1:]
     x_z, y_z = X[:, 0] / z, X[:, 1] / z
-    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy], axis=1)
+    return tape.stack([x_z * fx + y_z * skew + cx, y_z * fy + cy])
 
 
 def _predict(mdl, leaves, frame, desc):
@@ -93,8 +93,8 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
             mdl, leaves, fr.kp_desc[vis]))
         diff = tape.reshape(kp_basis - lab.basis[vis], (vis.size, -1))
         add("prior", tape.vmean(_ph_rows(diff, cfg.eps_geom))
-            + weights.w_alpha * losses.pseudo_huber(alpha - lab.alpha,
-                                                    cfg.eps_geom)
+            + weights.w_alpha * losses.pseudo_huber_rows(alpha - lab.alpha,
+                                                         cfg.eps_geom)
             + weights.w_rot * (3.0 - tape.vsum(R * lab.rotation)) * 0.5)
 
         basis = model_mod.basis_at(mdl, leaves, kappa)
@@ -125,7 +125,7 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
                                                                       (1, -1))
         pred = tape.sigmoid(nets.mlp_forward(
             leaves["net:texture"], mdl.nets["texture"].config,
-            tape.concat([tape.detach(kappa), beta_rows], axis=1)))
+            tape.concat([tape.detach(kappa), beta_rows])))
         diff = pred - fr.colors[idx]
         percep = tape.as_var(0.0)
         for r in cfg.blur_radii:
@@ -158,7 +158,7 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
             columns.append(per_pixel)
     if columns:
         terms["min_k"], raw = losses.min_k_loss(
-            tape.stack(columns, axis=1), min(cfg.min_k, len(columns)))
+            tape.stack(columns), min(cfg.min_k, len(columns)))
         min_k_raw = float(raw.data)
 
     total = tape.as_var(0.0)

@@ -1,14 +1,24 @@
-"""Every public module-level function of the package has a caller in it.
+"""The package's functions are shaped by the callers it has.
 
-A function only tests reach is code kept for no user. The check reads the
-source with ``ast``: a reference to ``<module>.f`` is ``alias.f`` where
+A function only tests reach is code kept for no user, and so is a
+parameter or default that no caller in the package varies. The checks read
+the source with ``ast``: a reference to ``<module>.f`` is ``alias.f`` where
 ``alias`` names that module in the referring file's imports, a bare ``f``
 imported from it, or a bare ``f`` inside the module itself.
 
-Exempt are the entry point ``cli.main``, the functions the benchmark traces
-by name (``perfbench/layers.py`` ``WRAPPED``, read without importing it)
-and ``geom.rotation_from_6d``, the plain-numpy reference of
-``rotation_from_6d_var``.
+- Every public module-level function has a caller in the package. Exempt
+  are the entry point ``cli.main``, the functions the benchmark traces by
+  name (``perfbench/layers.py`` ``WRAPPED``, read without importing it) and
+  ``geom.rotation_from_6d``, the plain-numpy reference of
+  ``rotation_from_6d_var``.
+- No module assigns ``__all__``: the module itself is its public surface.
+- Over the calls of each module-level function (methods are not resolved),
+  every default is left out by at least one call, and no parameter gets
+  one literal at every call, a default counting as the literal of a call
+  that leaves it out. Skipped are the entry point ``cli.main``, functions
+  with no call, and functions the package also references without calling
+  them or calls with ``*`` or ``**`` arguments, whose bindings the source
+  does not show.
 """
 
 import ast
@@ -52,29 +62,36 @@ def _wrapped() -> set[tuple[str, str]]:
     raise AssertionError("perfbench/layers.py defines no WRAPPED")
 
 
-def _public_functions_and_references():
-    trees = {p.stem: ast.parse(p.read_text())
-             for p in sorted(PACKAGE.glob("*.py"))}
-    defined = {(mod, node.name) for mod, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and not node.name.startswith("_")}
-    used = set()
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text())
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _references(trees):
+    """(module, name) -> every Load node of the package that names it."""
+    refs = {}
     for mod, tree in trees.items():
         modules, names = _imports(tree, 1)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
                     and node.value.id in modules):
-                used.add((modules[node.value.id], node.attr))
+                key = (modules[node.value.id], node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(names.get(node.id, (mod, node.id)))
-    return defined, used
+                key = names.get(node.id, (mod, node.id))
+            else:
+                continue
+            refs.setdefault(key, []).append(node)
+    return refs
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    defined, used = _public_functions_and_references()
-    unused = defined - used - EXEMPT - _wrapped()
+    trees = _trees()
+    defined = {(mod, node.name) for mod, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    unused = defined - set(_references(trees)) - EXEMPT - _wrapped()
     assert not unused, (
         "public functions with no caller in src/: "
         + ", ".join(f"{m}.{n}" for m, n in sorted(unused)))
@@ -85,3 +102,87 @@ def test_every_exempt_name_exists():
     for mod, name in sorted(EXEMPT | _wrapped()):
         assert hasattr(importlib.import_module(f"defmap.{mod}"), name), \
             f"{mod}.{name}"
+
+
+def test_no_module_assigns_all():
+    found = [mod for mod, tree in _trees().items() for node in tree.body
+             if (isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                 and getattr(node.target, "id", None) == "__all__")
+             or (isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__"
+                         for t in node.targets))]
+    assert not found, "modules assigning __all__: " + ", ".join(found)
+
+
+def _literal(node):
+    """The repr of a literal expression, None for any other."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _call_bindings():
+    """(module, function) -> (its def, [param -> argument node] per call),
+    for each module-level function the checks judge (see the docstring)."""
+    trees = _trees()
+    defs = {(mod, node.name): node for mod, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {}  # id of a Call's func node -> the Call
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called[id(node.func)] = node
+    out = {}
+    for key, nodes in _references(trees).items():
+        fn = defs.get(key)
+        if fn is None or key == ("cli", "main"):
+            continue
+        calls = [called.get(id(n)) for n in nodes]
+        if None in calls or any(
+                isinstance(a, ast.Starred) for c in calls for a in c.args) \
+                or any(k.arg is None for c in calls for k in c.keywords):
+            continue
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        out[key] = (fn, [{**dict(zip(positional, c.args)),
+                          **{k.arg: k.value for k in c.keywords}}
+                         for c in calls])
+    return out
+
+
+def _defaults(fn: ast.FunctionDef) -> dict:
+    """param -> default expression of a function's parameters that have one."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    out = {p.arg: d for p, d in zip(positional[len(positional)
+                                               - len(a.defaults):],
+                                    a.defaults)}
+    out.update({p.arg: d for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None})
+    return out
+
+
+def test_every_default_is_left_out_by_some_call():
+    found = [f"{m}.{n} {param}"
+             for (m, n), (fn, bindings) in sorted(_call_bindings().items())
+             for param in _defaults(fn)
+             if all(param in b for b in bindings)]
+    assert not found, ("defaults that every call in src/ overrides: "
+                       + ", ".join(found))
+
+
+def test_no_parameter_takes_one_literal_at_every_call():
+    found = []
+    for (m, n), (fn, bindings) in sorted(_call_bindings().items()):
+        defaults = _defaults(fn)
+        params = [p.arg for p in (fn.args.posonlyargs + fn.args.args
+                                  + fn.args.kwonlyargs)]
+        for param in params:
+            values = {_literal(b[param]) if param in b
+                      else _literal(defaults[param]) if param in defaults
+                      else None
+                      for b in bindings}
+            if len(values) == 1 and None not in values:
+                found.append(f"{m}.{n} {param} ({values.pop()})")
+    assert not found, ("parameters that every call in src/ gives one literal: "
+                       + ", ".join(found))

@@ -221,6 +221,24 @@ class TestSynthGen:
         assert _one_error_line(capsys, "InvalidSpec")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields,flags", [
+        ({"azimuth_sigma": -0.1}, []),
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({"camera_kind": "perspective", "focal": 0.0}, []),
+        ({"n_keypoints": 600}, []),
+    ], ids=["azimuth_sigma_negative", "seed_negative_in_spec",
+            "seed_negative", "perspective_focal_zero", "n_keypoints_600"])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, fields,
+                                         flags):
+        spec = write_json(tmp_path / "s.json", fields)
+        out = tmp_path / "x"
+        code = cli.main(["synth-gen", "--out", str(out), "--spec", spec,
+                         *flags])
+        assert code == cli.EXIT_CODES[InvalidSpec] == 14
+        assert _one_error_line(capsys, "InvalidSpec")
+        assert not out.exists()
+
 
 class TestFit:
     def test_run_artifacts(self, run):
@@ -438,12 +456,13 @@ class TestFit:
         ([], {"loss_cfg": {"min_depth": 0.0}}, "min_depth"),
         ([], {"loss_cfg": {"max_clamped_frac": 1.5}}, "max_clamped_frac"),
         ([], {"holdout_every": -2}, "holdout_every"),
+        (["--seed", "-1"], {}, "seed"),
     ], ids=["n_pixels_zero", "n_pixels_negative", "n_mask_samples_zero",
             "validate_every_negative", "checkpoint_every_negative",
             "n_eval_points_one", "blur_radius_negative",
             "blur_radius_not_an_int", "eps_geom_zero", "eps_color_negative",
             "min_k_zero", "min_depth_zero", "max_clamped_frac_above_one",
-            "holdout_every_negative_in_config"])
+            "holdout_every_negative_in_config", "seed_negative"])
     def test_out_of_range_size_is_invalid_spec(self, ds, tmp_path, capsys,
                                                flags, config, key):
         cfg = write_json(tmp_path / "tc.json", config)
@@ -716,6 +735,15 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--points", "3", "--scope", "prior",
                          "--corrupt-one"]) == 1
 
+    def test_negative_seed_is_invalid_spec(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        assert cli.main(["gradcheck", "--seed", "-300", "--out", str(out)]) \
+            == cli.EXIT_CODES[InvalidSpec]
+        captured = capsys.readouterr()
+        assert captured.out == ""   # no row ran
+        assert "seed" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-4"])
     def test_too_few_points_is_invalid_spec(self, tmp_path, capsys, points):
         out = tmp_path / "gc"
@@ -818,7 +846,7 @@ class TestTextureTransfer:
         assert cli.main(["synth-gen", "--out", str(ds_c), "--spec", spec,
                          "--seed", "2"]) == 0
         cat = synth.load_category(ds_c)
-        color = cat.albedo(np.array([[0.0, 0.0, 1.0]]), 0)[0]
+        color = cat.frames[0].colors[0]  # the constant albedo
         mdl = affine_oracle_model(cat, np.random.default_rng(5))
         tex = mdl.nets["texture"]
         tex.values[:] = 0.0

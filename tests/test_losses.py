@@ -19,28 +19,28 @@ def unit(v):
 
 class TestPseudoHuber:
     def test_zero_residual(self):
-        assert float(losses.pseudo_huber(np.zeros(3), 0.01).data) == 0.0
+        assert float(losses.pseudo_huber_rows(np.zeros(3), 0.01).data) == 0.0
 
     def test_matches_formula(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             z = rng.standard_normal(4)
             eps = rng.uniform(0.01, 1.0)
-            got = float(losses.pseudo_huber(z, eps).data)
+            got = float(losses.pseudo_huber_rows(z, eps).data)
             want = eps * (np.sqrt(1 + (np.linalg.norm(z) / eps) ** 2) - 1)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_large_residual_asymptote(self):
         # for |z| >> eps the penalty approaches |z| - eps from below
         z = np.array([100.0, 0.0])
-        got = float(losses.pseudo_huber(z, 0.01).data)
+        got = float(losses.pseudo_huber_rows(z, 0.01).data)
         assert abs(got - (100.0 - 0.01)) < 1e-3
 
     def test_gradient_norm_bounded_by_one(self):
         rng = np.random.default_rng(1)
         for scale in (1e-3, 1.0, 1e3, 1e6):
             z = tape.Var(unit(rng.standard_normal(3)) * scale)
-            out = losses.pseudo_huber(z, 0.01)
+            out = losses.pseudo_huber_rows(z, 0.01)
             tape.backward(out)
             assert np.linalg.norm(z.grad) <= 1.0 + 1e-9
 
@@ -50,16 +50,16 @@ class TestPseudoHuber:
         rows = losses.pseudo_huber_rows(z, 0.05).data
         for i in range(6):
             assert rows[i] == pytest.approx(
-                float(losses.pseudo_huber(z[i], 0.05).data), rel=1e-12
+                float(losses.pseudo_huber_rows(z[i], 0.05).data), rel=1e-12
             )
 
     def test_grad_check(self):
         rng = np.random.default_rng(3)
 
         def f(v):
-            return losses.pseudo_huber(v, 0.02)
+            return losses.pseudo_huber_rows(v, 0.02)
 
-        assert tape.grad_check(f, rng.standard_normal(5), h=1e-6) < 1e-6
+        assert tape.grad_check(f, rng.standard_normal(5)) < 1e-6
 
 
 class TestPriorLoss:
@@ -139,7 +139,7 @@ class TestPriorLoss:
             R = geom.rotation_from_6d_var(tape.reshape(v[slice(30, 36)], (1, 6)))
             return losses.prior_loss(basis, alpha, R, [lab], w, CFG)
 
-        assert tape.grad_check(f, rng.standard_normal(36), h=1e-6) < 1e-5
+        assert tape.grad_check(f, rng.standard_normal(36)) < 1e-5
 
 
 class TestClosedFormTranslation:
@@ -201,7 +201,7 @@ class TestClosedFormTranslation:
             t = losses.closed_form_translation(pts, rays, np.zeros(6, int), 1)
             return tape.vsum(t * t)
 
-        assert tape.grad_check(f, rng.standard_normal(18), h=1e-6) < 1e-6
+        assert tape.grad_check(f, rng.standard_normal(18)) < 1e-6
 
 
 class TestReprojection:
@@ -215,7 +215,7 @@ class TestReprojection:
             tape.Var(pt), tape.Var(np.eye(3)[None]), np.zeros(1, int), cam,
             pix, CFG,
         )
-        want = float(losses.pseudo_huber(delta, CFG.eps_geom).data)
+        want = float(losses.pseudo_huber_rows(delta, CFG.eps_geom).data)
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
         np.testing.assert_array_equal(t.data, np.zeros((1, 3)))
 
@@ -271,7 +271,7 @@ class TestReprojection:
         x0 = np.concatenate([
             rng.standard_normal(18) * 0.3, rng.standard_normal(6)
         ])
-        assert tape.grad_check(f, x0, h=1e-6) < 1e-5
+        assert tape.grad_check(f, x0) < 1e-5
 
 
 class TestRayProjectionGradients:
@@ -341,7 +341,7 @@ class TestEmbeddingAlignment:
             R = geom.rotation_from_6d_var(tape.reshape(v[slice(12, 18)], (1, 6)))
             return losses.embedding_alignment_loss(kappa, R, np.zeros(4, int))
 
-        assert tape.grad_check(f, rng.standard_normal(18), h=1e-6) < 1e-5
+        assert tape.grad_check(f, rng.standard_normal(18)) < 1e-5
 
 
 def disk_mask_frame_geometry(h=32, w=32, radius_px=10.0):
@@ -437,7 +437,7 @@ class TestMaskLoss:
             )
 
         x0 = losses.sample_sphere(8, rng).ravel()
-        assert tape.grad_check(f, x0, h=1e-6) < 1e-5
+        assert tape.grad_check(f, x0) < 1e-5
 
 
 class FakeFrame:
@@ -517,7 +517,7 @@ class TestPhotometric:
         per_pixel, _ = losses.photometric_loss(
             ref_levels, fa.raster, coords, tgt, CFG
         )
-        want = 12 * float(losses.pseudo_huber(c1 - c2, CFG.eps_color).data)
+        want = 12 * float(losses.pseudo_huber_rows(c1 - c2, CFG.eps_color).data)
         assert float(per_pixel.data.sum()) == pytest.approx(want, rel=1e-9)
 
     def test_out_of_bounds_fraction_reported(self):
@@ -755,7 +755,7 @@ class TestTotalLoss:
         f, x0, _ = self._flat_param_objective(m, frames, cfg, w)
         rng_c = np.random.default_rng(32)
         coords = rng_c.choice(x0.size, size=60, replace=False)
-        assert tape.grad_check(f, x0, h=1e-6, coords=coords) < 1e-5
+        assert tape.grad_check(f, x0, coords=coords) < 1e-5
 
     def test_full_gradient_check_texture_path(self):
         # the texture network and its head sit behind no stop-gradient, so
@@ -773,4 +773,4 @@ class TestTotalLoss:
             if k in ("net:texture", "net:texture_head")
         ])
         coords = np.random.default_rng(34).choice(pool, size=40, replace=False)
-        assert tape.grad_check(f, x0, h=1e-6, coords=coords) < 1e-5
+        assert tape.grad_check(f, x0, coords=coords) < 1e-5

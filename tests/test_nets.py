@@ -134,7 +134,7 @@ class TestGradients:
             out = nets.mlp_forward(theta, cfg, x)
             return tape.vsum(out * tape.Var(w))
 
-        assert tape.grad_check(f, theta0, h=1e-6) < 1e-6
+        assert tape.grad_check(f, theta0) < 1e-6
 
     def test_gradient_wrt_input(self):
         cfg = nets.MlpConfig(in_dim=4, hidden_dim=6, out_dim=3, n_res_blocks=1)
@@ -145,7 +145,7 @@ class TestGradients:
             out = nets.mlp_forward(p.values, cfg, tape.reshape(v, (2, 4)))
             return tape.vsum(out * out)
 
-        assert tape.grad_check(f, rng.standard_normal(8), h=1e-6) < 1e-6
+        assert tape.grad_check(f, rng.standard_normal(8)) < 1e-6
 
     def test_forward_is_deterministic(self):
         cfg = nets.MlpConfig(in_dim=6, hidden_dim=16, out_dim=4)
@@ -224,7 +224,7 @@ class TestOneNode:
             x = tape.Var(x0) if x_var else x0
             out = (nets.mlp_forward(theta, cfg, x, fx, seg) if split else
                    nets.mlp_forward(theta, cfg,
-                                    tape.concat([x, fx[seg]], axis=1)))
+                                    tape.concat([x, fx[seg]])))
             tape.backward(tape.vsum(out * tape.Var(w)))
             runs.append([out.data, theta.grad, fx.grad]
                         + ([x.grad] if x_var else []))

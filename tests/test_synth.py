@@ -36,6 +36,13 @@ def clean_cat():
     return synth.generate_category(synth.fixed_point_spec(seed=5))
 
 
+def scrambles(cat):
+    """``cat`` with its descriptor noise off: its descriptors are then the
+    bare scrambles, and they draw nothing from their rng."""
+    return dataclasses.replace(
+        cat, spec=dataclasses.replace(cat.spec, sigma_descriptor=0.0))
+
+
 class TestShBasis:
     def _scipy_real_sh(self, kappa):
         # independent route: real harmonics assembled from scipy's complex ones
@@ -114,6 +121,11 @@ class TestSpecValidation:
         {"n_surface_samples": 10},
         {"camera_kind": geom.PERSPECTIVE, "standoff": 1.0},
         {"sh_degree": 4},
+        {"azimuth_sigma": -0.1},
+        {"seed": -1},
+        {"camera_kind": geom.PERSPECTIVE, "focal": 0.0},
+        {"camera_kind": geom.PERSPECTIVE, "focal": -3.2},
+        {"n_keypoints": synth.KEYPOINT_SPHERE + 1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InvalidSpec):
@@ -642,10 +654,12 @@ class TestDescriptorsAndLabels:
     def test_clean_descriptors_are_pure_scrambles(self, clean_cat):
         for fr in clean_cat.frames[:3]:
             np.testing.assert_array_equal(
-                fr.descriptors, clean_cat.pixel_descriptor(fr.gt_kappa)
+                fr.descriptors,
+                clean_cat.pixel_descriptor(fr.gt_kappa, np.random.default_rng())
             )
             np.testing.assert_array_equal(
-                fr.kp_desc, clean_cat.pixel_descriptor(clean_cat.keypoints)
+                fr.kp_desc, clean_cat.pixel_descriptor(
+                    clean_cat.keypoints, np.random.default_rng())
             )
 
     def test_clean_labels_exact(self, clean_cat):
@@ -659,7 +673,8 @@ class TestDescriptorsAndLabels:
         s = small_cat.spec.sigma_descriptor
         assert s > 0
         for fr in small_cat.frames[:2]:
-            clean = small_cat.pixel_descriptor(fr.gt_kappa)
+            clean = scrambles(small_cat).pixel_descriptor(
+                fr.gt_kappa, np.random.default_rng())
             resid = fr.descriptors - clean
             assert 0.5 * s < resid.std() < 2.0 * s
 
@@ -671,10 +686,9 @@ class TestDescriptorsAndLabels:
     def test_instance_descriptor_separates_instances(self, small_cat):
         # frames of different instances in the same pose get distinct codes
         v6 = np.concatenate([np.eye(3)[:, 0], np.eye(3)[:, 1]])
-        d0 = small_cat.instance_descriptor(small_cat.alphas[0],
-                                           small_cat.betas[0], v6)
-        d1 = small_cat.instance_descriptor(small_cat.alphas[1],
-                                           small_cat.betas[1], v6)
+        cat, rng = scrambles(small_cat), np.random.default_rng()
+        d0 = cat.instance_descriptor(cat.alphas[0], cat.betas[0], v6, rng)
+        d1 = cat.instance_descriptor(cat.alphas[1], cat.betas[1], v6, rng)
         assert np.linalg.norm(d0 - d1) > 0.1
 
     def test_constant_albedo_everywhere(self, clean_cat):
@@ -743,13 +757,14 @@ class TestDatasetIO:
         back = synth.load_category(root)
         fr = back.frames[0]
         np.testing.assert_array_equal(
-            fr.descriptors, back.pixel_descriptor(fr.gt_kappa)
+            fr.descriptors,
+            back.pixel_descriptor(fr.gt_kappa, np.random.default_rng())
         )
 
 
 class TestPresets:
     def test_fixed_point_spec_is_clean(self):
-        spec = synth.fixed_point_spec()
+        spec = synth.fixed_point_spec(seed=0)
         assert spec.sigma_descriptor == 0
         assert spec.sigma_label == 0
         assert spec.constant_albedo

@@ -162,7 +162,7 @@ class TestStructured:
             a = v[slice(0, 4)]
             b = v[slice(4, 8)]
             c = tape.concat([a, b * 2.0])
-            s = tape.stack([a, b], axis=1)
+            s = tape.stack([a, b])
             return tape.vsum(c * c) + tape.vsum(tape.transpose(s) @ s)
 
         check_op(build, 8, rng)

@@ -273,7 +273,8 @@ class TestFit:
         cfg = tiny_cfg()
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0, 5], run)
+        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0, 5], run,
+                        None)
         assert len(log) == cfg.epochs
         assert json.loads((run / "config.json").read_text())["lr"] == cfg.lr
         with open(run / "log.csv") as f:
@@ -294,7 +295,7 @@ class TestFit:
         cfg = tiny_cfg(ablate=("repro",))
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], run)
+        train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], run, None)
         w = train.effective_weights(cfg.weights, cfg.ablate)
         with open(run / "log.csv") as f:
             for row in csv.DictReader(f):
@@ -313,7 +314,7 @@ class TestFit:
         cfg = tiny_cfg(epochs=1)
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], run)
+        train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], run, None)
         with open(run / "log.csv") as f:
             logged = list(csv.DictReader(f))
 
@@ -343,7 +344,7 @@ class TestFit:
         for sub in ("a", "b"):
             mdl = fresh_model(tiny_cat.spec)
             train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0],
-                      tmp_path / sub)
+                      tmp_path / sub, None)
             runs.append(mdl)
         assert (tmp_path / "a" / "log.csv").read_bytes() \
             == (tmp_path / "b" / "log.csv").read_bytes()
@@ -354,11 +355,11 @@ class TestFit:
         cfg2 = tiny_cfg(epochs=2)
         full = fresh_model(tiny_cat.spec)
         train.fit(tiny_cat, full, cfg2, all_ids(tiny_cat), [0],
-                  tmp_path / "full")
+                  tmp_path / "full", None)
 
         part = fresh_model(tiny_cat.spec)
         train.fit(tiny_cat, part, tiny_cfg(epochs=1), all_ids(tiny_cat), [0],
-                  tmp_path / "p1")
+                  tmp_path / "p1", None)
         resumed = model_mod.load_model(tmp_path / "p1" / "model_final.bin")
         state = train.load_state(tmp_path / "p1" / "state_final.bin", resumed)
         train.fit(tiny_cat, resumed, cfg2, all_ids(tiny_cat), [0],
@@ -430,7 +431,7 @@ class TestFit:
         monkeypatch.setattr(losses, "total_loss", spy)
         cfg = tiny_cfg(epochs=1)
         train.fit(tiny_cat, fresh_model(tiny_cat.spec), cfg,
-                  all_ids(tiny_cat), [0], tmp_path)
+                  all_ids(tiny_cat), [0], tmp_path, None)
         assert len(roots) == cfg.batches_per_epoch
         assert alive == [False] * (cfg.batches_per_epoch - 1)
 
@@ -439,7 +440,8 @@ class TestFit:
                           n_frames=len(tiny_cat.frames))
         lat0 = mdl.latents["alpha"].copy()
         cfg = tiny_cfg(epochs=1, batches_per_epoch=4)
-        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], tmp_path)
+        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], tmp_path,
+                        None)
         assert not np.array_equal(mdl.latents["alpha"], lat0)
         assert np.isfinite(log[0]["mean_total"])
 
@@ -467,7 +469,7 @@ class TestFit:
     def test_empty_train_set_rejected(self, tiny_cat, tmp_path):
         with pytest.raises(DimMismatch):
             train.fit(tiny_cat, fresh_model(tiny_cat.spec), tiny_cfg(), [],
-                      [0], tmp_path)
+                      [0], tmp_path, None)
 
 
 def self_consistent_problem(seed=11, n_pix=30):
