@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n-points", type=int, default=30000,
                    help="surface samples per evaluated cloud (default "
                         "30000, which is slow: one frame's ICP took ~86 s "
-                        "at that size on a 2-vCPU machine, ~2.5 s at 800)")
+                        "at that size on a 2-vCPU machine, ~1.3 s at 800)")
     e.add_argument("--frames", type=int, nargs="*", default=[],
                    help="frame ids to evaluate (default: all)")
     e.add_argument("--dump-ply", action="store_true",

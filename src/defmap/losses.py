@@ -294,7 +294,7 @@ def image_pyramid(image: np.ndarray, radii) -> np.ndarray:
 
 
 def photometric_loss(
-    ref_levels: np.ndarray,
+    ref_levels: list,
     ref_raster: geom.Raster,
     coords,
     target_colors: np.ndarray,
@@ -303,17 +303,18 @@ def photometric_loss(
     """Robust multi-level color mismatch along correspondence fields.
 
     ``coords`` (R,N,2 Var, normalized units) index R references, whose
-    (R,H,W,L,C) pyramid levels ``ref_levels`` holds; ``target_colors`` holds
-    the target frame's (N,L,C) colors at its own pixels. All levels are
-    sampled at once, as the channels of one image per reference. Returns
+    (H,W,L,C) pyramid levels ``ref_levels`` holds, one array a reference;
+    ``target_colors`` holds the target frame's (N,L,C) colors at its own
+    pixels. All levels are sampled at once, as the channels of one image per
+    reference, read in each reference's own array. Returns
     (per_pixel (R,N) Var, the sum over levels; clamped (R,) fraction per
     reference). Samples falling outside a reference image are clamped to
     its border by the sampler.
     """
-    n_ref, h, w = ref_levels.shape[:3]
+    h, w = ref_levels[0].shape[:2]
     px = ref_raster.to_px(coords)
-    sampled = tape.bilinear_sample(ref_levels.reshape(n_ref, h, w, -1), px,
-                                   np.arange(n_ref)[:, None])
+    sampled = tape.bilinear_sample([lv.reshape(h, w, -1) for lv in ref_levels],
+                                   px)
     diff = tape.reshape(sampled, px.shape[:2] + target_colors.shape[1:]) \
         - target_colors
     per_pixel = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color), axis=-1)
@@ -366,14 +367,14 @@ def mask_reprojection_loss(
     t,
     cam: geom.CameraIntrinsics,
     raster: geom.Raster,
-    mask_dist: np.ndarray,
+    mask_dist: list,
     cfg: LossConfig,
 ):
     """Keep uniformly sampled surface points projecting inside the silhouette.
 
     ``points_world`` (F,S,3) holds S surface samples per frame, placed by
-    that frame's (F,3,3) ``R`` and (F,3) ``t``; ``mask_dist`` (F,H,W) is
-    each frame's distance transform of the silhouette's outside. Mean
+    that frame's (F,3,3) ``R`` and (F,3) ``t``; ``mask_dist`` holds each
+    frame's (H,W) distance transform of the silhouette's outside. Mean
     squared distance-transform value at each projection, zero inside the
     mask, plus the squared out-of-image overshoot so samples beyond the
     border keep a pull-back gradient; averaged over the batch.
@@ -385,12 +386,11 @@ def mask_reprojection_loss(
     proj = geom.project_var(cam, _posed(points_world, R, t),
                             min_depth=cfg.min_depth)
     px = raster.to_px(proj)
-    n, h, w = mask_dist.shape
+    h, w = mask_dist[0].shape
     lim = np.array([w - 1.0, h - 1.0])
     inside_px = tape.clip(px, np.zeros(2), lim)
     overshoot = px - inside_px
-    d = tape.bilinear_sample(mask_dist[..., None], inside_px,
-                             np.arange(n)[:, None])
+    d = tape.bilinear_sample([md[..., None] for md in mask_dist], inside_px)
     if not (d.data.any() or overshoot.data.any()):  # NaN counts as nonzero
         return tape.Var(0.0)
     return (tape.vmean(d * d)
@@ -517,8 +517,7 @@ def total_loss(
     terms["mask"] = mask_reprojection_loss(
         tape.batch_matvec(model_mod.basis_at(mdl, leaves, sphere),
                           tape.reshape(pred.alpha, (n_frames, 1, -1))),
-        pred.R, t, cam, raster,
-        np.stack([fr.mask_dist for fr in frames]), cfg)
+        pred.R, t, cam, raster, [fr.mask_dist for fr in frames], cfg)
     terms["texture"] = texture_loss(mdl, leaves, frames, subsets, pred.kappa,
                                     pred.beta, weights, cfg)
 
@@ -531,8 +530,7 @@ def total_loss(
         tgt_rc = frames[0].pix_rc[subsets[0]]
         tgt_colors = frames[0].levels(cfg.blur_radii)[tgt_rc[:, 0],
                                                       tgt_rc[:, 1]]
-        ref_levels = np.stack([fr.levels(cfg.blur_radii)
-                               for fr in frames[1:]])
+        ref_levels = [fr.levels(cfg.blur_radii) for fr in frames[1:]]
         pts = tape.batch_matvec(
             basis[:n_tgt], tape.reshape(pred.alpha[1:], (n_frames - 1, 1, -1)))
         coords = cross_project(pts, pred.R[1:], t[1:], cam, cfg)

@@ -6,6 +6,12 @@ callback. :func:`backward` replays the graph in reverse topological order,
 storing a node's first incoming gradient as is and adding later ones; an
 interior node drops its gradient once propagated, a leaf keeps it. Stored
 gradients may be shared, so no VJP may write into its incoming gradient.
+Backward consumes the graph: a node whose VJP has run lets go of the VJP
+and of its parents, so what the VJP closes over is freed while backward
+goes on, and a second backward through that node raises.
+
+:func:`window_mean` integrates only the box its windows cover, once for all
+radii forward and one radius at a time backward.
 
 Values are float64, apart from float32 leaves: a leaf built from a float32
 array keeps it, for an op that computes in its operand's dtype (the MLP node)
@@ -20,6 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimMismatch
+
+
+#: the VJP of a node that backward has been through
+_CONSUMED = object()
 
 
 class Var:
@@ -50,7 +60,9 @@ class Var:
         return self.data.ndim
 
     def __repr__(self):
-        return f"Var(shape={self.data.shape}, leaf={self._vjp is None})"
+        kind = ("leaf" if self._vjp is None
+                else "consumed" if self._vjp is _CONSUMED else "node")
+        return f"Var(shape={self.data.shape}, {kind})"
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -367,18 +379,21 @@ def batch_matvec(M, v) -> Var:
 # -- image ops -------------------------------------------------------------
 
 
-def bilinear_sample(images: np.ndarray, coords, frame) -> Var:
-    """Sample a constant (F,H,W,C) image stack at float pixel coords (...,2)
-    = (x, y), each in the image ``frame`` (int, broadcasting against the
-    coords' leading axes) names; a single image is a stack of one.
+def bilinear_sample(images, coords) -> Var:
+    """Sample each of F constant (H,W,C) images of one size at its own float
+    pixel coords: ``coords`` (F,...,2) = (x, y), ``coords[k]`` read in
+    ``images[k]``; (F,...,C). Each image is read where it lies, none is
+    copied into a stack.
 
     Coordinates are clamped to the image rectangle; clamped axes get zero
     gradient (use :func:`clamp_mask` to count them). Gradients flow to the
     coordinates only, the images are constant data.
     """
-    images = np.asarray(images, dtype=np.float64)
     coords = as_var(coords)
-    H, W = images.shape[1], images.shape[2]
+    if len(images) != coords.shape[0]:
+        raise DimMismatch(f"{len(images)} images for {coords.shape[0]} "
+                          "coordinate sets")
+    H, W, C = np.shape(images[0])
     cx, cy = coords.data[..., 0], coords.data[..., 1]
     x = np.clip(cx, 0.0, W - 1.0)
     y = np.clip(cy, 0.0, H - 1.0)
@@ -387,17 +402,25 @@ def bilinear_sample(images: np.ndarray, coords, frame) -> Var:
     x1, y1 = np.minimum(x0 + 1, W - 1), np.minimum(y0 + 1, H - 1)
     tx = (x - x0)[..., None]
     ty = (y - y0)[..., None]
-    i00, i01 = images[frame, y0, x0], images[frame, y0, x1]
-    i10, i11 = images[frame, y1, x0], images[frame, y1, x1]
+    corners = np.empty((len(images), 4) + x0.shape[1:] + (C,))  # (F,4,...,C)
+    for k, image in enumerate(images):
+        # its four corners in one gather of flat rows; the indices lie in the
+        # image, so "clip" only spares the bounds-checked copy
+        row0, row1 = y0[k] * W, y1[k] * W
+        np.take(np.asarray(image, dtype=np.float64).reshape(H * W, C),
+                np.stack([row0 + x0[k], row0 + x1[k], row1 + x0[k],
+                          row1 + x1[k]]), axis=0, out=corners[k], mode="clip")
+    i00, i01, i10, i11 = (corners[:, j] for j in range(4))
     out = (1 - ty) * ((1 - tx) * i00 + tx * i01) + ty * ((1 - tx) * i10 + tx * i11)
+    # the slopes, so that the VJP holds two arrays instead of four corners
+    dx = (1 - ty) * (i01 - i00) + ty * (i11 - i10)
+    dy = (1 - tx) * (i10 - i00) + tx * (i11 - i01)
 
     inside_x = (cx > 0.0) & (cx < W - 1.0)
     inside_y = (cy > 0.0) & (cy < H - 1.0)
 
     def vjp(g):
         g = np.asarray(g)
-        dx = (1 - ty) * (i01 - i00) + ty * (i11 - i10)
-        dy = (1 - tx) * (i10 - i00) + tx * (i11 - i01)
         gc = np.zeros_like(coords.data)
         gc[..., 0] = (g * dx).sum(axis=-1) * inside_x
         gc[..., 1] = (g * dy).sum(axis=-1) * inside_y
@@ -420,9 +443,12 @@ def window_mean(shape, rc, values, radii, frame) -> Var:
     stack that holds the (N,C) ``values`` there and zero elsewhere; (R,N,C).
 
     Windows are ``2 * radius + 1`` wide, centered and edge-truncated, and
-    duplicate pixels accumulate. The forward reads every radius off one
-    integral image. The window is symmetric, so the VJP is the same operator
-    on each radius's count-normalized gradient, one integral image a radius.
+    duplicate pixels accumulate. Only the box the windows cover is
+    integrated: the rows scatter straight into one zero-bordered buffer,
+    which both cumsums overwrite in place. The forward reads every radius
+    off that one integral image. The window is symmetric, so the VJP is the
+    same operator on each radius's count-normalized gradient; it integrates
+    one radius at a time and adds their window sums in radius order.
     """
     values, rc = as_var(values), np.asarray(rc)
     n_img, h, w, n_ch = shape
@@ -431,32 +457,44 @@ def window_mean(shape, rc, values, radii, frame) -> Var:
     y0, y1 = np.maximum(r - rad, 0), np.minimum(r + rad + 1, h)  # (R,N)
     x0, x1 = np.maximum(c - rad, 0), np.minimum(c + rad + 1, w)
     cnt = ((y1 - y0) * (x1 - x0)).astype(np.float64)[..., None]
-    img_of = np.arange(len(rad))[:, None] * n_img + f  # radius k's stack image
+    # the box the windows cover, with a zero first row and column: entry
+    # (y, x) of its integral sums the box rows above y and columns left of
+    # x. With no radius it is the pixels' box; with no pixel, one entry.
+    reach = rad.max(initial=0)
+    top = np.maximum(r - reach, 0).min(initial=h)
+    left = np.maximum(c - reach, 0).min(initial=w)
+    bh = np.minimum(r + reach + 1, h).max(initial=top) - top + 1
+    bw = np.minimum(c + reach + 1, w).max(initial=left) - left + 1
+    pixel = (f * bh + r - top + 1) * bw + c - left + 1  # flat, in the buffer
 
-    def scatter(v, at, n):
-        """The (n,H,W,C) stack holding rows ``v`` at rc of images ``at``."""
-        pixel = np.ravel_multi_index((at, r, c), (n, h, w))
-        return _scatter_add(pixel[..., None] * n_ch + np.arange(n_ch), v,
-                            (n, h, w, n_ch))
+    def integral(v, scale=None):
+        """Corner rows of the stack holding rows ``v`` at the pixels, each
+        pixel divided by ``scale`` after duplicates are summed."""
+        buf = _scatter_add(pixel[:, None] * n_ch + np.arange(n_ch), v,
+                           (n_img, bh, bw, n_ch))
+        corners = buf.reshape(-1, n_ch)
+        if scale is not None:
+            corners[pixel] /= scale
+        np.cumsum(buf, axis=1, out=buf)
+        np.cumsum(buf, axis=2, out=buf)
+        return corners
 
-    def window_sums(img, at):
-        """Window sums at rc of the images ``at`` of ``img`` (overwritten)."""
-        pad = np.zeros((img.shape[0], h + 1, w + 1, n_ch))
-        np.cumsum(np.cumsum(img, axis=1, out=img), axis=2, out=pad[:, 1:, 1:])
-        corners = pad.reshape(-1, n_ch)
-
+    def window_sums(corners, k):
+        """Window sums at the pixels of the radii ``k`` selects."""
         def corner(y, x):  # one flat row index gathers fastest
-            return np.take(corners, (at * (h + 1) + y) * (w + 1) + x, axis=0)
+            return np.take(corners, (f * bh + y[k] - top) * bw + x[k] - left,
+                           axis=0)
 
         return (corner(y1, x1) - corner(y0, x1) - corner(y1, x0)
                 + corner(y0, x0))
 
     def vjp(g):
-        img = scatter(g, img_of, len(rad) * n_img)
-        img[img_of, r, c] /= cnt  # after the scatter, so duplicates sum first
-        return (window_sums(img, img_of).sum(axis=0),)
+        total = np.zeros(values.shape)
+        for k in range(len(rad)):
+            total += window_sums(integral(g[k], cnt[k]), k)
+        return (total,)
 
-    return _node(window_sums(scatter(values.data, f, n_img), f) / cnt,
+    return _node(window_sums(integral(values.data), slice(None)) / cnt,
                  (values,), vjp)
 
 
@@ -464,7 +502,12 @@ def window_mean(shape, rc, values, radii, frame) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Set ``.grad`` on the leaves behind ``root``; interior nodes end at None."""
+    """Set ``.grad`` on the leaves behind ``root``; interior nodes end at None.
+
+    Backward consumes the graph: once a node's VJP has run, the node lets go
+    of it and of its parents, so what each VJP closes over is freed while
+    backward goes on. A later backward through a consumed node raises.
+    """
     order: list[Var] = []
     seen: set[int] = set()
     stack_: list[tuple[Var, bool]] = [(root, False)]
@@ -475,6 +518,9 @@ def backward(root: Var) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _CONSUMED:
+            raise RuntimeError("an earlier backward consumed this graph; "
+                               "build it again")
         seen.add(id(node))
         node.grad = None  # a leaf may hold one from an earlier pass
         stack_.append((node, True))
@@ -483,14 +529,16 @@ def backward(root: Var) -> None:
                 stack_.append((p, False))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()  # reverse topological order; the list lets go
         if node._vjp is None or node.grad is None:
             continue  # a leaf, or no gradient reached the node
         grads = node._vjp(node.grad)
-        node.grad = None
+        node.grad, node._vjp = None, _CONSUMED
         for parent, g in zip(node._parents, grads):
             if g is not None:
                 parent.grad = g if parent.grad is None else parent.grad + g
+        node._parents = ()
 
 
 def collect(loss: Var, leaves: dict) -> tuple[float, dict]:

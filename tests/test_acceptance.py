@@ -227,7 +227,7 @@ class TestCriterion05GroundTruthFixedPoint:
         coords = losses.cross_project(
             tape.Var(pts), tape.Var(np.stack([ref.gt_R for ref in refs])),
             np.stack([ref.gt_t for ref in refs]), target.camera, C)
-        ref_levels = np.stack([ref.levels(C.blur_radii) for ref in refs])
+        ref_levels = [ref.levels(C.blur_radii) for ref in refs]
         per_pixel, _ = losses.photometric_loss(
             ref_levels, target.raster, coords, tgt_colors, C)
         min_k, _ = losses.min_k_loss(tape.transpose(per_pixel), C.min_k)

@@ -116,7 +116,8 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         h, w = fr.mask_dist.shape
         inside = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
         over = px - inside
-        d = tape.bilinear_sample(fr.mask_dist[None, :, :, None], inside, 0)
+        d = tape.bilinear_sample([fr.mask_dist[..., None]],
+                                 tape.reshape(inside, (1, -1, 2)))
         add("mask", tape.vmean(d * d)
             + tape.vmean(tape.vsum(over * over, axis=1)))
 
@@ -149,9 +150,10 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         per_pixel = None
         levels = ref.levels(cfg.blur_radii)
         for lvl in range(levels.shape[2]):
-            image = np.ascontiguousarray(levels[None, :, :, lvl])
-            cost = _ph_rows(tape.bilinear_sample(image, px, 0)
-                            - tgt_levels[:, lvl], cfg.eps_color)
+            image = np.ascontiguousarray(levels[:, :, lvl])
+            sampled = tape.bilinear_sample([image],
+                                           tape.reshape(px, (1, -1, 2)))[0]
+            cost = _ph_rows(sampled - tgt_levels[:, lvl], cfg.eps_color)
             per_pixel = cost if per_pixel is None else per_pixel + cost
         if np.mean(tape.clamp_mask(ref.image.shape, px.data)) \
                 <= cfg.max_clamped_frac:

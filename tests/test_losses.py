@@ -361,11 +361,10 @@ def graph_mask_loss(points_world, R, t, cam, raster, mask_dist, cfg):
     proj = geom.project_var(cam, losses._posed(points_world, R, t),
                             min_depth=cfg.min_depth)
     px = raster.to_px(proj)
-    n, h, w = mask_dist.shape
+    h, w = mask_dist[0].shape
     inside_px = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
     overshoot = px - inside_px
-    d = tape.bilinear_sample(mask_dist[..., None], inside_px,
-                             np.arange(n)[:, None])
+    d = tape.bilinear_sample([md[..., None] for md in mask_dist], inside_px)
     return (tape.vmean(d * d)
             + tape.vmean(tape.vsum(overshoot * overshoot, axis=-1)))
 

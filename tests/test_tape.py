@@ -1,5 +1,8 @@
 """Finite-difference verification of every autodiff primitive."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -267,7 +270,7 @@ class TestImageOps:
         rng = np.random.default_rng(12)
         img = rng.random((5, 7, 3))
         coords = np.array([[1.25, 2.5], [0.0, 0.0], [5.9, 3.1]])
-        out = tape.bilinear_sample(img[None], tape.Var(coords), 0).data
+        out = tape.bilinear_sample([img], tape.Var(coords[None])).data[0]
         x, y = 1.25, 2.5
         manual = (
             (1 - 0.5) * ((1 - 0.25) * img[2, 1] + 0.25 * img[2, 2])
@@ -281,8 +284,8 @@ class TestImageOps:
         img = rng.random((6, 6, 2))
 
         def build(v):
-            coords = tape.reshape(v * 0.8 + 2.5, (5, 2))
-            vals = tape.bilinear_sample(img[None], coords, 0)
+            coords = tape.reshape(v * 0.8 + 2.5, (1, 5, 2))
+            vals = tape.bilinear_sample([img], coords)
             return tape.vsum(vals * vals)
 
         check_op(build, 10, rng, tol=1e-5)
@@ -292,24 +295,29 @@ class TestImageOps:
         coords = np.array([[-3.0, 1.0], [1.0, 1.0], [9.0, 9.0]])
         mask = tape.clamp_mask(img.shape, coords)
         np.testing.assert_array_equal(mask, [True, False, True])
-        out = tape.bilinear_sample(img[None], tape.Var(coords), 0)
+        out = tape.bilinear_sample([img], tape.Var(coords[None]))
         np.testing.assert_allclose(out.data, 1.0)
 
     def test_bilinear_sample_reads_each_rows_own_image(self):
         rng = np.random.default_rng(20)
         imgs = rng.random((3, 6, 5, 2))
         coords = rng.uniform(-1.0, 6.0, size=(4, 7, 2))
-        frame = np.array([2, 0, 1, 2])[:, None]
+        frame = [2, 0, 1, 2]  # one image read by two rows
         g = rng.standard_normal((4, 7, 2))
         c = tape.Var(coords)
-        out = tape.bilinear_sample(imgs, c, frame)
+        out = tape.bilinear_sample([imgs[f] for f in frame], c)
         tape.backward(tape.vsum(out * g))
-        for i, f in enumerate(frame[:, 0]):
-            ci = tape.Var(coords[i])
-            one = tape.bilinear_sample(imgs[f][None], ci, 0)
+        for i, f in enumerate(frame):
+            ci = tape.Var(coords[i:i + 1])
+            one = tape.bilinear_sample([imgs[f]], ci)
             tape.backward(tape.vsum(one * g[i]))
-            assert one.data.tobytes() == out.data[i].tobytes()
-            assert ci.grad.tobytes() == c.grad[i].tobytes()
+            assert one.data.tobytes() == out.data[i:i + 1].tobytes()
+            assert ci.grad.tobytes() == c.grad[i:i + 1].tobytes()
+
+    def test_bilinear_sample_takes_one_image_per_row(self):
+        with pytest.raises(DimMismatch):
+            tape.bilinear_sample([np.ones((4, 4, 1))] * 2,
+                                 tape.Var(np.ones((3, 5, 2))))
 
     def test_window_mean_keeps_frames_apart(self):
         rng = np.random.default_rng(21)
@@ -401,6 +409,27 @@ class TestImageOps:
         tape.backward(tape.vsum(out))
         assert got.grad.dtype == np.float64 and not got.grad.any()
 
+    def test_window_mean_vjp_holds_one_box_at_a_time(self):
+        # a 10-frame 64x64 batch whose pixels sit in a central box: the VJP
+        # integrates that box one radius at a time, never R image stacks
+        rng = np.random.default_rng(22)
+        n_img, radii = 10, (2, 4)
+        frame = np.repeat(np.arange(n_img), 220)
+        rc = rng.integers([10, 12], [50, 54], size=(len(frame), 2))
+        out = tape.window_mean((n_img, 64, 64, 3), rc,
+                               tape.Var(rng.standard_normal((len(rc), 3))),
+                               radii, frame)
+        reach = 2 * max(radii) + 1
+        box = (n_img * (np.ptp(rc[:, 0]) + reach) * (np.ptp(rc[:, 1]) + reach)
+               * 3 * 8)
+        tracemalloc.start()
+        try:
+            tape.backward(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * box, (peak, box)
+
     def test_window_mean_keeps_a_constant_image(self):
         rc = np.indices((5, 6)).reshape(2, -1).T
         out = tape.window_mean((1, 5, 6, 3), rc, np.full((30, 3), 2.5),
@@ -428,6 +457,29 @@ class TestDriver:
         tape.backward(out)
         assert y.grad is None and out.grad is None
         np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+
+    def test_a_consumed_graph_raises_on_a_second_backward(self):
+        x = tape.Var(np.array([1.0, -2.0]))
+        y = x * 3.0
+        out = tape.vsum(y * y)
+        tape.backward(out)
+        np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+        with pytest.raises(RuntimeError, match="consumed"):
+            tape.backward(out)
+        with pytest.raises(RuntimeError, match="consumed"):
+            tape.backward(tape.vsum(y))  # a new root on a consumed node
+        assert repr(y) == "Var(shape=(2,), consumed)"
+        assert repr(x) == "Var(shape=(2,), leaf)"
+        assert repr(x * 2.0) == "Var(shape=(2,), node)"
+
+    def test_backward_frees_the_graph_behind_the_root_it_keeps(self):
+        x = tape.Var(np.array([1.0, -2.0]))
+        y = tape.sigmoid(x)
+        alive = weakref.ref(y)
+        out = tape.vsum(y * y)
+        del y
+        tape.backward(out)
+        assert alive() is None and out.data.shape == ()
 
     def test_leaf_on_two_paths_gets_the_sum(self):
         x = tape.Var(np.array([2.0, 5.0]))
