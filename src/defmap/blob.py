@@ -40,9 +40,10 @@ def write(path, magic: bytes, header: dict, arrays) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read(path, magic: bytes, what: str, keys) -> tuple[dict, bytes]:
+def read(path, magic: bytes, what: str, keys) -> tuple[dict, memoryview]:
     """(header, payload) of a file written by :func:`write` with ``magic``,
-    whose header holds exactly the fields ``keys``."""
+    whose header holds exactly the fields ``keys``; the payload is a view
+    of the file's bytes, not a copy."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -58,10 +59,10 @@ def read(path, magic: bytes, what: str, keys) -> tuple[dict, bytes]:
     except ValueError as e:
         raise CheckpointError(f"malformed {what} header: {e}") from e
     check_keys(header, keys, f"{what} header", CheckpointError)
-    return header, data[nl + 1:]
+    return header, memoryview(data)[nl + 1:]
 
 
-def array(payload: bytes, entry, shape, what: str,
+def array(payload: memoryview, entry, shape, what: str,
           keys=("count", "offset", "shape")) -> np.ndarray:
     """A fresh copy of the array header entry ``entry`` points at.
 

@@ -55,9 +55,7 @@ def exit_code_for(exc: errors.DefmapError) -> int:
 
 def _file_sha256(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    synth.hash_file(h, path)
     return h.hexdigest()
 
 

@@ -11,7 +11,7 @@ whose gradient norm is bounded by 1, which the ray-based reprojection loss
 inherits.
 
 Frames are duck-typed; the attributes consumed here are documented in
-:mod:`defmap.synth` (image, blurred image levels, raster map, silhouette
+:mod:`defmap.synth` (image and its integral image, raster map, silhouette
 distance transform, per-pixel descriptors/colors/coordinates, keypoint
 descriptors and labels, instance descriptor).
 """
@@ -281,20 +281,14 @@ def cross_project(
 # -- appearance ---------------------------------------------------------------
 
 
-def image_pyramid(image: np.ndarray, radii) -> np.ndarray:
-    """The (H,W,C) image and its box blur at each radius as (H,W,L,C)
-    levels, level 0 the image: :func:`tape.window_mean` at every pixel."""
-    image = np.asarray(image, dtype=np.float64)
-    h, w, c = image.shape
-    rc = np.indices((h, w)).reshape(2, -1).T
-    blurred = tape.window_mean((1, h, w, c), rc, image.reshape(-1, c), radii,
-                               0).data
-    # C order, so that the photometric term's (R,H,W,L*C) view is free
-    return np.stack([image, *blurred.reshape(-1, h, w, c)], axis=2)
+def _pyramid(frame, cfg: LossConfig):
+    """The row reader of a frame's (H,W,L*C) pyramid: level 0 its image,
+    level 1 + i the image's blur at ``cfg.blur_radii[i]``."""
+    return tape.pyramid_rows(frame.image, frame.integral, cfg.blur_radii)
 
 
 def photometric_loss(
-    ref_levels: list,
+    refs: list,
     ref_raster: geom.Raster,
     coords,
     target_colors: np.ndarray,
@@ -302,23 +296,22 @@ def photometric_loss(
 ):
     """Robust multi-level color mismatch along correspondence fields.
 
-    ``coords`` (R,N,2 Var, normalized units) index R references, whose
-    (H,W,L,C) pyramid levels ``ref_levels`` holds, one array a reference;
-    ``target_colors`` holds the target frame's (N,L,C) colors at its own
-    pixels. All levels are sampled at once, as the channels of one image per
-    reference, read in each reference's own array. Returns
-    (per_pixel (R,N) Var, the sum over levels; clamped (R,) fraction per
-    reference). Samples falling outside a reference image are clamped to
-    its border by the sampler.
+    ``coords`` (R,N,2 Var, normalized units) index the R reference frames
+    ``refs``; ``target_colors`` holds the target frame's (N,L,C) pyramid
+    colors at its own pixels. All levels are sampled at once, as the
+    channels of one image per reference, whose rows are read off that
+    reference's integral image where they are sampled. Returns (per_pixel
+    (R,N) Var, the sum over levels; clamped (R,) fraction per reference).
+    Samples falling outside a reference image are clamped to its border by
+    the sampler.
     """
-    h, w = ref_levels[0].shape[:2]
+    hw = refs[0].image.shape[:2]
     px = ref_raster.to_px(coords)
-    sampled = tape.bilinear_sample([lv.reshape(h, w, -1) for lv in ref_levels],
-                                   px)
+    sampled = tape.bilinear_sample([_pyramid(fr, cfg) for fr in refs], hw, px)
     diff = tape.reshape(sampled, px.shape[:2] + target_colors.shape[1:]) \
         - target_colors
     per_pixel = tape.vsum(pseudo_huber_rows(diff, cfg.eps_color), axis=-1)
-    clamped = np.mean(tape.clamp_mask((h, w), px.data), axis=-1)
+    clamped = np.mean(tape.clamp_mask(hw, px.data), axis=-1)
     return per_pixel, clamped
 
 
@@ -390,7 +383,8 @@ def mask_reprojection_loss(
     lim = np.array([w - 1.0, h - 1.0])
     inside_px = tape.clip(px, np.zeros(2), lim)
     overshoot = px - inside_px
-    d = tape.bilinear_sample([md[..., None] for md in mask_dist], inside_px)
+    d = tape.bilinear_sample([tape.array_rows(md[..., None])
+                              for md in mask_dist], (h, w), inside_px)
     if not (d.data.any() or overshoot.data.any()):  # NaN counts as nonzero
         return tape.Var(0.0)
     return (tape.vmean(d * d)
@@ -527,14 +521,14 @@ def total_loss(
     n_refs_used = 0
     if n_frames > 1:
         n_tgt = len(subsets[0])
+        _, w, n_ch = frames[0].image.shape
         tgt_rc = frames[0].pix_rc[subsets[0]]
-        tgt_colors = frames[0].levels(cfg.blur_radii)[tgt_rc[:, 0],
-                                                      tgt_rc[:, 1]]
-        ref_levels = [fr.levels(cfg.blur_radii) for fr in frames[1:]]
+        tgt_colors = _pyramid(frames[0], cfg)(
+            tgt_rc[:, 0] * w + tgt_rc[:, 1]).reshape(n_tgt, -1, n_ch)
         pts = tape.batch_matvec(
             basis[:n_tgt], tape.reshape(pred.alpha[1:], (n_frames - 1, 1, -1)))
         coords = cross_project(pts, pred.R[1:], t[1:], cam, cfg)
-        per_pixel, clamped = photometric_loss(ref_levels, raster, coords,
+        per_pixel, clamped = photometric_loss(frames[1:], raster, coords,
                                               tgt_colors, cfg)
         # a reference mostly out of view of this target is left out
         kept = np.flatnonzero(clamped <= cfg.max_clamped_frac)

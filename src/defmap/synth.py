@@ -13,12 +13,14 @@ optionally corrupted with Gaussian noise, so a fitted model must recover
 the chart but never gets it for free.
 
 Frame attribute contract consumed by :mod:`defmap.losses`: ``frame_id``,
-``instance_id``, ``camera``, ``raster``, ``image`` (H,W,3), ``levels(radii)``
-memoized (H,W,L,3) blur pyramid (level 0 the image, level 1 + i its blur at
-``radii[i]``), ``mask_dist`` (zero inside, distance to the silhouette
-outside), ``pix_rc`` (N,2) int pixel indices, ``pix_y`` (N,2) normalized
-coordinates of those pixel centers, ``descriptors`` (N,F), ``colors``
-(N,3), ``kp_desc`` (K,F), ``instance_desc`` (G,).
+``instance_id``, ``camera``, ``raster``, ``image`` (H,W,3), ``integral``
+the (H+1,W+1,3) zero-bordered integral image of ``image``
+(:func:`tape.integral_image`, which the min-k term reads its blur pyramid
+rows off; :class:`Frame` builds it on first use and keeps it), ``mask_dist``
+(zero inside, distance to the silhouette outside), ``pix_rc`` (N,2) int
+pixel indices, ``pix_y`` (N,2) normalized coordinates of those pixel
+centers, ``descriptors`` (N,F), ``colors`` (N,3), ``kp_desc`` (K,F),
+``instance_desc`` (G,).
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from . import geom, losses
+from . import geom, losses, tape
 from .errors import (
     DimMismatch,
     GimbalDegenerate,
@@ -210,13 +213,11 @@ class Frame:
     gt_alpha: np.ndarray
     gt_R: np.ndarray
     gt_t: np.ndarray
-    _levels: dict = field(default_factory=dict, repr=False)
 
-    def levels(self, radii) -> np.ndarray:
-        key = tuple(radii)
-        if key not in self._levels:
-            self._levels[key] = losses.image_pyramid(self.image, radii)
-        return self._levels[key]
+    @cached_property
+    def integral(self) -> np.ndarray:
+        """The (H+1,W+1,3) zero-bordered integral image of ``image``."""
+        return tape.integral_image(self.image)
 
 
 @dataclass
@@ -562,12 +563,14 @@ def _render_frame(cat: GroundTruthCategory, instance: int, R, t, dense_kappa,
     Xc = _surface(dense_sh, dense_kappa, coeff, alpha) @ R.T + t
     px = raster.to_px(geom.project(cam, Xc))
     mask, depth, winner = _zbuffer(spec, px, Xc[:, 2])
+    del Xc, px  # the samples' placement; the refinement below needs neither
     if not mask.any():
         raise InvalidSpec(f"instance {instance} renders an empty silhouette: "
                           "the frame has no pixel to fit")
 
     rows, cols = np.nonzero(mask)
     seeds = winner[rows, cols]
+    del winner
     target_y = raster.from_px(np.stack([cols, rows], axis=1).astype(np.float64))
     kappa, _, ok = _refine_pixels(cat, alpha, R, t, cam, dense_kappa[seeds],
                                   target_y)
@@ -675,6 +678,7 @@ def generate_category(spec: CategorySpec) -> GroundTruthCategory:
         pts = _surface(probe_sh, probe, cat.shape_coeffs(alpha), alpha)
         centered = pts - pts.mean(axis=0)
         cat.alphas[i] /= np.sqrt(np.mean(np.sum(centered**2, axis=1)))
+    del probe, probe_sh, pts, centered  # rendering needs none of them
 
     dense_kappa = fibonacci_sphere(spec.n_surface_samples)
     dense_sh = sh_basis(dense_kappa)
@@ -840,6 +844,20 @@ def load_category(root) -> GroundTruthCategory:
                                **{k: z[k] for k in _CATEGORY_KEYS})
 
 
+#: bytes per read of :func:`hash_file`
+_HASH_CHUNK = 1 << 18
+
+
+def hash_file(h, path) -> None:
+    """Feed the file at ``path`` to the hash ``h`` in fixed-size reads into
+    one reused buffer, so that no read holds the whole file."""
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            h.update(view[:n])
+
+
 def dataset_hash(root) -> str:
     """SHA-256 over relative paths and contents; run manifests are excluded
     so bookkeeping rewrites don't change a dataset's identity."""
@@ -854,7 +872,6 @@ def dataset_hash(root) -> str:
     for rel, full in sorted(entries):
         h.update(rel.encode())
         h.update(b"\0")
-        with open(full, "rb") as f:
-            h.update(f.read())
+        hash_file(h, full)
         h.update(b"\0")
     return h.hexdigest()

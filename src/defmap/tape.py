@@ -11,7 +11,10 @@ and of its parents, so what the VJP closes over is freed while backward
 goes on, and a second backward through that node raises.
 
 :func:`window_mean` integrates only the box its windows cover, once for all
-radii forward and one radius at a time backward.
+radii forward and one radius at a time backward. :func:`bilinear_sample`
+reads each image through a row reader: :func:`array_rows` over an array, or
+:func:`pyramid_rows`, which computes a blur pyramid's rows off one
+:func:`integral_image` where they are sampled.
 
 Values are float64, apart from float32 leaves: a leaf built from a float32
 array keeps it, for an op that computes in its operand's dtype (the MLP node)
@@ -379,21 +382,30 @@ def batch_matvec(M, v) -> Var:
 # -- image ops -------------------------------------------------------------
 
 
-def bilinear_sample(images, coords) -> Var:
-    """Sample each of F constant (H,W,C) images of one size at its own float
-    pixel coords: ``coords`` (F,...,2) = (x, y), ``coords[k]`` read in
-    ``images[k]``; (F,...,C). Each image is read where it lies, none is
-    copied into a stack.
+def array_rows(image) -> Callable:
+    """The row reader of a constant (H,W,C) array: it maps flat pixel
+    indices ``y * W + x`` of any shape to their (...,C) rows."""
+    flat = np.asarray(image, dtype=np.float64).reshape(-1, np.shape(image)[-1])
+    return lambda index: np.take(flat, index, axis=0)
+
+
+def bilinear_sample(rows: Sequence[Callable], hw, coords) -> Var:
+    """Sample each of F constant images of height and width ``hw`` at its
+    own float pixel coords: ``coords`` (F,...,2) = (x, y), ``coords[k]``
+    read in image k, whose row reader ``rows[k]`` maps flat pixel indices
+    ``y * W + x`` to their (...,C) rows (:func:`array_rows`,
+    :func:`pyramid_rows`); (F,...,C). Each image is read at the four
+    corners of its samples only.
 
     Coordinates are clamped to the image rectangle; clamped axes get zero
     gradient (use :func:`clamp_mask` to count them). Gradients flow to the
     coordinates only, the images are constant data.
     """
     coords = as_var(coords)
-    if len(images) != coords.shape[0]:
-        raise DimMismatch(f"{len(images)} images for {coords.shape[0]} "
+    if len(rows) != coords.shape[0]:
+        raise DimMismatch(f"{len(rows)} images for {coords.shape[0]} "
                           "coordinate sets")
-    H, W, C = np.shape(images[0])
+    H, W = hw
     cx, cy = coords.data[..., 0], coords.data[..., 1]
     x = np.clip(cx, 0.0, W - 1.0)
     y = np.clip(cy, 0.0, H - 1.0)
@@ -402,14 +414,10 @@ def bilinear_sample(images, coords) -> Var:
     x1, y1 = np.minimum(x0 + 1, W - 1), np.minimum(y0 + 1, H - 1)
     tx = (x - x0)[..., None]
     ty = (y - y0)[..., None]
-    corners = np.empty((len(images), 4) + x0.shape[1:] + (C,))  # (F,4,...,C)
-    for k, image in enumerate(images):
-        # its four corners in one gather of flat rows; the indices lie in the
-        # image, so "clip" only spares the bounds-checked copy
-        row0, row1 = y0[k] * W, y1[k] * W
-        np.take(np.asarray(image, dtype=np.float64).reshape(H * W, C),
-                np.stack([row0 + x0[k], row0 + x1[k], row1 + x0[k],
-                          row1 + x1[k]]), axis=0, out=corners[k], mode="clip")
+    row0, row1 = y0 * W, y1 * W
+    # each image's four corners in one read, (F,4,...,C)
+    index = np.stack([row0 + x0, row0 + x1, row1 + x0, row1 + x1], axis=1)
+    corners = np.stack([read(i) for read, i in zip(rows, index)])
     i00, i01, i10, i11 = (corners[:, j] for j in range(4))
     out = (1 - ty) * ((1 - tx) * i00 + tx * i01) + ty * ((1 - tx) * i10 + tx * i11)
     # the slopes, so that the VJP holds two arrays instead of four corners
@@ -437,6 +445,62 @@ def clamp_mask(image_hw, coords: np.ndarray) -> np.ndarray:
     return (x < 0) | (x > W - 1) | (y < 0) | (y > H - 1)
 
 
+def _window(r, c, rad, h, w):
+    """Bounds (y0, y1, x0, x1) of the radius-``rad`` windows centered on the
+    pixels (r, c) of an (h, w) image, edge-truncated, and their (...,1)
+    pixel counts."""
+    y0, y1 = np.maximum(r - rad, 0), np.minimum(r + rad + 1, h)
+    x0, x1 = np.maximum(c - rad, 0), np.minimum(c + rad + 1, w)
+    return y0, y1, x0, x1, ((y1 - y0) * (x1 - x0)).astype(np.float64)[..., None]
+
+
+def _box_sums(corner, y0, y1, x0, x1):
+    """Window sums off an integral image whose rows at (y, x) ``corner``
+    reads."""
+    return corner(y1, x1) - corner(y0, x1) - corner(y1, x0) + corner(y0, x0)
+
+
+def _integrate(buf):
+    """Integrate a zero-bordered (...,H+1,W+1,C) buffer in place: entry
+    (y, x) comes to sum the rows above y and the columns left of x."""
+    np.cumsum(buf, axis=-3, out=buf)
+    np.cumsum(buf, axis=-2, out=buf)
+    return buf
+
+
+def integral_image(image) -> np.ndarray:
+    """The zero-bordered (H+1,W+1,C) integral of an (H,W,C) image, built by
+    the cumsums of :func:`window_mean`."""
+    h, w, n_ch = np.shape(image)
+    buf = np.zeros((h + 1, w + 1, n_ch))
+    buf[1:, 1:] = image
+    return _integrate(buf)
+
+
+def pyramid_rows(image, integral, radii) -> Callable:
+    """The row reader (see :func:`bilinear_sample`) of the (H,W,L*C) blur
+    pyramid of an (H,W,C) image: per pixel, level 0 the image and level
+    1 + i its window mean at ``radii[i]``, read off ``integral``
+    (:func:`integral_image`) where asked for. Each value equals
+    :func:`window_mean`'s at that pixel of the image, bit for bit."""
+    h, w, n_ch = np.shape(image)
+    flat = np.asarray(image, dtype=np.float64).reshape(-1, n_ch)
+    ii = integral.reshape(-1, n_ch)
+    rad = np.asarray(radii, dtype=int)
+
+    def rows(index):
+        # the radii on the last axis, so that levels 1.. come out in place
+        r, c = np.divmod(index[..., None], w)
+        y0, y1, x0, x1, cnt = _window(r, c, rad, h, w)  # (...,R)
+        out = np.empty(index.shape + (1 + rad.size, n_ch))
+        out[..., 0, :] = np.take(flat, index, axis=0)
+        np.divide(_box_sums(lambda y, x: np.take(ii, y * (w + 1) + x, axis=0),
+                            y0, y1, x0, x1), cnt, out=out[..., 1:, :])
+        return out.reshape(index.shape + (-1,))
+
+    return rows
+
+
 def window_mean(shape, rc, values, radii, frame) -> Var:
     """Box blurs, one per radius in ``radii``, at the integer (row, col)
     pixels ``rc`` of the images ``frame`` names, of the (F,H,W,C) image
@@ -454,12 +518,9 @@ def window_mean(shape, rc, values, radii, frame) -> Var:
     n_img, h, w, n_ch = shape
     rad = np.asarray(radii, dtype=int).reshape(-1, 1)
     f, r, c = frame, rc[:, 0], rc[:, 1]
-    y0, y1 = np.maximum(r - rad, 0), np.minimum(r + rad + 1, h)  # (R,N)
-    x0, x1 = np.maximum(c - rad, 0), np.minimum(c + rad + 1, w)
-    cnt = ((y1 - y0) * (x1 - x0)).astype(np.float64)[..., None]
-    # the box the windows cover, with a zero first row and column: entry
-    # (y, x) of its integral sums the box rows above y and columns left of
-    # x. With no radius it is the pixels' box; with no pixel, one entry.
+    y0, y1, x0, x1, cnt = _window(r, c, rad, h, w)  # (R,N)
+    # the box the windows cover, with a zero first row and column. With no
+    # radius it is the pixels' box; with no pixel, one entry.
     reach = rad.max(initial=0)
     top = np.maximum(r - reach, 0).min(initial=h)
     left = np.maximum(c - reach, 0).min(initial=w)
@@ -475,8 +536,7 @@ def window_mean(shape, rc, values, radii, frame) -> Var:
         corners = buf.reshape(-1, n_ch)
         if scale is not None:
             corners[pixel] /= scale
-        np.cumsum(buf, axis=1, out=buf)
-        np.cumsum(buf, axis=2, out=buf)
+        _integrate(buf)
         return corners
 
     def window_sums(corners, k):
@@ -485,8 +545,7 @@ def window_mean(shape, rc, values, radii, frame) -> Var:
             return np.take(corners, (f * bh + y[k] - top) * bw + x[k] - left,
                            axis=0)
 
-        return (corner(y1, x1) - corner(y0, x1) - corner(y1, x0)
-                + corner(y0, x0))
+        return _box_sums(corner, y0, y1, x0, x1)
 
     def vjp(g):
         total = np.zeros(values.shape)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import window_mean_pyramid
 
 from defmap import cli, geom, losses, metrics, synth, tape, train
 from defmap import model as model_mod
@@ -221,15 +222,15 @@ class TestCriterion05GroundTruthFixedPoint:
         # min-k appearance: target pixels cross-projected into 6 references
         target, refs = cat.frames[0], cat.frames[1:7]
         rc = target.pix_rc
-        tgt_colors = target.levels(C.blur_radii)[rc[:, 0], rc[:, 1]]
+        tgt_colors = window_mean_pyramid(target.image,
+                                         C.blur_radii)[rc[:, 0], rc[:, 1]]
         pts = np.stack([cat.surface_points(target.gt_kappa, ref.gt_alpha)
                         for ref in refs])
         coords = losses.cross_project(
             tape.Var(pts), tape.Var(np.stack([ref.gt_R for ref in refs])),
             np.stack([ref.gt_t for ref in refs]), target.camera, C)
-        ref_levels = [ref.levels(C.blur_radii) for ref in refs]
         per_pixel, _ = losses.photometric_loss(
-            ref_levels, target.raster, coords, tgt_colors, C)
+            refs, target.raster, coords, tgt_colors, C)
         min_k, _ = losses.min_k_loss(tape.transpose(per_pixel), C.min_k)
         worst["min_k"] = float(min_k.data)
 

@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import window_mean_pyramid
 
 from defmap import geom, losses, nets, synth, tape
 from defmap import model as model_mod
@@ -116,8 +117,8 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
         h, w = fr.mask_dist.shape
         inside = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
         over = px - inside
-        d = tape.bilinear_sample([fr.mask_dist[..., None]],
-                                 tape.reshape(inside, (1, -1, 2)))
+        d = tape.bilinear_sample([tape.array_rows(fr.mask_dist[..., None])],
+                                 (h, w), tape.reshape(inside, (1, -1, 2)))
         add("mask", tape.vmean(d * d)
             + tape.vmean(tape.vsum(over * over, axis=1)))
 
@@ -141,17 +142,18 @@ def per_frame_total_loss(mdl, leaves, frames, weights, cfg, rng, n_pixels):
     min_k_raw, columns = 0.0, []
     target = frames[0]
     rc = target.pix_rc[subsets[0]]
-    tgt_levels = target.levels(cfg.blur_radii)[rc[:, 0], rc[:, 1]]
+    tgt_levels = window_mean_pyramid(target.image,
+                                     cfg.blur_radii)[rc[:, 0], rc[:, 1]]
     for j in range(1, len(frames)):
         ref = frames[j]
         X = (tape.batch_matvec(B_target, alphas[j])
              @ tape.transpose(rotations[j]) + translations[j])
         px = ref.raster.to_px(_project(ref.camera, X, cfg.min_depth))
         per_pixel = None
-        levels = ref.levels(cfg.blur_radii)
+        levels = window_mean_pyramid(ref.image, cfg.blur_radii)
         for lvl in range(levels.shape[2]):
-            image = np.ascontiguousarray(levels[:, :, lvl])
-            sampled = tape.bilinear_sample([image],
+            image = tape.array_rows(levels[:, :, lvl])
+            sampled = tape.bilinear_sample([image], levels.shape[:2],
                                            tape.reshape(px, (1, -1, 2)))[0]
             cost = _ph_rows(sampled - tgt_levels[:, lvl], cfg.eps_color)
             per_pixel = cost if per_pixel is None else per_pixel + cost

@@ -9,8 +9,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from defmap import model, nets, train
+from defmap import blob, model, nets, train
 from defmap.errors import CheckpointError, IoError
 
 DIMS = model.ModelDims(
@@ -161,3 +162,18 @@ def test_save_load_save_is_byte_identical(tmp_path, kind):
     save(first, make())
     save(second, load(first))
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_loading_copies_the_payload_once(tmp_path):
+    # a model at the default sizes: the file's bytes and the arrays copied
+    # out of them, never a copy of the payload besides
+    mdl = model.init_model(model.ModelDims(), model.AMORTIZED,
+                           np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    model.save_model(path, mdl)
+    size = path.stat().st_size
+    assert traced_peak(lambda: model.load_model(path)) < 2.5 * size
+    read = traced_peak(lambda: blob.read(path, model._MODEL_MAGIC, "model",
+                                         ("version", "mode", "dims", "nets",
+                                          "latents")))
+    assert read < 1.5 * size, (read, size)

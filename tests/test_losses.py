@@ -1,10 +1,12 @@
 """Loss contracts: analytic values, independent oracles, gradient checks."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from conftest import window_mean_pyramid
 
 from defmap import geom, losses, model, nets, tape, train
 from defmap.errors import EmptyVisibleSet, KTooLarge, SingularSystem
@@ -364,7 +366,8 @@ def graph_mask_loss(points_world, R, t, cam, raster, mask_dist, cfg):
     h, w = mask_dist[0].shape
     inside_px = tape.clip(px, np.zeros(2), np.array([w - 1.0, h - 1.0]))
     overshoot = px - inside_px
-    d = tape.bilinear_sample([md[..., None] for md in mask_dist], inside_px)
+    d = tape.bilinear_sample([tape.array_rows(md[..., None])
+                              for md in mask_dist], (h, w), inside_px)
     return (tape.vmean(d * d)
             + tape.vmean(tape.vsum(overshoot * overshoot, axis=-1)))
 
@@ -459,13 +462,10 @@ class FakeFrame:
         self.colors = self.image[rows, cols]
         self.kp_desc = rng.standard_normal((K, F))
         self.instance_desc = rng.standard_normal(G)
-        self._levels = {}
 
-    def levels(self, radii):
-        key = tuple(radii)
-        if key not in self._levels:
-            self._levels[key] = losses.image_pyramid(self.image, radii)
-        return self._levels[key]
+    @functools.cached_property
+    def integral(self):
+        return tape.integral_image(self.image)
 
 
 def small_model(seed=0, mode=model.AMORTIZED, n_frames=0):
@@ -494,11 +494,10 @@ class TestPhotometric:
         f = FakeFrame(rng)
         idx = np.arange(10)
         rc = f.pix_rc[idx]
-        levels = f.levels(CFG.blur_radii)
-        tgt = levels[rc[:, 0], rc[:, 1]]
+        tgt = window_mean_pyramid(f.image, CFG.blur_radii)[rc[:, 0], rc[:, 1]]
         coords = tape.Var(f.pix_y[idx][None])
         per_pixel, clamped = losses.photometric_loss(
-            levels[None], f.raster, coords, tgt, CFG
+            [f], f.raster, coords, tgt, CFG
         )
         assert float(per_pixel.data.sum()) < 1e-20
         assert clamped.tolist() == [0.0]
@@ -508,13 +507,13 @@ class TestPhotometric:
         fa = FakeFrame(rng)
         c1, c2 = np.array([0.2, 0.4, 0.6]), np.array([0.9, 0.1, 0.3])
         fa.image[:] = c1
-        ref_levels = losses.image_pyramid(
-            np.broadcast_to(c2, fa.image.shape), ())[None]
+        fb = FakeFrame(rng)
+        fb.image[:] = c2
         idx = np.arange(12)
         tgt = np.tile(c1, (12, 1, 1))
         coords = tape.Var(fa.pix_y[idx][None])
         per_pixel, _ = losses.photometric_loss(
-            ref_levels, fa.raster, coords, tgt, CFG
+            [fb], fa.raster, coords, tgt, dataclasses.replace(CFG, blur_radii=())
         )
         want = 12 * float(losses.pseudo_huber_rows(c1 - c2, CFG.eps_color).data)
         assert float(per_pixel.data.sum()) == pytest.approx(want, rel=1e-9)
@@ -523,9 +522,9 @@ class TestPhotometric:
         rng = np.random.default_rng(25)
         f = FakeFrame(rng)
         coords = tape.Var(np.array([[[50.0, 50.0], [0.0, 0.0]]]))  # one far out
-        levels = f.levels(())[None]
         tgt = np.zeros((2, 1, 3))
-        _, clamped = losses.photometric_loss(levels, f.raster, coords, tgt, CFG)
+        _, clamped = losses.photometric_loss(
+            [f], f.raster, coords, tgt, dataclasses.replace(CFG, blur_radii=()))
         assert clamped.tolist() == pytest.approx([0.5])
 
 

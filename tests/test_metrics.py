@@ -1,9 +1,8 @@
 """Metric contracts: similarity invariance, oracles, file roundtrips."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -223,12 +222,7 @@ class TestSmallCloudKernel:
         rng = np.random.default_rng(43)
         target = rng.standard_normal((n, 3))
         query = rng.standard_normal((28 * n, 3))
-        tracemalloc.start()
-        try:
-            metrics.nearest_neighbors(target, query)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: metrics.nearest_neighbors(target, query))
         assert peak < 2e6
 
     def test_routes_give_identical_chamfer(self, monkeypatch):
@@ -463,12 +457,7 @@ class TestIcpLockstep:
         rng = np.random.default_rng(29)
         source = rng.standard_normal((n, 3)) * [2.0, 1.0, 0.5]
         target = rng.standard_normal((n, 3))
-        tracemalloc.start()
-        try:
-            metrics.icp_align(source, target)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: metrics.icp_align(source, target))
         # one ~1 MB block, plus the restarts' moved and matched clouds and
         # the query's coordinates, each 28 x 499 x 3 float64 (~0.34 MB)
         assert peak < 4e6

@@ -1,12 +1,13 @@
 """Generator contracts: exact geometry, recoverable poses, dataset IO."""
 
 import dataclasses
-import tracemalloc
+import hashlib
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from defmap import cli, geom, synth
+from defmap import cli, geom, losses, model, synth, tape
 from defmap.errors import (
     DimMismatch,
     GimbalDegenerate,
@@ -495,13 +496,7 @@ def test_zbuffer_allocates_little_at_preset_size():
     rng = np.random.default_rng(0)
     px = rng.uniform(-2.0, 66.0, (spec.n_surface_samples, 2))
     z = rng.uniform(2.0, 4.0, spec.n_surface_samples)
-    tracemalloc.start()
-    try:
-        synth._zbuffer(spec, px, z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert traced_peak(lambda: synth._zbuffer(spec, px, z)) < 4e6
 
 
 def silhouettes():
@@ -733,9 +728,8 @@ class TestDatasetIO:
                                 f.name)
             for a, b in zip(cat.frames, back.frames):
                 for f in dataclasses.fields(synth.Frame):
-                    if f.name != "_levels":
-                        assert_same(getattr(a, f.name), getattr(b, f.name),
-                                    f"frame {a.frame_id} {f.name}")
+                    assert_same(getattr(a, f.name), getattr(b, f.name),
+                                f"frame {a.frame_id} {f.name}")
 
     def test_hash_stable_and_sensitive(self, tmp_path, small_cat):
         r1, r2 = tmp_path / "a", tmp_path / "b"
@@ -750,6 +744,23 @@ class TestDatasetIO:
         p = r1 / "keypoints.csv"
         p.write_text(p.read_text().replace("0", "1", 1))
         assert synth.dataset_hash(r1) != h1
+
+    def test_hash_reads_a_large_file_in_chunks(self, tmp_path, small_cat):
+        # a dataset of several MB: the category plus a 6 MB member. Its
+        # digest is the one of whole-file reads, and no read holds the file
+        synth.save_category(tmp_path, small_cat)
+        big = tmp_path / "big.bin"
+        big.write_bytes(np.random.default_rng(3).bytes(6 << 20))
+        want = hashlib.sha256()
+        for p in sorted(tmp_path.iterdir()):
+            want.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+        got = []
+        peak = traced_peak(lambda: got.append(synth.dataset_hash(tmp_path)))
+        assert got == [want.hexdigest()]
+        assert peak < synth._HASH_CHUNK + (64 << 10), peak
+        peak = traced_peak(lambda: got.append(cli._file_sha256(big)))
+        assert got[1] == hashlib.sha256(big.read_bytes()).hexdigest()
+        assert peak < synth._HASH_CHUNK + (64 << 10), peak
 
     def test_loaded_category_regenerates_descriptors(self, tmp_path, clean_cat):
         root = tmp_path / "cat"
@@ -775,6 +786,31 @@ class TestPresets:
         assert spec.n_instances >= 10
         assert spec.sigma_descriptor > 0
 
-    def test_levels_memoized(self, clean_cat):
+    def test_integral_memoized(self, clean_cat):
         fr = clean_cat.frames[0]
-        assert fr.levels((2, 4)) is fr.levels((2, 4))
+        assert fr.integral is fr.integral
+        assert fr.integral.tobytes() == tape.integral_image(fr.image).tobytes()
+
+
+def test_a_loss_step_leaves_each_frame_at_most_its_integral(tmp_path):
+    # a batch of 10 frames at the benchmark preset's sizes, loaded as a fit
+    # loads them, through one step of the fit's loss
+    spec = dataclasses.replace(cli._PRESETS["benchmark"](seed=3),
+                               n_instances=10, frames_per_instance=1)
+    synth.save_category(tmp_path, synth.generate_category(spec))
+    frames = synth.load_category(tmp_path).frames
+    dims = model.ModelDims(descriptor_dim=spec.descriptor_dim,
+                           instance_dim=spec.instance_desc_dim,
+                           n_shape_coeffs=spec.n_shape_coeffs)
+    mdl = model.init_model(dims, model.AMORTIZED, np.random.default_rng(0))
+    losses.total_loss(mdl, model.make_leaves(mdl), frames,
+                      losses.LossWeights(), losses.LossConfig(),
+                      np.random.default_rng(1), n_pixels=220)
+    loaded = {"frame_id", "camera", "raster", "labels", *synth._FRAME_KEYS,
+              *synth._PIXEL_KEYS}
+    h, w = spec.image_h, spec.image_w
+    for fr in frames:
+        extra = {k: v for k, v in vars(fr).items() if k not in loaded}
+        assert set(extra) <= {"integral"}, sorted(extra)
+        for v in extra.values():
+            assert v.shape == (h + 1, w + 1, 3) and v.dtype == np.float64

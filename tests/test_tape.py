@@ -1,12 +1,12 @@
 """Finite-difference verification of every autodiff primitive."""
 
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from defmap import losses, nets, tape
+from defmap import nets, tape
 from defmap.errors import DimMismatch
 
 
@@ -270,7 +270,8 @@ class TestImageOps:
         rng = np.random.default_rng(12)
         img = rng.random((5, 7, 3))
         coords = np.array([[1.25, 2.5], [0.0, 0.0], [5.9, 3.1]])
-        out = tape.bilinear_sample([img], tape.Var(coords[None])).data[0]
+        out = tape.bilinear_sample([tape.array_rows(img)], img.shape[:2],
+                                   tape.Var(coords[None])).data[0]
         x, y = 1.25, 2.5
         manual = (
             (1 - 0.5) * ((1 - 0.25) * img[2, 1] + 0.25 * img[2, 2])
@@ -285,7 +286,7 @@ class TestImageOps:
 
         def build(v):
             coords = tape.reshape(v * 0.8 + 2.5, (1, 5, 2))
-            vals = tape.bilinear_sample([img], coords)
+            vals = tape.bilinear_sample([tape.array_rows(img)], (6, 6), coords)
             return tape.vsum(vals * vals)
 
         check_op(build, 10, rng, tol=1e-5)
@@ -295,7 +296,8 @@ class TestImageOps:
         coords = np.array([[-3.0, 1.0], [1.0, 1.0], [9.0, 9.0]])
         mask = tape.clamp_mask(img.shape, coords)
         np.testing.assert_array_equal(mask, [True, False, True])
-        out = tape.bilinear_sample([img], tape.Var(coords[None]))
+        out = tape.bilinear_sample([tape.array_rows(img)], (4, 4),
+                                   tape.Var(coords[None]))
         np.testing.assert_allclose(out.data, 1.0)
 
     def test_bilinear_sample_reads_each_rows_own_image(self):
@@ -305,19 +307,20 @@ class TestImageOps:
         frame = [2, 0, 1, 2]  # one image read by two rows
         g = rng.standard_normal((4, 7, 2))
         c = tape.Var(coords)
-        out = tape.bilinear_sample([imgs[f] for f in frame], c)
+        out = tape.bilinear_sample([tape.array_rows(imgs[f]) for f in frame],
+                                   (6, 5), c)
         tape.backward(tape.vsum(out * g))
         for i, f in enumerate(frame):
             ci = tape.Var(coords[i:i + 1])
-            one = tape.bilinear_sample([imgs[f]], ci)
+            one = tape.bilinear_sample([tape.array_rows(imgs[f])], (6, 5), ci)
             tape.backward(tape.vsum(one * g[i]))
             assert one.data.tobytes() == out.data[i:i + 1].tobytes()
             assert ci.grad.tobytes() == c.grad[i:i + 1].tobytes()
 
     def test_bilinear_sample_takes_one_image_per_row(self):
         with pytest.raises(DimMismatch):
-            tape.bilinear_sample([np.ones((4, 4, 1))] * 2,
-                                 tape.Var(np.ones((3, 5, 2))))
+            tape.bilinear_sample([tape.array_rows(np.ones((4, 4, 1)))] * 2,
+                                 (4, 4), tape.Var(np.ones((3, 5, 2))))
 
     def test_window_mean_keeps_frames_apart(self):
         rng = np.random.default_rng(21)
@@ -356,11 +359,14 @@ class TestImageOps:
             tape.backward(tape.vsum(ref * w))
             assert got.grad.tobytes() == want.grad.tobytes(), radius
 
-    def test_image_pyramid_matches_whole_image_blur(self):
+    def test_pyramid_rows_match_whole_image_blur(self):
         img = np.random.default_rng(15).random((9, 11, 3))
-        radii = (0, 1, 2, 4, 5, 20)
-        levels = losses.image_pyramid(img, radii)
-        assert levels.shape == (9, 11, 1 + len(radii), 3)
+        radii = (0, 1, 2, 4, 5, 20)  # 0, and 20 spans the whole image
+        # every pixel of the image, read in a 2-D index as the sampler does
+        index = np.arange(9 * 11).reshape(11, 9)
+        rows = tape.pyramid_rows(img, tape.integral_image(img), radii)(index)
+        assert rows.shape == (11, 9, 3 * (1 + len(radii)))
+        levels = rows.reshape(9, 11, 1 + len(radii), 3)
         assert np.array_equal(levels[:, :, 0], img)
         # the window_mean route: every pixel of the image as a sample
         rc = np.indices(img.shape[:2]).reshape(2, -1).T
@@ -372,11 +378,20 @@ class TestImageOps:
                                      (r,), 0).data.reshape(img.shape)
             assert lvl.tobytes() == dense.tobytes(), r
 
-    def test_image_pyramid_without_radii_is_the_image(self):
+    def test_pyramid_rows_without_radii_are_the_image(self):
         img = np.random.default_rng(17).random((5, 4, 3))
-        levels = losses.image_pyramid(img, ())
-        assert levels.shape == (5, 4, 1, 3)
-        assert levels[:, :, 0].tobytes() == img.tobytes()
+        rows = tape.pyramid_rows(img, tape.integral_image(img), ())
+        got = rows(np.arange(20))
+        assert got.shape == (20, 3)
+        assert got.tobytes() == img.tobytes()
+
+    def test_integral_image_is_window_means_integral(self):
+        img = np.random.default_rng(19).random((6, 5, 3))
+        ii = tape.integral_image(img)
+        assert ii.shape == (7, 6, 3)
+        assert not ii[0].any() and not ii[:, 0].any()
+        np.testing.assert_allclose(ii[1:, 1:],
+                                   img.cumsum(axis=0).cumsum(axis=1))
 
     def test_window_mean_over_radii_matches_one_radius_calls(self):
         rng = np.random.default_rng(18)
@@ -422,12 +437,7 @@ class TestImageOps:
         reach = 2 * max(radii) + 1
         box = (n_img * (np.ptp(rc[:, 0]) + reach) * (np.ptp(rc[:, 1]) + reach)
                * 3 * 8)
-        tracemalloc.start()
-        try:
-            tape.backward(out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: tape.backward(out))
         assert peak < 2 * box, (peak, box)
 
     def test_window_mean_keeps_a_constant_image(self):

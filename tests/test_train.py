@@ -1,6 +1,7 @@
 """Optimizer step, plateau schedule, state IO, and fit-loop contracts."""
 
 import csv
+import functools
 import json
 import weakref
 from dataclasses import replace
@@ -532,13 +533,10 @@ def self_consistent_problem(seed=11, n_pix=30):
             self.depth = np.zeros((h, w))
             self.depth[self.pix_rc[:, 0], self.pix_rc[:, 1]] = Xc[:, 2]
             self.gt_alpha = alpha.copy()
-            self._levels = {}
 
-        def levels(self, radii):
-            key = tuple(radii)
-            if key not in self._levels:
-                self._levels[key] = losses.image_pyramid(self.image, radii)
-            return self._levels[key]
+        @functools.cached_property
+        def integral(self):
+            return tape.integral_image(self.image)
 
     frames = [SelfFrame(0, poses[0]), SelfFrame(1, poses[1])]
     basis0 = {k: v.copy() for k, v in mdl.param_arrays().items()}
