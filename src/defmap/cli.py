@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
 import platform
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -171,31 +172,6 @@ _FIT_FLAGS = {"epochs": int, "batches_per_epoch": int, "batch_size": int,
               "validate_every": int, "checkpoint_every": int}
 
 
-def _build_train_config(args, camera_kind: str) -> train.TrainConfig:
-    """``--config`` (or a resumed run's ``config.json``) under explicit flags."""
-    path = (args.config if args.resume is None
-            else os.path.join(args.resume, "config.json"))
-    base = {} if path is None else _load_json(path)
-    weights = base.pop("weights", {})
-    lc_fields = base.pop("loss_cfg", {})
-    radii = lc_fields.get("blur_radii") if isinstance(lc_fields, dict) else None
-    if isinstance(radii, list):     # JSON has no tuples
-        lc_fields["blur_radii"] = tuple(radii)
-    for key in (*_FIT_FLAGS, "holdout_every"):
-        if getattr(args, key) is not None:
-            base[key] = getattr(args, key)
-    if args.ablate:
-        base["ablate"] = tuple(args.ablate)
-    elif isinstance(base.get("ablate"), list):  # JSON has no tuples
-        base["ablate"] = tuple(base["ablate"])
-    try:
-        w = replace(losses.LossWeights.defaults_for(camera_kind), **weights)
-        lc = losses.LossConfig(**lc_fields)
-        return train.TrainConfig(**base, weights=w, loss_cfg=lc)
-    except TypeError as e:
-        raise errors.InvalidSpec(f"bad train config: {e}") from e
-
-
 def _build_model(args, cat: synth.GroundTruthCategory,
                  rng: np.random.Generator) -> model_mod.DeformerModel:
     dims_fields = {} if args.model_config is None \
@@ -230,19 +206,24 @@ def _fit_usage_error(msg: str):
 
 def cmd_fit(args) -> int:
     cat = synth.load_category(args.dataset)
-    state = None
-    resumed = {} if args.resume is None else {
-        f"resume_{part}": os.path.join(args.resume, f"{part}_final.bin")
-        for part in ("model", "state")}
-    if resumed:
+    if args.holdout_every is not None and args.holdout_every < 0:
+        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
+    state, config_path, resumed = None, args.config, {}
+    if args.resume is not None:
         if (args.mode, args.model_config, args.config) != (None, None, None):
             _fit_usage_error("--mode, --model-config and --config do not apply "
                              "to --resume; the resumed run fixes them")
-        mdl = model_mod.load_model(resumed["resume_model"])
-        state = train.load_state(resumed["resume_state"], mdl)
-    if args.holdout_every is not None and args.holdout_every < 0:
-        _fit_usage_error("--holdout-every must be >= 0 (0 = no holdout)")
-    cfg = _build_train_config(args, cat.spec.camera_kind)
+        files = train.resume_files(args.resume)
+        config_path = files.pop("config")
+        resumed = {f"resume_{part}": path for part, path in files.items()}
+        mdl = model_mod.load_model(files["model"])
+        state = train.load_state(files["state"], mdl)
+    # the config file (the resumed run's own) under the explicit flags
+    values = {} if config_path is None else _load_json(config_path)
+    for key in (*_FIT_FLAGS, "holdout_every", "ablate"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    cfg = train.config_from_json(values, cat.spec.camera_kind)
     holdout = cfg.holdout_every  # the flag's, else the resumed run's
     if state is None:
         mdl = _build_model(args, cat, np.random.default_rng(cfg.seed))
@@ -258,7 +239,8 @@ def cmd_fit(args) -> int:
     else:
         train_ids = val_ids = ids
 
-    epoch_log = train.fit(cat, mdl, cfg, train_ids, val_ids, args.out, state)
+    epoch_log, outputs = train.fit(cat, mdl, cfg, train_ids, val_ids,
+                                   args.out, state)
 
     cfg_dict = asdict(cfg)
     cfg_dict["effective_weights"] = asdict(
@@ -270,9 +252,7 @@ def cmd_fit(args) -> int:
     write_manifest(
         os.path.join(args.out, "manifest.json"), args, cfg_dict,
         inputs=_input_records(args.dataset, **resumed),
-        outputs=["config.json", "log.csv", "metrics.csv",
-                 "model_final.bin", "state_final.bin"],
-        seed=cfg.seed,
+        outputs=outputs, seed=cfg.seed,
     )
     last = epoch_log[-1] if epoch_log else {}
     print(f"run: {args.out}")
@@ -366,30 +346,26 @@ _ROWS = {
 GRADCHECK_ROWS = ("pseudo_huber", *_ROWS)
 
 _GRADCHECK_TOL = 1e-4
-_gradcheck_cats: dict = {}
 
 
+@functools.cache
 def _gradcheck_category(kind: str, seed: int) -> synth.GroundTruthCategory:
-    key = (kind, seed)
-    if key not in _gradcheck_cats:
-        spec = synth.CategorySpec(
-            seed=seed + 17,
-            n_instances=3,
-            frames_per_instance=1,
-            image_h=16,
-            image_w=16,
-            camera_kind=kind,
-            n_shape_coeffs=2,
-            n_keypoints=6,
-            descriptor_dim=6,
-            instance_desc_dim=5,
-            n_texture_params=3,
-            sigma_descriptor=0.02,
-            sigma_label=0.01,
-            n_surface_samples=1000,
-        )
-        _gradcheck_cats[key] = synth.generate_category(spec)
-    return _gradcheck_cats[key]
+    return synth.generate_category(synth.CategorySpec(
+        seed=seed + 17,
+        n_instances=3,
+        frames_per_instance=1,
+        image_h=16,
+        image_w=16,
+        camera_kind=kind,
+        n_shape_coeffs=2,
+        n_keypoints=6,
+        descriptor_dim=6,
+        instance_desc_dim=5,
+        n_texture_params=3,
+        sigma_descriptor=0.02,
+        sigma_label=0.01,
+        n_surface_samples=1000,
+    ))
 
 
 def _gradcheck_model(seed: int) -> model_mod.DeformerModel:
@@ -606,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(default: amortized)")
     for key, typ in _FIT_FLAGS.items():
         f.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
-    f.add_argument("--ablate", action="append", default=[],
+    f.add_argument("--ablate", action="append", default=None,
                    choices=sorted(losses.TERMS),
                    help="zero one loss term (repeatable)")
     f.add_argument("--holdout-every", type=int, default=None,

@@ -148,30 +148,6 @@ def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0 for a rotation matrix."""
-    R = np.asarray(R, dtype=np.float64)
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
-             (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(1.0 + R[i, i] - R[j, j] - R[k, k], 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
 def rotation_distance_var(R: tape.Var, R_ref: np.ndarray) -> tape.Var:
     """(3 - trace(R^T R_ref)) / 2 for (...,3,3) stacks, shape (...)."""
     prod = tape.mul(R, np.asarray(R_ref, dtype=np.float64))

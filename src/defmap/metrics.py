@@ -54,11 +54,7 @@ def _as_cloud(points) -> np.ndarray:
 
 def variance_normalize(points) -> np.ndarray:
     """Center on the centroid and scale to unit mean squared radius."""
-    pts = _as_cloud(points)
-    centered = pts - pts.mean(axis=0)
-    var = float(np.mean(np.sum(centered**2, axis=1)))
-    if var < 1e-24:
-        raise DegenerateCloud("cloud has (near-)zero variance")
+    centered, _, var = _centred(_as_cloud(points))
     return centered / np.sqrt(var)
 
 
@@ -79,14 +75,14 @@ def octahedral_rotations() -> np.ndarray:
     return rotations
 
 
-def _centred(source: np.ndarray):
-    """(source - centroid, centroid, mean squared radius) of a source cloud."""
-    mu_s = source.mean(axis=0)
-    src = source - mu_s
-    var_s = float(np.mean(np.sum(src**2, axis=1)))
-    if var_s < 1e-24:
-        raise DegenerateCloud("source cloud has (near-)zero variance")
-    return src, mu_s, var_s
+def _centred(cloud: np.ndarray):
+    """(cloud - centroid, centroid, mean squared radius) of a cloud."""
+    mu = cloud.mean(axis=0)
+    centered = cloud - mu
+    var = float(np.mean(np.sum(centered**2, axis=1)))
+    if var < 1e-24:
+        raise DegenerateCloud("cloud has (near-)zero variance")
+    return centered, mu, var
 
 
 def _umeyama_batch(src: np.ndarray, mu_s: np.ndarray, var_s: float,
@@ -252,8 +248,7 @@ def icp_align(source, target) -> AlignResult:
     target = _as_cloud(target)
     n = len(source)
     src, mu_s, var_s = _centred(source)
-    mu_t = target.mean(axis=0)
-    var_t = float(np.mean(np.sum((target - mu_t) ** 2, axis=1)))
+    _, mu_t, var_t = _centred(target)
     # per-restart state: scales (K,), rotations (K,3,3), translations (K,3)
     rot = np.concatenate([np.stack(_pca_frame_seeds(source, target)),
                           octahedral_rotations()])

@@ -305,16 +305,17 @@ def pose_rotation(azimuth: float, elevation: float) -> np.ndarray:
 def azimuth_of(R: np.ndarray) -> float:
     """Recover the azimuth as the right-factor twist about world z.
 
-    Decomposes R = R_rest @ R_z(theta) via the rotation's quaternion:
-    theta = 2 atan2(q_z, q_w). Degenerate when the twist is unconstrained
-    (camera axis parallel to world z).
+    For R = R_rest @ R_z(theta) with quaternion (w, x, y, z), the entries
+    R[1,0] - R[0,1] = 4wz and R[0,0] + R[1,1] = 2(w^2 - z^2) are the parts
+    of 2(w + iz)^2, whose argument is theta = 2 atan2(z, w). Degenerate
+    when the twist is unconstrained (camera axis antiparallel to world z),
+    where w = z = 0.
     """
-    q = geom.quat_from_matrix(np.asarray(R, dtype=np.float64))
-    w, z = q[0], q[3]
-    n = np.hypot(w, z)
-    if n < 1e-9:
+    R = np.asarray(R, dtype=np.float64)
+    s, c = R[1, 0] - R[0, 1], R[0, 0] + R[1, 1]
+    if np.hypot(s, c) < 1e-9:  # 2(w^2 + z^2)
         raise GimbalDegenerate("twist about z is unconstrained here")
-    return float(2.0 * np.arctan2(z, w))
+    return float(np.arctan2(s, c))
 
 
 def rebalance_weights(azimuths) -> np.ndarray:

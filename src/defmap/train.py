@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+import os
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,33 @@ class TrainConfig:
             raise InvalidSpec("n_pixels must be >= 1 (or null for every pixel)")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+
+
+def _json_fields(cls, values) -> dict:
+    """``values`` for the dataclass ``cls``, a JSON list made a tuple where
+    the field's annotated type is ``tuple``."""
+    if not isinstance(values, dict):
+        raise TypeError(f"{cls.__name__} fields must be an object")
+    tuples = {f.name for f in fields(cls) if f.type == "tuple"}
+    return {k: tuple(v) if k in tuples and isinstance(v, list) else v
+            for k, v in values.items()}
+
+
+def config_from_json(values: dict, camera_kind: str) -> TrainConfig:
+    """The TrainConfig of an object as :func:`fit` writes it to
+    ``config.json``: ``weights`` (over the camera kind's defaults) and
+    ``loss_cfg`` nested. An unknown or wrong-typed field is InvalidSpec."""
+    values = dict(values)
+    weights, loss_cfg = values.pop("weights", {}), values.pop("loss_cfg", {})
+    try:
+        return TrainConfig(
+            **_json_fields(TrainConfig, values),
+            weights=replace(losses.LossWeights.defaults_for(camera_kind),
+                            **weights),
+            loss_cfg=losses.LossConfig(
+                **_json_fields(losses.LossConfig, loss_cfg)))
+    except TypeError as e:
+        raise InvalidSpec(f"bad train config: {e}") from e
 
 
 def effective_weights(weights: losses.LossWeights, ablate) -> losses.LossWeights:
@@ -374,9 +402,31 @@ def _train_step(model: model_mod.DeformerModel, frames, w_eff,
     return value, breakdown, gnorm
 
 
+def _checkpoint(run_dir, tag: str) -> dict[str, str]:
+    """A checkpoint's model and train-state files, by part."""
+    return {part: os.path.join(run_dir, f"{part}_{tag}.bin")
+            for part in ("model", "state")}
+
+
+def _save_checkpoint(run_dir, tag: str, model: model_mod.DeformerModel,
+                     state: TrainState) -> list[str]:
+    files = _checkpoint(run_dir, tag)
+    model_mod.save_model(files["model"], model)
+    save_state(files["state"], state)
+    return [os.path.basename(p) for p in files.values()]
+
+
+def resume_files(run_dir) -> dict[str, str]:
+    """The files a run resumed from ``run_dir`` reads, by part: the config
+    and the final checkpoint's model and train state."""
+    return {"config": os.path.join(run_dir, "config.json"),
+            **_checkpoint(run_dir, "final")}
+
+
 def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
         train_ids, val_ids, run_dir, state: TrainState | None):
-    """Optimize ``model`` on a category's frames; returns the per-epoch log.
+    """Optimize ``model`` on a category's frames; returns the per-epoch log
+    and the names of the files the run wrote into ``run_dir``.
 
     ``train_ids``/``val_ids`` index ``category.frames``. Each log row holds
     the ``METRIC_COLS`` values plus ``val_failed``, the ``errors`` list of
@@ -386,7 +436,8 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
     plateau bookkeeping and momentum buffers continue bit-exactly.
 
     The run writes ``config.json``, a per-step ``log.csv``, a per-epoch
-    ``metrics.csv`` and model/state checkpoints into ``run_dir``.
+    ``metrics.csv``, the final model/state checkpoint and one every
+    ``cfg.checkpoint_every`` epochs into ``run_dir``.
     A resumed run appends to the logs it finds there; a new log file
     starts with its header row.
     Non-finite gradient steps are skipped, counted, and reported; an
@@ -418,6 +469,7 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
             (run_dir / name).unlink(missing_ok=True)
 
     epoch_log = []
+    written = ["config.json", "log.csv", "metrics.csv"]
     with open(run_dir / "log.csv", "a", newline="") as log_f, \
             open(run_dir / "metrics.csv", "a", newline="") as met_f:
         log_w = _csv_writer(
@@ -477,9 +529,7 @@ def fit(category, model: model_mod.DeformerModel, cfg: TrainConfig,
             if (cfg.checkpoint_every > 0
                     and state.epoch % cfg.checkpoint_every == 0
                     and state.epoch < cfg.epochs):
-                model_mod.save_model(run_dir / f"model_ep{state.epoch}.bin",
-                                     model)
-                save_state(run_dir / f"state_ep{state.epoch}.bin", state)
-        model_mod.save_model(run_dir / "model_final.bin", model)
-        save_state(run_dir / "state_final.bin", state)
-    return epoch_log
+                written += _save_checkpoint(run_dir, f"ep{state.epoch}",
+                                            model, state)
+        written += _save_checkpoint(run_dir, "final", model, state)
+    return epoch_log, written

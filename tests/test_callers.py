@@ -21,6 +21,9 @@ imported from it, or a bare ``f`` inside the module itself.
   arguments, so the source does not show their bindings. A function that
   comes to be skipped so fails until it is listed with its reason, and a
   listed one that is judged again fails until it leaves the list.
+- No module but ``train`` holds a string naming a file of the fit run
+  directory (``RUN_FILES``): ``train`` writes the run and names the files
+  a resume reads, and a second spelling is a second copy of the layout.
 """
 
 import ast
@@ -30,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "defmap"
 EXEMPT = {("cli", "main"), ("geom", "rotation_from_6d")}
+RUN_FILES = ("config.json", "log.csv", "metrics.csv", "model_final.bin",
+             "state_final.bin")
 # (module, function) -> why the default and one-literal checks skip it; its
 # defaults and parameters were checked by hand
 UNJUDGED = {
@@ -215,3 +220,13 @@ def test_every_skipped_function_is_listed_with_a_reason():
                           + ", ".join(f"{m}.{n}" for m, n in unlisted))
     assert not stale, ("UNJUDGED functions the checks judge again: "
                        + ", ".join(f"{m}.{n}" for m, n in stale))
+
+
+def test_only_train_names_the_run_files():
+    found = sorted({f"{mod}: {name}" for mod, tree in _trees().items()
+                    if mod != "train" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    for name in RUN_FILES if name in node.value})
+    assert not found, ("run files named outside train: "
+                       + ", ".join(found))

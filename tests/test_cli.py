@@ -250,6 +250,30 @@ class TestFit:
                           "texture,min_k,min_k_raw,min_k_refs,grad_norm")
         assert len((run / "log.csv").read_text().splitlines()) == 1 + 6
 
+    def test_manifest_lists_the_run_directory(self, ds, run, tmp_path):
+        # a fresh fit, one with snapshots and one resumed from it into a
+        # new directory each list every file of their run directory
+        snap, resumed = tmp_path / "snap", tmp_path / "resumed"
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(snap),
+                         "--config", write_json(tmp_path / "tc.json",
+                                                TRAIN_CFG),
+                         "--model-config", write_json(tmp_path / "md.json",
+                                                      MODEL_CFG),
+                         "--epochs", "2", "--batches-per-epoch", "1",
+                         "--batch-size", "2", "--seed", "0",
+                         "--validate-every", "0",
+                         "--checkpoint-every", "1"]) == 0
+        assert cli.main(["fit", "--dataset", str(ds), "--out", str(resumed),
+                         "--resume", str(snap), "--epochs", "4"]) == 0
+        outputs = {}
+        for out in (run, snap, resumed):
+            outputs[out] = json.loads(
+                (out / "manifest.json").read_text())["outputs"]
+            assert outputs[out] == sorted(
+                p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert {"model_ep1.bin", "state_ep1.bin"} <= set(outputs[snap])
+        assert {"model_ep3.bin", "state_ep3.bin"} <= set(outputs[resumed])
+
     def test_ablation_recorded_in_manifest(self, run):
         m = json.loads((run / "manifest.json").read_text())
         assert m["config"]["ablate"] == ["repro"]

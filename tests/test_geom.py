@@ -84,20 +84,6 @@ class TestRotationHelpers:
                 ang, abs=1e-9)
             np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
 
-    def test_quat_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            R = geom.rotation_from_6d(rng.standard_normal(6))
-            w, x, y, z = geom.quat_from_matrix(R)
-            # rebuild the matrix from the quaternion
-            Rq = np.array([
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ])
-            np.testing.assert_allclose(Rq, R, atol=1e-9)
-            assert w >= 0
-
 
 def rotation_distance(A, B):
     return float(geom.rotation_distance_var(tape.Var(A), B).data)

@@ -466,6 +466,12 @@ class TestIcpLockstep:
         with pytest.raises(DegenerateCloud):
             metrics.icp_align(np.ones((5, 3)), np.eye(3))
 
+    def test_degenerate_target(self):
+        # a zero-variance target once gave scale 0 and residual 0, a
+        # "converged" fit of the source collapsed onto one point
+        with pytest.raises(DegenerateCloud):
+            metrics.icp_align(np.eye(3) * [1.0, 2.0, 3.0], np.ones((3, 3)))
+
 
 class TestPointCloudDistance:
     def test_similarity_invariance(self):

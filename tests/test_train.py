@@ -4,7 +4,7 @@ import csv
 import functools
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,16 @@ class TestConfig:
     def test_unknown_ablation_rejected(self):
         with pytest.raises(InvalidSpec):
             tiny_cfg(ablate=("colorfulness",))
+
+    def test_config_json_reads_back(self):
+        # config.json as fit writes it, tuples as JSON lists and the
+        # records nested, parses back to the config it was written from
+        cfg = tiny_cfg(ablate=("repro", "mask"),
+                       weights=losses.LossWeights(w_repro=0.5),
+                       loss_cfg=losses.LossConfig(blur_radii=(0, 3)))
+        values = json.loads(json.dumps(asdict(cfg)))
+        assert values["ablate"] == ["repro", "mask"]
+        assert train.config_from_json(values, geom.PERSPECTIVE) == cfg
 
     def test_effective_weights_zero_targets(self):
         w = train.effective_weights(losses.LossWeights(), ("repro", "texture"))
@@ -274,8 +284,8 @@ class TestFit:
         cfg = tiny_cfg()
         mdl = fresh_model(tiny_cat.spec)
         run = tmp_path / "run"
-        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0, 5], run,
-                        None)
+        log, _ = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0, 5],
+                           run, None)
         assert len(log) == cfg.epochs
         assert json.loads((run / "config.json").read_text())["lr"] == cfg.lr
         with open(run / "log.csv") as f:
@@ -382,8 +392,8 @@ class TestFit:
         before = {k: v.copy() for k, v in mdl.param_arrays().items()}
         cfg = tiny_cfg(epochs=1)
         state = train.init_state(mdl, cfg)
-        log = train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path,
-                        state=state)
+        log, _ = train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path,
+                           state=state)
         assert state.nonfinite == cfg.batches_per_epoch
         assert state.step == 0
         for name, arr in mdl.param_arrays().items():
@@ -400,8 +410,8 @@ class TestFit:
         mdl = fresh_model(cat.spec)
         cfg = tiny_cfg(epochs=3, batches_per_epoch=4)
         state = train.init_state(mdl, cfg)
-        log = train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path,
-                        state=state)
+        log, _ = train.fit(cat, mdl, cfg, all_ids(cat), [0], tmp_path,
+                           state=state)
         with open(tmp_path / "log.csv") as f:
             steps = list(csv.DictReader(f))
         assert 0 < state.nonfinite < len(steps)
@@ -441,8 +451,8 @@ class TestFit:
                           n_frames=len(tiny_cat.frames))
         lat0 = mdl.latents["alpha"].copy()
         cfg = tiny_cfg(epochs=1, batches_per_epoch=4)
-        log = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0], tmp_path,
-                        None)
+        log, _ = train.fit(tiny_cat, mdl, cfg, all_ids(tiny_cat), [0],
+                           tmp_path, None)
         assert not np.array_equal(mdl.latents["alpha"], lat0)
         assert np.isfinite(log[0]["mean_total"])
 
@@ -568,8 +578,8 @@ class TestFixedPoint:
                        n_pixels=None, ablate=("emb_align",),
                        n_eval_points=100)
         state = train.init_state(mdl, cfg)
-        log = train.fit(cat, mdl, cfg, all_ids(cat), all_ids(cat), tmp_path,
-                        state=state)
+        log, _ = train.fit(cat, mdl, cfg, all_ids(cat), all_ids(cat),
+                           tmp_path, state=state)
         assert state.step == 5 and state.nonfinite == 0   # steps really ran
         assert log[0]["mean_total"] < 1e-8
         assert log[0]["mean_prior"] < 1e-10
